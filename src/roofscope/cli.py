@@ -145,7 +145,11 @@ class _ElementParser:
             num = self.take_int()
             if self.peek() == "/":
                 self.pos += 1
+                start = self.pos
                 den = self.take_int()
+                if den == 0:
+                    self.pos = start
+                    self.fail("zero denominator")
                 return chow.ChowElement({(0, 0): Fraction(num, den)})
             return chow.ChowElement({(0, 0): num})
         if self.text.startswith("xi", self.pos):
@@ -195,7 +199,10 @@ def parse_element(text: str) -> chow.ChowElement:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad number {text!r}: zero denominator") from None
 
 
 def _base_from_args(args) -> chow.CyclicBase:

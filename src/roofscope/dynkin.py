@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .root_system import SimpleType, construct
+from .root_system import SimpleType, _bonds
 
 
 class ParseError(ValueError):
@@ -129,30 +129,23 @@ class MarkedDiagram:
         return f"{self.diagram} marked {','.join(map(str, sorted(self.marks)))}"
 
 
-def _edges_from_cartan(cartan: tuple[tuple[int, ...], ...]) -> frozenset[Edge]:
-    n = len(cartan)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if cartan[i][j] == 0:
-                continue
-            mult = cartan[i][j] * cartan[j][i]
-            source = None
-            if mult > 1:
-                # the long root's row holds the -1
-                source = (i if cartan[i][j] == -1 else j) + 1
-            out.append(Edge(i + 1, j + 1, mult, source))
-    return frozenset(out)
-
-
 @lru_cache(maxsize=None)
 def diagram_of(factors: tuple[SimpleType, ...]) -> Diagram:
-    """The full diagram of one or two factors, edges derived from the Cartan matrix."""
-    rs = construct(factors)
+    """The full diagram of one or two factors, edges read off the Bourbaki bonds."""
+    edges = []
+    offset = 0
+    for f in factors:
+        for i, j, ij, ji in _bonds(f):
+            source = None
+            if ij * ji > 1:
+                # the long root's row holds the -1
+                source = offset + (i if ij == -1 else j) + 1
+            edges.append(Edge(offset + i + 1, offset + j + 1, ij * ji, source))
+        offset += f.rank
     return Diagram(
         factors=factors,
-        nodes=tuple(range(1, rs.rank + 1)),
-        edges=_edges_from_cartan(rs.cartan),
+        nodes=tuple(range(1, offset + 1)),
+        edges=frozenset(edges),
     )
 
 
@@ -358,9 +351,7 @@ def _identify(nodes: list[int], edges: list[Edge]) -> ComponentShape:
         right = [x for x in adj[e.target] if x != e.source]
         if len(left) != 1 or len(right) != 1:
             raise _corrupt(nodes)
-        shape = ComponentShape(SimpleType("F", 4), (left[0], e.source, e.target, right[0]))
-        _verify(shape, edges, nodes)
-        return shape
+        return ComponentShape(SimpleType("F", 4), (left[0], e.source, e.target, right[0]))
 
     # simply laced
     forks = [v for v in nodes if deg[v] >= 3]
@@ -388,16 +379,12 @@ def _identify(nodes: list[int], edges: list[Edge]) -> ComponentShape:
             tail = branches[2]
             fork = sorted((branches[0][0], branches[1][0]))
             embedding = tuple(reversed(tail)) + (center, fork[0], fork[1])
-        shape = ComponentShape(SimpleType("D", rank), embedding)
-        _verify(shape, edges, nodes)
-        return shape
+        return ComponentShape(SimpleType("D", rank), embedding)
     if lens[0] == 1 and lens[1] == 2 and 2 <= lens[2] <= 4:
         rank = lens[2] + 4
         short, mid, long_ = branches  # for E6 the (len, leaf) sort fixes mid vs long
         embedding = (mid[1], short[0], mid[0], center) + tuple(long_)
-        shape = ComponentShape(SimpleType("E", rank), embedding)
-        _verify(shape, edges, nodes)
-        return shape
+        return ComponentShape(SimpleType("E", rank), embedding)
     raise _corrupt(nodes)
 
 
@@ -424,9 +411,11 @@ def classify_components(d: Diagram) -> list[ComponentShape]:
     A1, regardless of the factor they were cut from.
     """
     adj: dict[int, list[int]] = {v: [] for v in d.nodes}
+    edges_at: dict[int, list[Edge]] = {v: [] for v in d.nodes}  # keyed by e.a
     for e in d.edges:
         adj[e.a].append(e.b)
         adj[e.b].append(e.a)
+        edges_at[e.a].append(e)
     seen: set[int] = set()
     shapes: list[ComponentShape] = []
     for start in d.nodes:
@@ -443,7 +432,7 @@ def classify_components(d: Diagram) -> list[ComponentShape]:
                     seen.add(w)
                     stack.append(w)
         comp.sort()
-        comp_edges = [e for e in d.edges if e.a in comp]
+        comp_edges = [e for v in comp for e in edges_at[v]]
         shape = _identify(comp, comp_edges)
         _verify(shape, comp_edges, comp)
         shapes.append(shape)

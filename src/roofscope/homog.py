@@ -1,23 +1,32 @@
 """Numerical invariants of rational homogeneous varieties.
 
-A marked diagram (D, I) stands for G/P(I).  Its Picard number is #I,
-its dimension is #Phi+ - #Phi+_L where the Levi roots Phi+_L are the
-positive roots supported on unmarked nodes, and the anticanonical class
-is sigma = sum of the non-Levi positive roots, reported through the
-pairings <sigma, alpha_i^vee> at the marked nodes.
+A marked diagram (D, I) stands for G/P(I).  Its Picard number is #I.
+Its dimension is #Phi+ - #Phi+_L, where L is the Levi diagram: D with
+the marked nodes removed.  Both counts are sums over connected
+components of the closed form ``positive_root_count``.
 
-Residual diagrams (after node removal) are evaluated inside the ambient
-root system: the positive roots of an induced subdiagram are exactly the
-ambient positive roots supported on the surviving nodes.  Unmarked
-components contribute a point and drop out of all fiber analysis.
+The anticanonical class is sigma = 2rho - 2rho_L, reported through the
+pairings <sigma, alpha_m^vee> at the marks m.  Since <2rho, alpha_m^vee>
+is 2 and 2rho_L lives on the Levi components, whose 2rho is read off
+the Bourbaki plates (``_two_rho``), the coefficient at m is
+
+    2 - sum over Levi neighbours j of m of  a_mj * (2rho_L)_j
+
+with a_mj = <alpha_j, alpha_m^vee>: -mult when m is the short end of
+the bond, -1 otherwise.  No root system is ever built.
+
+Residual diagrams (after node removal) are handled the same way, one
+component at a time, since an induced subdiagram's root system is the
+product of its components' systems.  Unmarked components contribute a
+point and drop out of all fiber analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynkin import MarkedDiagram, classify_components, remove_node
-from .root_system import construct, pairing
+from .dynkin import Diagram, MarkedDiagram, classify_components, remove_node
+from .root_system import _two_rho, positive_root_count
 
 
 @dataclass(frozen=True)
@@ -54,25 +63,28 @@ class VarietyInvariants:
 
 def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     """Compute dim, Picard number and the anticanonical coefficient vector."""
-    rs = construct(md.diagram.factors)
-    alive = set(md.diagram.nodes)
+    d = md.diagram
     marks = sorted(md.marks)
-    marked = set(marks)
-
-    def support(beta):
-        return {j + 1 for j, c in enumerate(beta) if c}
-
-    sub = [b for b in rs.positive_roots if support(b) <= alive]
-    levi_count = 0
-    sigma = [0] * rs.rank
-    for beta in sub:
-        if support(beta) & marked:
-            for j, c in enumerate(beta):
-                sigma[j] += c
-        else:
-            levi_count += 1
-    dim = len(sub) - levi_count
-    vec = tuple((m, pairing(rs, sigma, m)) for m in marks)
+    levi = Diagram(
+        factors=d.factors,
+        nodes=tuple(v for v in d.nodes if v not in md.marks),
+        edges=frozenset(
+            e for e in d.edges if e.a not in md.marks and e.b not in md.marks
+        ),
+    )
+    levi_shapes = classify_components(levi)
+    dim = sum(positive_root_count(s.type) for s in classify_components(d))
+    dim -= sum(positive_root_count(s.type) for s in levi_shapes)
+    levi_two_rho: dict[int, int] = {}
+    for shape in levi_shapes:
+        levi_two_rho.update(zip(shape.embedding, _two_rho(shape.type)))
+    coeff = {m: 2 for m in marks}
+    for e in d.edges:
+        for m, j in ((e.a, e.b), (e.b, e.a)):
+            if m in coeff and j in levi_two_rho:
+                a_mj = -e.mult if e.target == m else -1
+                coeff[m] -= a_mj * levi_two_rho[j]
+    vec = tuple((m, coeff[m]) for m in marks)
     for _, c in vec:
         if c <= 0:  # -K is ample on G/P; a failure here is a programming error
             raise RuntimeError(f"non-positive index coefficient for {md}")

@@ -29,14 +29,18 @@ conventions are fixed here once and for all:
 
 Positive roots are integer coefficient vectors in the simple-root basis,
 generated by closing the simple roots under root-string addition and
-frozen in (height, coefficients) order.
+frozen in (height, coefficients) order.  The closure is quadratic in the
+number of roots, so no production path runs it: diagrams take their
+edges from ``_bonds`` and G/P invariants use the closed forms
+``positive_root_count`` and ``_two_rho``.  ``construct`` stays public API
+and serves as the test oracle for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 _SERIES_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
 
@@ -102,42 +106,63 @@ def positive_root_count(t: SimpleType) -> int:
     return 6  # G2
 
 
+def _bonds(t: SimpleType) -> Iterator[tuple[int, int, int, int]]:
+    """Yield ``(i, j, cartan[i][j], cartan[j][i])`` for each bond, 0-based, i < j."""
+    n = t.rank
+    if t.letter in "ABCD":
+        chain = n - 1 if t.letter == "A" else n - 2
+        for i in range(chain):
+            yield i, i + 1, -1, -1
+        if t.letter == "B":
+            yield n - 2, n - 1, -1, -2  # alpha_n short: its row holds the -2
+        elif t.letter == "C":
+            yield n - 2, n - 1, -2, -1  # alpha_n long
+        elif t.letter == "D":
+            yield n - 3, n - 1, -1, -1
+    elif t.letter == "E":
+        yield 0, 2, -1, -1
+        yield 1, 3, -1, -1
+        for i in range(2, n - 1):
+            yield i, i + 1, -1, -1
+    elif t.letter == "F":
+        yield 0, 1, -1, -1
+        yield 1, 2, -1, -2
+        yield 2, 3, -1, -1
+    else:  # G2
+        yield 0, 1, -1, -3
+
+
 def _simple_cartan(t: SimpleType) -> list[list[int]]:
     n = t.rank
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i: int, j: int, ij: int = -1, ji: int = -1) -> None:
+    for i, j, ij, ji in _bonds(t):
         m[i][j] = ij
         m[j][i] = ji
-
-    if t.letter == "A":
-        for i in range(n - 1):
-            bond(i, i + 1)
-    elif t.letter == "B":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1, ij=-1, ji=-2)  # alpha_n short: its row holds the -2
-    elif t.letter == "C":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 2, n - 1, ij=-2, ji=-1)  # alpha_n long
-    elif t.letter == "D":
-        for i in range(n - 3):
-            bond(i, i + 1)
-        bond(n - 3, n - 2)
-        bond(n - 3, n - 1)
-    elif t.letter == "E":
-        bond(0, 2)
-        for i in range(2, n - 1):
-            bond(i, i + 1)
-        bond(1, 3)
-    elif t.letter == "F":
-        bond(0, 1)
-        bond(1, 2, ij=-1, ji=-2)
-        bond(2, 3)
-    else:  # G2
-        bond(0, 1, ij=-1, ji=-3)
     return m
+
+
+_EXCEPTIONAL_TWO_RHO = {
+    ("E", 6): (16, 22, 30, 42, 30, 16),
+    ("E", 7): (34, 49, 66, 96, 75, 52, 27),
+    ("E", 8): (92, 136, 182, 270, 220, 168, 114, 58),
+    ("F", 4): (16, 30, 42, 22),
+    ("G", 2): (6, 10),  # node 1 long
+}
+
+
+def _two_rho(t: SimpleType) -> tuple[int, ...]:
+    """2rho, the sum of the positive roots, in the simple-root basis (Bourbaki plates)."""
+    n = t.rank
+    if t.letter == "A":
+        return tuple(p * (n + 1 - p) for p in range(1, n + 1))
+    if t.letter == "B":
+        return tuple(p * (2 * n - p) for p in range(1, n + 1))
+    if t.letter == "C":
+        return tuple(p * (2 * n - p + 1) for p in range(1, n)) + (n * (n + 1) // 2,)
+    if t.letter == "D":
+        fork = n * (n - 1) // 2
+        return tuple(p * (2 * n - p - 1) for p in range(1, n - 1)) + (fork, fork)
+    return _EXCEPTIONAL_TWO_RHO[(t.letter, n)]
 
 
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -240,6 +241,21 @@ def test_chow_rejects_conflicting_base_flags():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "--base", "P2", "--rank", "2", "--cherns", "3,3", "--element", "1/0"),
+        ("mukai-check", "--index", "5", "--c1", "1/0", "--rank", "3", "--dim", "5"),
+        ("canonical", "--base", "P2", "--rank", "2", "--cherns", "1/0,3"),
+    ],
+)
+def test_chow_zero_denominators_exit_2(argv):
+    code, out, err = run("chow", *argv)
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+
+
 def test_element_parser_grammar():
     from fractions import Fraction
 
@@ -252,6 +268,36 @@ def test_element_parser_grammar():
         parse_element("2**xi")
     with pytest.raises(ValueError):
         parse_element("(xi")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_element("xi + 1/0")
+
+
+# --- no root closure on production paths ------------------------------------------
+
+
+def test_production_paths_never_close_a_root_system(monkeypatch):
+    import roofscope.root_system
+
+    def refuse(factors):
+        raise AssertionError(f"root closure of {factors}")
+
+    monkeypatch.setattr(roofscope.root_system, "_construct", refuse)
+    for argv in [
+        ("gp", "F4:2,3"),
+        ("verify-table", "--r-max", "10"),
+        ("roofs", "--max-rank", "8"),
+    ]:
+        code, out, err = run(*argv)
+        assert code == 0 and out, (argv, err)
+
+
+def test_gp_on_a_huge_diagram_is_fast():
+    start = time.perf_counter()
+    code, out, _ = run("gp", "A3000:1500")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert out.splitlines()[2].split() == ["A3000:1500", "2251500", "1", "3001"]
+    assert elapsed < 2.0, f"gp A3000:1500 took {elapsed:.2f}s"
 
 
 # --- determinism ---------------------------------------------------------------------

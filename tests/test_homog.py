@@ -3,15 +3,20 @@ an independent brute-force count over the positive roots."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from roofscope import (
     MarkedDiagram,
     SimpleType,
+    VarietyInvariants,
     construct,
+    diagram_of,
     fibration_fiber,
     gp_invariants,
     is_projective_space,
+    pairing,
     parse,
     serialize,
 )
@@ -31,6 +36,61 @@ def brute_dim(letter: int, rank: int, mark: int) -> int:
     """Oracle: count positive roots whose support meets the mark."""
     rs = construct([SimpleType(letter, rank)])
     return sum(1 for beta in rs.positive_roots if beta[mark - 1] != 0)
+
+
+def brute_gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
+    """Oracle: sum the ambient positive roots supported on the surviving nodes.
+
+    The roots of an induced subdiagram are the ambient positive roots
+    supported on its nodes; sigma sums those whose support meets a mark,
+    and the Levi roots are the rest.
+    """
+    rs = construct(md.diagram.factors)
+    alive = set(md.diagram.nodes)
+    marks = sorted(md.marks)
+    marked = set(marks)
+
+    def support(beta):
+        return {j + 1 for j, c in enumerate(beta) if c}
+
+    sub = [b for b in rs.positive_roots if support(b) <= alive]
+    levi_count = 0
+    sigma = [0] * rs.rank
+    for beta in sub:
+        if support(beta) & marked:
+            for j, c in enumerate(beta):
+                sigma[j] += c
+        else:
+            levi_count += 1
+    vec = tuple((m, pairing(rs, sigma, m)) for m in marks)
+    return VarietyInvariants(dim=len(sub) - levi_count, picard=len(marks), index_vector=vec)
+
+
+def _all_factor_specs(max_rank):
+    types = [SimpleType(l, r) for l, r in ALL_SIMPLE if r <= max_rank]
+    for a, t in enumerate(types):
+        yield (t,)
+        for u in types[a:]:
+            if t.rank + u.rank <= max_rank:
+                yield (t, u)
+
+
+def test_closed_form_invariants_match_the_root_sum_exhaustively():
+    # every diagram with 1-3 marks of total rank <= 8, plus both
+    # fibration fibers of every two-marked one
+    checked = 0
+    for factors in _all_factor_specs(8):
+        d = diagram_of(factors)
+        for k in (1, 2, 3):
+            for marks in combinations(d.nodes, k):
+                md = MarkedDiagram(d, frozenset(marks))
+                cases = [md]
+                if k == 2:
+                    cases += [fibration_fiber(md, keep) for keep in marks]
+                for case in cases:
+                    assert gp_invariants(case) == brute_gp_invariants(case), str(case)
+                    checked += 1
+    assert checked == 14_984
 
 
 def test_examples_from_closed_forms():

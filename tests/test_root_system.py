@@ -17,6 +17,7 @@ from roofscope import (
     sum_positive_roots,
     weight_of,
 )
+from roofscope.root_system import _two_rho
 
 EXPECTED_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
@@ -160,6 +161,23 @@ def test_sum_of_all_positive_roots_pairs_to_two_at_every_node():
         two_rho = sum_positive_roots(rs)
         for i in range(1, rs.rank + 1):
             assert pairing(rs, two_rho, i) == 2
+
+
+def _canonical_types(max_rank):
+    for letter in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                yield SimpleType(letter, rank)
+            except ValueError:
+                continue
+
+
+def test_two_rho_closed_form_matches_the_root_sum():
+    # the Bourbaki-plate 2*rho used for G/P invariants, against the closure
+    types = list(_canonical_types(12))
+    assert len(types) == 12 + 10 + 11 + 9 + 3 + 1 + 1
+    for t in types:
+        assert _two_rho(t) == sum_positive_roots(construct([t])), str(t)
 
 
 def test_sum_positive_roots_with_predicate_matches_hand_enumeration():
