@@ -262,28 +262,30 @@ class BundleChowRing:
     def reduce(self, element: ChowElement | Scalar) -> ChowElement:
         """Unique normal form modulo H-truncation and the bundle relation.
 
-        Reduction is a ring homomorphism and is idempotent.
+        Reduction is a ring homomorphism and is idempotent.  Monomials
+        with h > n or of degree above ``top_degree`` are zero: the
+        relation is homogeneous and every normal form has degree at most
+        ``top_degree``.  The rest are expanded top-down in xi, each
+        (h, x) exactly once, so the cost is O((n + r) * n * r).
         """
         el = _coerce(element)
         if el is None:
             raise TypeError(f"cannot reduce {element!r}")
-        n, r = self.base.dim, self.rank
-        work = dict(el.terms)
-        out: dict[tuple[int, int], Fraction] = {}
-        while work:
-            (h, x), c = work.popitem()
-            if h > n or c == 0:
-                continue
-            if x < r:
-                out[(h, x)] = out.get((h, x), Fraction(0)) + c
-                continue
-            # xi^r = c_1 H xi^{r-1} - c_2 H^2 xi^{r-2} + ... -(-1)^r c_r H^r
-            for i in range(1, r + 1):
-                coeff = c * self.cherns[i - 1] * (-1) ** (i + 1)
-                if coeff:
-                    k = (h + i, x - i)
-                    work[k] = work.get(k, Fraction(0)) + coeff
-        return ChowElement(out)
+        n, r, top = self.base.dim, self.rank, self.top_degree
+        rows: dict[int, dict[int, Fraction]] = {}  # x -> h -> coefficient
+        for (h, x), c in el.terms.items():
+            if h <= n and h + x <= top:
+                rows.setdefault(x, {})[h] = c
+        # xi^r = c_1 H xi^{r-1} - c_2 H^2 xi^{r-2} + ... -(-1)^r c_r H^r
+        relation = [(i, (-1) ** (i + 1) * c) for i, c in enumerate(self.cherns, 1) if c]
+        for x in range(max(rows, default=0), r - 1, -1):
+            for h, c in rows.pop(x, {}).items():
+                for i, coeff in relation:
+                    if h + i > n:
+                        break
+                    row = rows.setdefault(x - i, {})
+                    row[h + i] = row.get(h + i, 0) + c * coeff
+        return ChowElement({(h, x): c for x, row in rows.items() for h, c in row.items()})
 
     def degree(self, element: ChowElement | Scalar) -> Fraction:
         """Pair a homogeneous class of top degree n + r - 1 against the point."""

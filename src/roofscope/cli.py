@@ -110,13 +110,25 @@ def build_parser() -> argparse.ArgumentParser:
 # --- chow element grammar ----------------------------------------------------
 
 
+# Larger coefficients cannot be printed anyway (Python refuses to convert
+# integers of more than 4300 digits to text); refusing them while parsing
+# keeps nested powers such as ((3^9999)^9999)^9999 from exhausting memory.
+_MAX_COEFFICIENT_BITS = 1 << 16
+
+
 class _ElementParser:
     """expr := ('-')? term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := atom ('^' int)?; atom := '(' expr ')' | rational | 'H' | 'xi'."""
+    factor := atom ('^' int)?; atom := '(' expr ')' | rational | 'H' | 'xi'.
 
-    def __init__(self, text: str):
+    With ``max_degree`` set, every product drops its monomials of total
+    degree above it.  They span an ideal that reduces to zero in a ring
+    of that top degree, so the normal form and the degree pairing of the
+    result are those of the untruncated element."""
+
+    def __init__(self, text: str, max_degree: Optional[int] = None):
         self.text = text.replace(" ", "")
         self.pos = 0
+        self.max_degree = max_degree
 
     def fail(self, msg: str):
         raise ValueError(f"bad element: {msg} (at position {self.pos + 1})")
@@ -160,18 +172,35 @@ class _ElementParser:
             return chow.H
         self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
+    def product(self, a: chow.ChowElement, b: chow.ChowElement) -> chow.ChowElement:
+        terms = (a * b).terms
+        if self.max_degree is not None:
+            terms = {(h, x): c for (h, x), c in terms.items() if h + x <= self.max_degree}
+        for c in terms.values():
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
+                self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
+        return chow.ChowElement(terms)
+
     def factor(self) -> chow.ChowElement:
         base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            return base ** self.take_int()
-        return base
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        k = self.take_int()
+        out = chow.ChowElement({(0, 0): 1})
+        while k:
+            if k & 1:
+                out = self.product(out, base)
+            k >>= 1
+            if k:
+                base = self.product(base, base)
+        return out
 
     def term(self) -> chow.ChowElement:
         out = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            out = out * self.factor()
+            out = self.product(out, self.factor())
         return out
 
     def expr(self) -> chow.ChowElement:
@@ -194,8 +223,12 @@ class _ElementParser:
         return out
 
 
-def parse_element(text: str) -> chow.ChowElement:
-    return _ElementParser(text).parse()
+def parse_element(text: str, max_degree: Optional[int] = None) -> chow.ChowElement:
+    """Parse an element of the free algebra; see :class:`_ElementParser`."""
+    try:
+        return _ElementParser(text, max_degree).parse()
+    except RecursionError:
+        raise ValueError("bad element: parentheses nested too deeply") from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -399,12 +432,12 @@ def cmd_chow(args) -> int:
     sub = args.chow_command
     if sub == "reduce":
         ring = _ring_from_args(args)
-        el = ring.reduce(parse_element(args.element))
+        el = ring.reduce(parse_element(args.element, ring.top_degree))
         _print_element(args.format, "normal_form", el)
         return EXIT_OK
     if sub == "degree":
         ring = _ring_from_args(args)
-        value = ring.degree(parse_element(args.element))
+        value = ring.degree(parse_element(args.element, ring.top_degree))
         text = str(value) if value.denominator != 1 else str(value.numerator)
         _emit(args.format, ["degree"], [[text]], {"degree": text})
         return EXIT_OK
@@ -457,6 +490,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # argparse stores an option value of exactly "--" (as in --element=--)
+    # as an empty list; no option of this parser takes a list
+    if [] in vars(args).values():
+        print("error: '--' is not a valid option value", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "gp":
             return cmd_gp(args)

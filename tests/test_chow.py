@@ -13,9 +13,12 @@ pairing H-powers on the base.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roofscope import (
     BundleChowRing,
@@ -35,6 +38,7 @@ from roofscope import (
     quadric,
     twist_cherns,
 )
+
 
 def tangent_bundle_ring(r: int) -> BundleChowRing:
     """P(T_{P^r}): the Euler sequence gives c_k(T) = binom(r+1, k)."""
@@ -60,6 +64,59 @@ def pushforward_degree(ring: BundleChowRing, element: ChowElement) -> Fraction:
             continue
         total += coeff * t[k] * d
     return total
+
+
+def naive_reduce(ring: BundleChowRing, element: ChowElement) -> ChowElement:
+    """Oracle normal form: expand monomials in LIFO order until none has
+    xi-degree >= r.  Exponential in the xi-degree excess, because a key is
+    often expanded before all of its contributions have arrived."""
+    n, r = ring.base.dim, ring.rank
+    work = dict(element.terms)
+    out: dict[tuple[int, int], Fraction] = {}
+    while work:
+        (h, x), c = work.popitem()
+        if h > n or c == 0:
+            continue
+        if x < r:
+            out[(h, x)] = out.get((h, x), Fraction(0)) + c
+            continue
+        for i in range(1, r + 1):
+            coeff = c * ring.cherns[i - 1] * (-1) ** (i + 1)
+            if coeff:
+                k = (h + i, x - i)
+                work[k] = work.get(k, Fraction(0)) + coeff
+    return ChowElement(out)
+
+
+_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _rings(draw) -> BundleChowRing:
+    base = draw(
+        st.one_of(
+            st.integers(1, 7).map(projective_space),
+            st.sampled_from([3, 5, 7]).map(quadric),
+        )
+    )
+    rank = draw(st.integers(1, 6))
+    cherns = draw(st.lists(_coefficients, min_size=rank, max_size=rank))
+    return BundleChowRing(base, rank, tuple(cherns))
+
+
+def _elements(ring: BundleChowRing):
+    """Elements reaching past both truncations: h up to n + 1 and total
+    degree up to top_degree + 2.  With n <= 7 the oracle stays cheap."""
+    monomials = st.tuples(
+        st.integers(0, ring.base.dim + 1), st.integers(0, ring.top_degree + 2)
+    )
+    return st.dictionaries(monomials, _coefficients, max_size=6).map(ChowElement)
+
+
+@st.composite
+def _ring_and_elements(draw):
+    ring = draw(_rings())
+    return ring, draw(_elements(ring)), draw(_elements(ring))
 
 
 # --- reduce ------------------------------------------------------------------
@@ -90,6 +147,33 @@ def test_reduce_is_idempotent_and_a_ring_homomorphism():
         assert ring.reduce(ra) == ra
         assert ring.reduce(a + b) == ring.reduce(ra + rb)
         assert ring.reduce(a * b) == ring.reduce(ra * rb)
+
+
+@given(_ring_and_elements())
+def test_reduce_matches_the_naive_oracle(case):
+    ring, a, b = case
+    assert ring.reduce(a) == naive_reduce(ring, a)
+    assert ring.reduce(a * b) == naive_reduce(ring, a * b)
+
+
+@given(_ring_and_elements())
+def test_reduce_is_an_idempotent_ring_homomorphism_on_random_rings(case):
+    ring, a, b = case
+    ra, rb = ring.reduce(a), ring.reduce(b)
+    assert ring.reduce(ra) == ra
+    assert ring.reduce(a + b) == ra + rb
+    assert ring.reduce(a * b) == ring.reduce(ra * rb)
+    assert ring.reduce(3 * a - b) == ring.reduce(3 * ra - rb)
+
+
+def test_reduce_is_polynomial_in_the_xi_excess():
+    ring = BundleChowRing(projective_space(30), 30, tuple(range(1, 31)))
+    start = time.perf_counter()
+    assert ring.reduce(XI**60) == ChowElement()  # above the top degree 59
+    nf = ring.reduce(XI**59 + H * XI**58)
+    assert time.perf_counter() - start < 1.0
+    assert set(nf.terms) <= {(30, 29)}
+    assert ring.degree(XI**59) == pushforward_degree(ring, XI**59)
 
 
 def test_normal_form_respects_bounds():
@@ -143,6 +227,14 @@ def test_degree_agrees_with_pushforward_oracle():
                     terms[(h, x)] = Fraction(rng.randint(-4, 4))
             el = ChowElement(terms)
             assert ring.degree(el) == pushforward_degree(ring, el)
+
+
+@given(_rings(), st.data())
+def test_degree_agrees_with_pushforward_oracle_on_random_rings(ring, data):
+    top = ring.top_degree
+    coeffs = data.draw(st.lists(_coefficients, min_size=top + 1, max_size=top + 1))
+    el = ChowElement({(top - x, x): c for x, c in enumerate(coeffs)})
+    assert ring.degree(el) == pushforward_degree(ring, el)
 
 
 # --- canonical class -----------------------------------------------------------

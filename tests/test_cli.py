@@ -8,9 +8,11 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roofscope.cli import main, parse_element
-from roofscope.chow import H, XI
+from roofscope.chow import H, XI, BundleChowRing, projective_space
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -270,6 +272,124 @@ def test_element_parser_grammar():
         parse_element("(xi")
     with pytest.raises(ValueError, match="zero denominator"):
         parse_element("xi + 1/0")
+
+
+def test_bounded_parse_drops_only_monomials_above_the_cap():
+    text = "(xi+H)^3*(1+xi) - H^2*xi^4"
+    full = parse_element(text)
+    capped = parse_element(text, max_degree=3)
+    assert capped.terms == {k: c for k, c in full.terms.items() if sum(k) <= 3}
+    ring = BundleChowRing(projective_space(2), 2, (3, 3))
+    assert ring.reduce(capped) == ring.reduce(full)
+
+
+def test_bounded_parse_keeps_huge_powers_cheap():
+    start = time.perf_counter()
+    assert parse_element("(xi+H)^4000", max_degree=3) == 0
+    assert parse_element("(1+xi)^99999999999999999999", max_degree=1) == 1 + (10**20 - 1) * XI
+    assert time.perf_counter() - start < 1.0
+
+
+def test_element_parser_refuses_runaway_coefficients_and_nesting():
+    with pytest.raises(ValueError, match="bits"):
+        parse_element("((3^9999)^9999)^9999")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse_element("(" * 5000 + "xi" + ")" * 5000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chow", "reduce", "--base", "P1", "--rank", "1", "--cherns", "0", "--element=--"),
+        ("chow", "canonical", "--base=--", "--rank", "1", "--cherns", "0"),
+        ("gp", "F4:2", "--format=--"),
+    ],
+)
+def test_double_dash_option_value_exits_2(argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_degree_of_an_element_above_the_top_degree_is_zero():
+    code, out, _ = run(
+        "chow", "degree", "--base", "P2", "--rank", "2", "--cherns", "3,3",
+        "--element", "(xi+H)^2000", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"degree": "0"}
+
+
+def test_chow_scales_to_large_bases_and_exponents():
+    start = time.perf_counter()
+    code, out, _ = run(
+        "chow", "degree", "--base", "P40", "--rank", "2", "--cherns", "3,3",
+        "--element", "xi^41", "--format", "json",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out) == {"degree": "3486784401"}
+    start = time.perf_counter()
+    code, out, _ = run(
+        "chow", "reduce", "--base", "P2", "--rank", "2", "--cherns", "3,3",
+        "--element", "xi^1000000000000", "--format", "json",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out) == {"normal_form": "0"}
+
+
+# --- fuzz of the chow input grammar ------------------------------------------------
+
+_numbers = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 99), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_exponents = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
+_elements = st.recursive(
+    st.one_of(_numbers, st.sampled_from(["H", "xi"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        st.tuples(inner, _exponents).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, _exponents).map(lambda t: f"{t[0]}^{t[1]}"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=8,
+)
+_junk = st.text(alphabet="0123456789/Hxi()^+-*, ", max_size=16)
+_scalars = st.one_of(_numbers, _elements, _junk)
+_bases = st.sampled_from(["P1", "P2", "P4", "Q3", "Q5"])
+
+
+@st.composite
+def _chow_argv(draw) -> list[str]:
+    """A reduce or degree query on a well-formed ring with a fuzzed element,
+    or a canonical or mukai-check query with fuzzed Chern data."""
+    kind = draw(st.sampled_from(["reduce", "degree", "canonical", "mukai-check"]))
+    if kind == "mukai-check":
+        c1 = draw(_scalars)
+        return [kind, "--index", "5", f"--c1={c1}", "--rank", "3", "--dim", "5"]
+    rank = draw(st.integers(1, 4))
+    if kind == "canonical":
+        cherns = draw(st.lists(_scalars, min_size=1, max_size=4))
+    else:
+        cherns = draw(st.lists(_numbers, min_size=rank, max_size=rank))
+    argv = [kind, "--base", draw(_bases), "--rank", str(rank), f"--cherns={','.join(cherns)}"]
+    if kind != "canonical":
+        argv.append(f"--element={draw(st.one_of(_elements, _junk))}")
+    return argv
+
+
+@settings(max_examples=300)
+@given(_chow_argv())
+def test_chow_input_grammar_fuzz(argv):
+    code, out, err = run("chow", *argv, "--format", "json")
+    if argv[0] == "mukai-check":
+        assert code in (0, 1, 2)  # 1 is the verdict of a failed pairing check
+    else:
+        assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+    else:
+        json.loads(out)
 
 
 # --- no root closure on production paths ------------------------------------------
