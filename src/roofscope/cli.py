@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import chow, render, roofs
-from .dynkin import ParseError, parse
+from .dynkin import ParseError, parse, serialize
 from .homog import gp_invariants
 
 EXIT_OK = 0
@@ -232,6 +232,10 @@ def parse_element(text: str, max_degree: Optional[int] = None) -> chow.ChowEleme
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction("1e3000000") builds the integer before anything can check
+    # its size, so exponent notation is refused outright
+    if "e" in text.lower():
+        raise ValueError(f"bad number {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -288,9 +292,10 @@ def cmd_gp(args) -> int:
         else "(" + ", ".join(str(c) for c in inv.coefficients()) + ")"
     )
     headers = ["diagram", "dim", "picard", "index"]
-    rows = [[args.diagram, inv.dim, inv.picard, index_txt]]
+    diagram = serialize(md)
+    rows = [[diagram, inv.dim, inv.picard, index_txt]]
     payload = {
-        "diagram": args.diagram,
+        "diagram": diagram,
         "dim": inv.dim,
         "picard": inv.picard,
         "index": {str(m): c for m, c in inv.index_vector},

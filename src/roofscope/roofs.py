@@ -14,6 +14,12 @@ r; the anticanonical coefficient vector of such a diagram is always
     G2                the full G2 flag, r = 2
     G2^dagger         P(Ottaviani bundle) over Q^5, r = 3, not homogeneous
 
+Enumeration runs the residual test on single-factor diagrams only.  A
+two-factor product with one mark per factor is a roof exactly when both
+single-marked factors are P^{r-1} for the same r, so product roofs come
+from a join of the projective-space (type, mark) charts on r: the
+A-chain ends and the short end of each C-chain.
+
 Records are deduplicated up to variety isomorphism: diagram
 automorphisms (chain reversal, D-fork swap and D4 triality, E6
 reversal, factor swap) are quotiented out, and a product factor of
@@ -26,8 +32,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -347,38 +351,24 @@ def _admissible_types(max_rank: int) -> list[SimpleType]:
 
 
 def _candidates(max_rank: int) -> Iterator[MarkedDiagram]:
-    types = _admissible_types(max_rank)
-    for t in types:
-        if t.rank < 2:
-            continue
+    """Every two-marked single-factor diagram of rank <= max_rank."""
+    for t in _admissible_types(max_rank):
         d = diagram_of((t,))
         for i in range(1, t.rank):
             for j in range(i + 1, t.rank + 1):
                 yield MarkedDiagram(d, frozenset({i, j}))
-    for a, t1 in enumerate(types):
-        for t2 in types[a:]:
-            if t1.rank + t2.rank > max_rank:
-                continue
-            d = diagram_of((t1, t2))
-            for i in range(1, t1.rank + 1):
-                for j in range(1, t2.rank + 1):
-                    yield MarkedDiagram(d, frozenset({i, t1.rank + j}))
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("ROOFSCOPE_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(value, 64))
-
-
-def _evaluate(md: MarkedDiagram) -> tuple[Family, int] | None:
-    r = is_roof(md)
-    if r is None:
-        return None
-    return _family_of(md, r), r
+def _pspace_chart_min_ranks(max_rank: int) -> dict[int, int]:
+    """The smallest rank of a (type, mark) chart that is P^{r-1}, keyed by r."""
+    charts: dict[int, int] = {}
+    for t in _admissible_types(max_rank):
+        d = diagram_of((t,))
+        for m in range(1, t.rank + 1):
+            r = is_projective_space(MarkedDiagram(d, frozenset({m})))
+            if r is not None:
+                charts[r] = min(charts.get(r, t.rank), t.rank)
+    return charts
 
 
 def enumerate_roofs(
@@ -386,40 +376,41 @@ def enumerate_roofs(
     r_filter: Optional[int] = None,
     threads: Optional[int] = None,
 ) -> list[RoofRecord]:
-    """Scan every admissible marked diagram of total rank <= max_total_rank.
+    """Every roof whose canonical diagram has total rank <= max_total_rank.
 
-    Single factors receive all two-element mark sets; two-factor products
-    receive one mark per factor.  Hits are deduplicated up to variety
-    isomorphism and reported through their canonical family diagrams; the
-    non-homogeneous G2^dagger record is appended whenever the fiber
-    filter admits r = 3.  Candidates are independent, so the scan may run
-    on a thread pool (ROOFSCOPE_THREADS); the result is a canonically
-    sorted set union either way.
+    Single factors receive all two-element mark sets and go through the
+    residual test.  A two-factor product with one mark per factor is a
+    roof exactly when both single-marked factors are P^{r-1} for the same
+    r, so products come from a join: the projective-space charts are
+    grouped by r, and r yields an A_{r-1}xA_{r-1} instance when two of its
+    charts (possibly the same one twice) fit the rank bound together.
+    Hits are deduplicated up to variety isomorphism and reported through
+    their canonical family diagrams; the non-homogeneous G2^dagger record
+    is appended whenever the fiber filter admits r = 3.  ``threads`` and
+    ROOFSCOPE_THREADS are accepted and ignored: the scan is pure Python,
+    and a thread pool was slower than one thread under the GIL.
     """
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
-    workers = threads if threads is not None else _threads_from_env()
-    cands = list(_candidates(max_total_rank))
-    if workers > 1 and cands:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(_evaluate, cands, chunksize=16))
-    else:
-        hits = [_evaluate(md) for md in cands]
-
     instances: dict[str, tuple[Family, int]] = {}
-    for md, hit in zip(cands, hits):
-        if hit is None:
-            continue
-        family, r = hit
+
+    def add(family: Family, r: int, key: str) -> None:
         if r_filter is not None and r != r_filter:
-            continue
-        if family is Family.UNKNOWN:
-            key = _dedup_key(md)
-        else:
-            if _family_rank(family, r) > max_total_rank:
-                continue  # only reachable through a lower-rank C-chart of the same variety
-            key = family_diagram(family, r)
+            return
+        if family is not Family.UNKNOWN and _family_rank(family, r) > max_total_rank:
+            return  # only reachable through a lower-rank C-chart of the same variety
         instances.setdefault(key, (family, r))
+
+    for md in _candidates(max_total_rank):
+        r = is_roof(md)
+        if r is None:
+            continue
+        family = _family_of(md, r)
+        key = _dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
+        add(family, r, key)
+    for r, rank in _pspace_chart_min_ranks(max_total_rank).items():
+        if 2 * rank <= max_total_rank:
+            add(Family.A_PRODUCT, r, family_diagram(Family.A_PRODUCT, r))
 
     records = [
         _record_for(diagram, family, r)

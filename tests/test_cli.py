@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roofscope.cli import main, parse_element
+from roofscope.dynkin import parse
 from roofscope.chow import H, XI, BundleChowRing, projective_space
 
 
@@ -48,6 +49,19 @@ def test_gp_json_schema():
         "picard": 2,
         "index": {"2": 3, "3": 3},
     }
+
+
+@pytest.mark.parametrize(
+    "diagram, canonical", [("B2:1", "C2:2"), ("A3*B2:1,4", "A3*C2:1,5")]
+)
+def test_gp_echoes_the_canonical_diagram_its_index_keys_refer_to(diagram, canonical):
+    code, out, _ = run("gp", diagram, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["diagram"] == canonical
+    assert {int(m) for m in payload["index"]} == set(parse(canonical).marks)
+    code, out, _ = run("gp", diagram)
+    assert code == 0 and out.splitlines()[2].split()[0] == canonical
 
 
 def test_gp_parse_failures_exit_2():
@@ -246,6 +260,34 @@ def test_chow_rejects_conflicting_base_flags():
 @pytest.mark.parametrize(
     "argv",
     [
+        ("mukai-check", "--index", "5", "--c1", "1e3000000", "--rank", "3", "--dim", "5"),
+        ("canonical", "--base", "P2", "--rank", "2", "--cherns", "3,1E3000000"),
+    ],
+)
+def test_chow_refuses_exponent_notation_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run("chow", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "exponent notation" in err and "3000000" in err
+
+
+def test_chow_mukai_check_accepts_plain_decimals():
+    code, out, _ = run(
+        "chow", "mukai-check", "--index", "5", "--c1", "1.5", "--rank", "3", "--dim", "5",
+    )
+    assert code == 1
+    assert out == (
+        "index(V) = 5\n"
+        "c1(E)    = 3/2\n"
+        "-K_P(E)  = 3*xi + 7/2*H\n"
+        "fail: c1(E) differs from the index of V\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("reduce", "--base", "P2", "--rank", "2", "--cherns", "3,3", "--element", "1/0"),
         ("mukai-check", "--index", "5", "--c1", "1/0", "--rank", "3", "--dim", "5"),
         ("canonical", "--base", "P2", "--rank", "2", "--cherns", "1/0,3"),
@@ -342,6 +384,9 @@ def test_chow_scales_to_large_bases_and_exponents():
 _numbers = st.one_of(
     st.integers(0, 10**6).map(str),
     st.tuples(st.integers(0, 99), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.integers(0, 99), st.sampled_from("eE"), st.integers(0, 10**7)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}"
+    ),
 )
 _exponents = st.one_of(st.integers(0, 12), st.integers(0, 10**6))
 _elements = st.recursive(
@@ -418,6 +463,17 @@ def test_gp_on_a_huge_diagram_is_fast():
     assert code == 0
     assert out.splitlines()[2].split() == ["A3000:1500", "2251500", "1", "3001"]
     assert elapsed < 2.0, f"gp A3000:1500 took {elapsed:.2f}s"
+
+
+def test_roofs_max_rank_24_is_fast():
+    start = time.perf_counter()
+    code, out, _ = run("roofs", "--max-rank", "24", "--format", "csv")
+    elapsed = time.perf_counter() - start
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + 78
+    assert 'A12xA12,13,"A12*A12:1,13",24,12,12,13,13,true,' in lines
+    assert lines[-1] == 'D24,24,"D24:23,24",299,276,276,46,46,true,'
+    assert elapsed < 8.0, f"roofs --max-rank 24 took {elapsed:.2f}s"
 
 
 # --- determinism ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+import roofscope.roofs
 from roofscope import (
     ClassificationQuery,
     Family,
@@ -21,6 +22,7 @@ from roofscope import (
     parse,
     verify_paper_table,
 )
+from roofscope.roofs import _family_of, _family_rank
 
 ALL_SIMPLE = [
     ("A", n) for n in range(1, 9)
@@ -41,6 +43,10 @@ def every_two_marked_diagram(max_rank):
         for i in range(1, rank):
             for j in range(i + 1, rank + 1):
                 yield parse(f"{letter}{rank}:{i},{j}")
+    yield from every_one_mark_per_factor_product(max_rank)
+
+
+def every_one_mark_per_factor_product(max_rank):
     for a, (l1, r1) in enumerate(ALL_SIMPLE):
         for l2, r2 in ALL_SIMPLE[a:]:
             if r1 + r2 > max_rank:
@@ -216,6 +222,53 @@ def test_enumeration_is_deterministic_and_thread_invariant():
     base = enumerate_roofs(8, threads=1)
     assert enumerate_roofs(8, threads=1) == base
     assert enumerate_roofs(8, threads=8) == base
+
+
+def _scanned_product_instances(max_rank, r_filter, hits):
+    """The instances a full scan of the products keeps from their is_roof hits."""
+    out = set()
+    for md, r in hits:
+        if md.diagram.total_rank > max_rank or r_filter not in (None, r):
+            continue
+        family = _family_of(md, r)
+        assert family is Family.A_PRODUCT, md
+        if _family_rank(family, r) <= max_rank:
+            out.add((family_diagram(family, r), r))
+    return out
+
+
+def test_product_join_matches_the_full_product_scan(monkeypatch):
+    hits = [
+        (md, r)
+        for md in every_one_mark_per_factor_product(12)
+        if (r := is_roof(md)) is not None
+    ]
+    # with the single-factor scan emptied, every homogeneous record is
+    # one of the join's
+    monkeypatch.setattr(roofscope.roofs, "_candidates", lambda max_rank: iter(()))
+    for max_rank in range(1, 13):
+        for r_filter in (None, 2, 3, 4, 5, 6, 7):
+            records = [
+                rec
+                for rec in enumerate_roofs(max_rank, r_filter=r_filter)
+                if rec.homogeneous
+            ]
+            assert all(rec.family == Family.A_PRODUCT.label(rec.r) for rec in records)
+            joined = {(rec.diagram, rec.r) for rec in records}
+            assert joined == _scanned_product_instances(max_rank, r_filter, hits), (
+                max_rank,
+                r_filter,
+            )
+
+
+def test_product_join_keeps_the_family_rank_skip():
+    # C2*C2:1,3 is P^3 x P^3 at rank 4, but its A-form A3*A3:1,4 has rank 6
+    md = parse("C2*C2:1,3")
+    assert is_roof(md) == 4 and _family_of(md, 4) is Family.A_PRODUCT
+    assert _scanned_product_instances(4, None, [(md, 4)]) == set()
+    assert not any(rec.r == 4 and "*" in rec.diagram for rec in enumerate_roofs(4))
+    assert not any("*" in rec.diagram for rec in enumerate_roofs(4, r_filter=4))
+    assert ("A3*A3:1,4", 4) in {(rec.diagram, rec.r) for rec in enumerate_roofs(6)}
 
 
 # --- family naming -----------------------------------------------------------------
