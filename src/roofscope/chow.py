@@ -308,11 +308,6 @@ class BundleChowRing:
         return self.reduce(raw)
 
 
-def canonical_class_pe(ring: BundleChowRing) -> ChowElement:
-    """Module-level spelling of :meth:`BundleChowRing.canonical_class`."""
-    return ring.canonical_class()
-
-
 def twist_cherns(cherns: Iterable[Scalar], rank: int, t: int) -> tuple[Fraction, ...]:
     """Chern coefficients of E tensor O(tH) from those of E.
 

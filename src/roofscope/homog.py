@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import Diagram, MarkedDiagram, classify_components, remove_node
-from .root_system import _two_rho, positive_root_count
+from .root_system import SimpleType, _two_rho, positive_root_count
 
 
 @dataclass(frozen=True)
@@ -104,28 +104,51 @@ def point_components(md: MarkedDiagram):
     ]
 
 
+def _pspace_r(t: SimpleType, pos: int) -> int | None:
+    """r when type t marked at Bourbaki position pos alone is P^{r-1}.
+
+    The two shapes are an A_m chain marked at either end (P^m) and a C_m
+    chain marked at the short end, the node away from the arrow source
+    (P^{2m-1}).
+    """
+    if t.letter == "A" and pos in (1, t.rank):
+        return t.rank + 1
+    if t.letter == "C" and pos == 1:
+        return 2 * t.rank
+    return None
+
+
 def is_projective_space(md: MarkedDiagram) -> int | None:
     """Return r if the marked variety is the projective space P^{r-1}.
 
     The diagram must carry exactly one mark; unmarked components are
-    points and are ignored.  The two recognized shapes are an A_m chain
-    marked at either end (P^m) and a C_m chain marked at the short end,
-    the node away from the arrow source (P^{2m-1}).
+    points and are ignored.  The recognized shapes are those of
+    ``_pspace_r``.
     """
     if len(md.marks) != 1:
         raise ValueError("projective-space detection expects exactly one mark")
     (mark,) = md.marks
     for shape in classify_components(md.diagram):
-        if mark not in shape.embedding:
-            continue
-        pos = shape.position_of(mark)
-        t = shape.type
-        if t.letter == "A" and pos in (1, t.rank):
-            return t.rank + 1
-        if t.letter == "C" and pos == 1:
-            return 2 * t.rank
-        return None
+        if mark in shape.embedding:
+            return _pspace_r(shape.type, shape.position_of(mark))
     raise RuntimeError(f"mark {mark} not found in any component of {md}")
+
+
+def projective_space_charts(d: Diagram) -> dict[int, int]:
+    """Every node m at which d marked at m alone is P^{r-1}, as {m: r}.
+
+    One classification of d answers ``is_projective_space`` for all of
+    its nodes: ``projective_space_charts(d).get(m)`` equals
+    ``is_projective_space(MarkedDiagram(d, {m}))``.  Only chain ends can
+    qualify, so each component contributes at most two charts.
+    """
+    charts: dict[int, int] = {}
+    for shape in classify_components(d):
+        for pos in (1, shape.type.rank):
+            r = _pspace_r(shape.type, pos)
+            if r is not None:
+                charts[shape.embedding[pos - 1]] = r
+    return charts
 
 
 def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedDiagram:

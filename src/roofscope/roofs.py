@@ -14,11 +14,18 @@ r; the anticanonical coefficient vector of such a diagram is always
     G2                the full G2 flag, r = 2
     G2^dagger         P(Ottaviani bundle) over Q^5, r = 3, not homogeneous
 
-Enumeration runs the residual test on single-factor diagrams only.  A
-two-factor product with one mark per factor is a roof exactly when both
+Enumeration never tests a candidate diagram on its own; it joins
+projective-space charts, the (diagram, node) pairs whose single-marked
+variety is P^{r-1}: the A-chain ends and the short end of each C-chain.
+For a single factor G/P(i, j), the fiber over G/P(i) is the residue
+"type minus i" marked at j, and that residue is the same for every j.
+So each (type, removed node) residue is classified once into its
+charts, and i < j is a roof exactly when the residue without i is
+P^{r-1} at j and the residue without j is P^{r-1} at i.  A two-factor
+product with one mark per factor is a roof exactly when both
 single-marked factors are P^{r-1} for the same r, so product roofs come
-from a join of the projective-space (type, mark) charts on r: the
-A-chain ends and the short end of each C-chain.
+from the (type, mark) charts of the full factors, joined on r.
+``is_roof`` tests one diagram directly and is the oracle for both joins.
 
 Records are deduplicated up to variety isomorphism: diagram
 automorphisms (chain reversal, D-fork swap and D4 triality, E6
@@ -35,8 +42,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .dynkin import MarkedDiagram, diagram_of, parse, serialize
-from .homog import fibration_fiber, gp_invariants, is_projective_space
+from .dynkin import MarkedDiagram, diagram_of, parse, remove_node, serialize
+from .homog import (
+    fibration_fiber,
+    gp_invariants,
+    is_projective_space,
+    projective_space_charts,
+)
 from .root_system import SimpleType
 
 
@@ -169,12 +181,16 @@ def is_roof(md: MarkedDiagram) -> int | None:
     r2 = is_projective_space(fibration_fiber(md, keep=j))
     if r2 is None or r2 != r1:
         return None
-    coeffs = gp_invariants(md).coefficients()
-    if coeffs != (r1, r1):  # forced for a roof; a failure is a programming error
-        raise RuntimeError(
-            f"index vector {coeffs} disagrees with fiber parameter {r1} on {md}"
-        )
+    _check_index(md, r1)
     return r1
+
+
+def _check_index(md: MarkedDiagram, r: int) -> None:
+    coeffs = gp_invariants(md).coefficients()
+    if coeffs != (r, r):  # forced for a roof; a failure is a programming error
+        raise RuntimeError(
+            f"index vector {coeffs} disagrees with fiber parameter {r} on {md}"
+        )
 
 
 # --- family recognition ------------------------------------------------------
@@ -350,24 +366,26 @@ def _admissible_types(max_rank: int) -> list[SimpleType]:
     return out
 
 
-def _candidates(max_rank: int) -> Iterator[MarkedDiagram]:
-    """Every two-marked single-factor diagram of rank <= max_rank."""
+def _candidates(max_rank: int) -> Iterator[tuple[MarkedDiagram, int]]:
+    """Every single-factor roof of rank <= max_rank with its r: the mark
+    pairs whose two residue charts agree on r."""
     for t in _admissible_types(max_rank):
         d = diagram_of((t,))
-        for i in range(1, t.rank):
-            for j in range(i + 1, t.rank + 1):
-                yield MarkedDiagram(d, frozenset({i, j}))
+        charts = {k: projective_space_charts(remove_node(d, k)) for k in d.nodes}
+        for i in d.nodes:
+            for j, r in charts[i].items():
+                if j > i and charts[j].get(i) == r:
+                    md = MarkedDiagram(d, frozenset({i, j}))
+                    _check_index(md, r)
+                    yield md, r
 
 
 def _pspace_chart_min_ranks(max_rank: int) -> dict[int, int]:
     """The smallest rank of a (type, mark) chart that is P^{r-1}, keyed by r."""
     charts: dict[int, int] = {}
     for t in _admissible_types(max_rank):
-        d = diagram_of((t,))
-        for m in range(1, t.rank + 1):
-            r = is_projective_space(MarkedDiagram(d, frozenset({m})))
-            if r is not None:
-                charts[r] = min(charts.get(r, t.rank), t.rank)
+        for r in projective_space_charts(diagram_of((t,))).values():
+            charts[r] = min(charts.get(r, t.rank), t.rank)
     return charts
 
 
@@ -378,17 +396,20 @@ def enumerate_roofs(
 ) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank.
 
-    Single factors receive all two-element mark sets and go through the
-    residual test.  A two-factor product with one mark per factor is a
-    roof exactly when both single-marked factors are P^{r-1} for the same
-    r, so products come from a join: the projective-space charts are
-    grouped by r, and r yields an A_{r-1}xA_{r-1} instance when two of its
-    charts (possibly the same one twice) fit the rank bound together.
-    Hits are deduplicated up to variety isomorphism and reported through
-    their canonical family diagrams; the non-homogeneous G2^dagger record
-    is appended whenever the fiber filter admits r = 3.  ``threads`` and
-    ROOFSCOPE_THREADS are accepted and ignored: the scan is pure Python,
-    and a thread pool was slower than one thread under the GIL.
+    Both halves are joins on projective-space charts.  Single factors:
+    each residue "type minus node k" is classified once, and a mark pair
+    i < j is a roof when the residue without i is P^{r-1} at j and the
+    residue without j is P^{r-1} at i, for the same r (``_candidates``).
+    Products with one mark per factor: the (type, mark) charts of the full
+    factors are grouped by r, and r yields an A_{r-1}xA_{r-1} instance
+    when two of its charts (possibly the same one twice) fit the rank
+    bound together.  Every single-factor hit is checked to have index
+    vector (r, r).  Hits are deduplicated up to variety isomorphism and
+    reported through their canonical family diagrams; the non-homogeneous
+    G2^dagger record is appended whenever the fiber filter admits r = 3.
+    ``threads`` and ROOFSCOPE_THREADS are accepted and ignored: the scan
+    is pure Python, and a thread pool was slower than one thread under
+    the GIL.
     """
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
@@ -401,10 +422,7 @@ def enumerate_roofs(
             return  # only reachable through a lower-rank C-chart of the same variety
         instances.setdefault(key, (family, r))
 
-    for md in _candidates(max_total_rank):
-        r = is_roof(md)
-        if r is None:
-            continue
+    for md, r in _candidates(max_total_rank):
         family = _family_of(md, r)
         key = _dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
         add(family, r, key)

@@ -30,7 +30,6 @@ from roofscope import (
     OTTAVIANI_CHERNS_H,
     XI,
     blowup_discrepancy,
-    canonical_class_pe,
     chern_units_to_h,
     kequiv_forces_equal_codim,
     mukai_pair_check,
@@ -251,7 +250,6 @@ def test_canonical_class_of_mukai_pairs_is_r_xi():
 def test_canonical_class_of_untwisted_ottaviani_is_not_normalized():
     ring = BundleChowRing(quadric(5), 3, OTTAVIANI_CHERNS_H)
     assert ring.canonical_class() == 3 * XI + 3 * H
-    assert canonical_class_pe(ring) == ring.canonical_class()
 
 
 def test_canonical_coefficient_is_index_minus_c1():

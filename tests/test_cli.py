@@ -476,6 +476,18 @@ def test_roofs_max_rank_24_is_fast():
     assert elapsed < 8.0, f"roofs --max-rank 24 took {elapsed:.2f}s"
 
 
+def test_roofs_max_rank_48_is_fast():
+    start = time.perf_counter()
+    code, out, _ = run("roofs", "--max-rank", "48", "--format", "csv")
+    elapsed = time.perf_counter() - start
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 1 + 158
+    assert 'A24xA24,25,"A24*A24:1,25",48,24,24,25,25,true,' in lines
+    assert 'C47,32,"C47:31,32",1519,1488,1488,64,63,true,' in lines
+    assert lines[-1] == 'D48,48,"D48:47,48",1175,1128,1128,94,94,true,'
+    assert elapsed < 6.0, f"roofs --max-rank 48 took {elapsed:.2f}s"
+
+
 # --- determinism ---------------------------------------------------------------------
 
 

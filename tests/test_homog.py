@@ -18,6 +18,8 @@ from roofscope import (
     is_projective_space,
     pairing,
     parse,
+    projective_space_charts,
+    remove_node,
     serialize,
 )
 
@@ -191,6 +193,33 @@ def test_pspace_matches_kobayashi_ochiai_exhaustively():
                 assert inv.index != inv.dim + 1, f"{letter}{rank}:{k}"
             else:
                 assert inv.index == inv.dim + 1 == template, f"{letter}{rank}:{k}"
+
+
+def test_pspace_charts_agree_with_the_one_mark_test():
+    # one classification per diagram answers is_projective_space at every
+    # node: every full single-factor diagram of rank <= 10 and every
+    # one-node residue of each
+    types = [("A", n) for n in range(1, 11)]
+    types += [("B", n) for n in range(3, 11)] + [("C", n) for n in range(2, 11)]
+    types += [("D", n) for n in range(4, 11)]
+    types += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    for letter, rank in types:
+        full = diagram_of((SimpleType(letter, rank),))
+        for d in [full] + [remove_node(full, k) for k in full.nodes]:
+            charts = projective_space_charts(d)
+            assert set(charts) <= set(d.nodes)
+            for m in d.nodes:
+                expected = is_projective_space(MarkedDiagram(d, frozenset({m})))
+                assert charts.get(m) == expected, (str(d), m)
+
+
+def test_pspace_charts_of_a_residue_with_three_components():
+    # D5 minus node 3 is A2 + A1 + A1 (nodes 1-2, 4, 5): every node is a chart
+    d = remove_node(diagram_of((SimpleType("D", 5),)), 3)
+    assert projective_space_charts(d) == {1: 3, 2: 3, 4: 2, 5: 2}
+    # C4 minus node 2 is A1 + C2: the short end of the C2 (node 3) is P^3
+    d = remove_node(diagram_of((SimpleType("C", 4),)), 2)
+    assert projective_space_charts(d) == {1: 2, 3: 4}
 
 
 def test_pspace_ignores_unmarked_components():

@@ -20,30 +20,35 @@ from roofscope import (
     is_roof,
     name_family,
     parse,
+    serialize,
     verify_paper_table,
 )
 from roofscope.roofs import _family_of, _family_rank
 
-ALL_SIMPLE = [
-    ("A", n) for n in range(1, 9)
-] + [
-    ("B", n) for n in range(3, 9)
-] + [
-    ("C", n) for n in range(2, 9)
-] + [
-    ("D", n) for n in range(4, 9)
-] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+def simple_types(max_rank):
+    """(letter, rank) of every simple type of rank <= max_rank, B2 = C2 once."""
+    out = [("A", n) for n in range(1, max_rank + 1)]
+    out += [("B", n) for n in range(3, max_rank + 1)]
+    out += [("C", n) for n in range(2, max_rank + 1)]
+    out += [("D", n) for n in range(4, max_rank + 1)]
+    exceptional = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    return out + [(letter, rank) for letter, rank in exceptional if rank <= max_rank]
+
+
+ALL_SIMPLE = simple_types(8)
 
 
 def every_two_marked_diagram(max_rank):
     """Brute-force candidate generator, independent of the enumerator's."""
-    for letter, rank in ALL_SIMPLE:
-        if rank > max_rank or rank < 2:
-            continue
+    yield from every_single_factor_two_marked_diagram(max_rank)
+    yield from every_one_mark_per_factor_product(max_rank)
+
+
+def every_single_factor_two_marked_diagram(max_rank):
+    for letter, rank in simple_types(max_rank):
         for i in range(1, rank):
             for j in range(i + 1, rank + 1):
                 yield parse(f"{letter}{rank}:{i},{j}")
-    yield from every_one_mark_per_factor_product(max_rank)
 
 
 def every_one_mark_per_factor_product(max_rank):
@@ -168,7 +173,7 @@ def test_enumeration_agrees_with_brute_force_scan():
         if r is None:
             continue
         rec = RoofRecord(
-            family="unknown", r=r, diagram=_raw_serialize(md),
+            family="unknown", r=r, diagram=serialize(md),
             dim_W=gp_invariants(md).dim, dim_V1=gp_invariants(md).dim - r + 1,
             dim_V2=gp_invariants(md).dim - r + 1, index_V1=r, index_V2=r,
             homogeneous=True,
@@ -182,12 +187,6 @@ def test_enumeration_agrees_with_brute_force_scan():
             assert by_diagram[canonical].r == r
             seen.add(canonical)
     assert seen == set(by_diagram)
-
-
-def _raw_serialize(md):
-    from roofscope import serialize
-
-    return serialize(md)
 
 
 def _family_by_label(label: str, r: int) -> Family:
@@ -222,6 +221,18 @@ def test_enumeration_is_deterministic_and_thread_invariant():
     base = enumerate_roofs(8, threads=1)
     assert enumerate_roofs(8, threads=1) == base
     assert enumerate_roofs(8, threads=8) == base
+
+
+def test_residue_join_matches_is_roof_on_every_single_factor():
+    # every single-factor two-marked diagram of rank <= 12, through is_roof
+    expected = {
+        (serialize(md), r)
+        for md in every_single_factor_two_marked_diagram(12)
+        if (r := is_roof(md)) is not None
+    }
+    joined = {(serialize(md), r) for md, r in roofscope.roofs._candidates(12)}
+    assert joined == expected
+    assert ("A12:6,7", 7) in joined and ("C8:5,6", 6) in joined
 
 
 def _scanned_product_instances(max_rank, r_filter, hits):
