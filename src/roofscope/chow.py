@@ -23,10 +23,9 @@ fractions (integral inputs give integral degrees).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -179,21 +178,25 @@ H = ChowElement({(1, 0): 1})
 XI = ChowElement({(0, 1): 1})
 
 
-@dataclass(frozen=True)
-class CyclicBase:
+class _CyclicBaseFields(NamedTuple):
+    dim: int
+    degree: int
+    index: int
+
+
+class CyclicBase(_CyclicBaseFields):
     """A base variety with H-power cohomology.
 
     ``degree`` is the degree of H^dim and ``index`` the coefficient of
     -K in H.
     """
 
-    dim: int
-    degree: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.dim < 1 or self.degree < 1:
+    def __new__(cls, dim: int, degree: int, index: int) -> CyclicBase:
+        if dim < 1 or degree < 1:
             raise ValueError("dimension and degree must be positive")
+        return tuple.__new__(cls, (dim, degree, index))
 
 
 def projective_space(n: int) -> CyclicBase:
@@ -235,8 +238,13 @@ OTTAVIANI_CHERNS_CYCLIC = (2, 2, 2)
 OTTAVIANI_CHERNS_H = (Fraction(2), Fraction(2), Fraction(1))
 
 
-@dataclass(frozen=True)
-class BundleChowRing:
+class _BundleChowRingFields(NamedTuple):
+    base: CyclicBase
+    rank: int
+    cherns: tuple[Fraction, ...]
+
+
+class BundleChowRing(_BundleChowRingFields):
     """The divisor ring of P(E) for a rank-r bundle E over a cyclic base.
 
     ``cherns[i-1]`` is the H-multiple of c_i(E).  Normal forms have
@@ -244,16 +252,16 @@ class BundleChowRing:
     supported on H^n * xi^{r-1}, where it returns base.degree.
     """
 
-    base: CyclicBase
-    rank: int
-    cherns: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __new__(
+        cls, base: CyclicBase, rank: int, cherns: Sequence[Scalar]
+    ) -> BundleChowRing:
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if len(self.cherns) != self.rank:
-            raise ValueError(f"expected {self.rank} Chern coefficients")
-        object.__setattr__(self, "cherns", tuple(Fraction(c) for c in self.cherns))
+        if len(cherns) != rank:
+            raise ValueError(f"expected {rank} Chern coefficients")
+        return tuple.__new__(cls, (base, rank, tuple(Fraction(c) for c in cherns)))
 
     @property
     def top_degree(self) -> int:
@@ -326,8 +334,7 @@ def twist_cherns(cherns: Iterable[Scalar], rank: int, t: int) -> tuple[Fraction,
     )
 
 
-@dataclass(frozen=True)
-class MukaiVerdict:
+class MukaiVerdict(NamedTuple):
     passed: bool
     index_of_v: int
     c1_of_e: Fraction
@@ -390,8 +397,7 @@ def blowup_discrepancy(r: int) -> int:
     return r - 1
 
 
-@dataclass(frozen=True)
-class CodimVerdict:
+class CodimVerdict(NamedTuple):
     consistent: bool
     r1: int
     r2: int
@@ -420,21 +426,27 @@ def kequiv_forces_equal_codim(r1: int, r2: int) -> CodimVerdict:
     return CodimVerdict(consistent=r1 == r2, r1=r1, r2=r2, report=tuple(lines))
 
 
-@dataclass(frozen=True)
-class KEquivScenario:
-    """Numerical frame of a simple K-equivalent map resolved by one blow-up
-    on each side: centers of codimension r1, r2 inside dim_x-folds."""
-
+class _KEquivScenarioFields(NamedTuple):
     dim_x: int
     r1: int
     r2: int
-    dim_m: int | None = None
+    dim_m: int | None
 
-    def __post_init__(self) -> None:
-        if self.r1 < 2 or self.r2 < 2:
+
+class KEquivScenario(_KEquivScenarioFields):
+    """Numerical frame of a simple K-equivalent map resolved by one blow-up
+    on each side: centers of codimension r1, r2 inside dim_x-folds."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, dim_x: int, r1: int, r2: int, dim_m: int | None = None
+    ) -> KEquivScenario:
+        if r1 < 2 or r2 < 2:
             raise ValueError("codimensions are at least 2")
-        if self.dim_x <= max(self.r1, self.r2):
+        if dim_x <= max(r1, r2):
             raise ValueError("the ambient dimension must exceed the codimension")
+        return tuple.__new__(cls, (dim_x, r1, r2, dim_m))
 
     @property
     def dim_e(self) -> int:

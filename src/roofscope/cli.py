@@ -414,6 +414,8 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     if not result.available:
         print("no classification available for this query", file=sys.stderr)
+        for rule in result.applied_rules:
+            print(rule, file=sys.stderr)
         return EXIT_NO_RESULT
     headers = ["family", "matched rules"]
     rows = [[e.label, "; ".join(e.rules)] for e in result.entries]

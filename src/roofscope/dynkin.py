@@ -23,9 +23,8 @@ Arrows on multiple bonds point from the long root to the short root
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .root_system import SimpleType, _bonds
 
@@ -38,28 +37,32 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Edge:
+class _EdgeFields(NamedTuple):
+    a: int
+    b: int
+    mult: int
+    source: int | None
+
+
+class Edge(_EdgeFields):
     """An edge between global nodes a < b.
 
     ``source`` is the long-root end for bond multiplicity >= 2 and None
     for simple bonds.
     """
 
-    a: int
-    b: int
-    mult: int
-    source: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
+    def __new__(cls, a: int, b: int, mult: int, source: int | None) -> Edge:
+        if a >= b:
             raise ValueError("edge endpoints must satisfy a < b")
-        if self.mult not in (1, 2, 3):
+        if mult not in (1, 2, 3):
             raise ValueError("bond multiplicity is 1, 2 or 3")
-        if self.mult == 1 and self.source is not None:
+        if mult == 1 and source is not None:
             raise ValueError("simple bonds carry no arrow")
-        if self.mult > 1 and self.source not in (self.a, self.b):
+        if mult > 1 and source not in (a, b):
             raise ValueError("arrow source must be an endpoint")
+        return tuple.__new__(cls, (a, b, mult, source))
 
     @property
     def target(self) -> int | None:
@@ -68,8 +71,13 @@ class Edge:
         return self.b if self.source == self.a else self.a
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
+    factors: tuple[SimpleType, ...]
+    nodes: tuple[int, ...]
+    edges: frozenset[Edge]
+
+
+class Diagram(_DiagramFields):
     """A Dynkin graph on (a subset of) the global nodes of 1 or 2 factors.
 
     ``factors`` always records the full ambient diagram; ``nodes`` lists
@@ -77,23 +85,27 @@ class Diagram:
     1..N while node removal keeps the original numbering.
     """
 
-    factors: tuple[SimpleType, ...]
-    nodes: tuple[int, ...]
-    edges: frozenset[Edge]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.factors) <= 2:
+    def __new__(
+        cls,
+        factors: tuple[SimpleType, ...],
+        nodes: tuple[int, ...],
+        edges: frozenset[Edge],
+    ) -> Diagram:
+        if not 1 <= len(factors) <= 2:
             raise ValueError("a diagram has 1 or 2 factors")
-        total = sum(f.rank for f in self.factors)
-        if tuple(sorted(self.nodes)) != self.nodes:
+        total = sum(f.rank for f in factors)
+        if tuple(sorted(nodes)) != nodes:
             raise ValueError("nodes must be sorted ascending")
-        for v in self.nodes:
+        for v in nodes:
             if not 1 <= v <= total:
                 raise ValueError(f"node {v} out of range 1..{total}")
-        alive = set(self.nodes)
-        for e in self.edges:
+        alive = set(nodes)
+        for e in edges:
             if e.a not in alive or e.b not in alive:
                 raise ValueError("edge endpoints must be surviving nodes")
+        return tuple.__new__(cls, (factors, nodes, edges))
 
     @property
     def total_rank(self) -> int:
@@ -110,18 +122,22 @@ class Diagram:
         return f"{body} on nodes {','.join(map(str, self.nodes))}"
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class _MarkedDiagramFields(NamedTuple):
     diagram: Diagram
     marks: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if not self.marks:
+
+class MarkedDiagram(_MarkedDiagramFields):
+    __slots__ = ()
+
+    def __new__(cls, diagram: Diagram, marks: frozenset[int]) -> MarkedDiagram:
+        if not marks:
             raise ValueError("at least one mark is required")
-        alive = set(self.diagram.nodes)
-        for m in self.marks:
+        alive = set(diagram.nodes)
+        for m in marks:
             if m not in alive:
                 raise ValueError(f"mark {m} is not a node of the diagram")
+        return tuple.__new__(cls, (diagram, marks))
 
     def __str__(self) -> str:
         if self.diagram.is_full:
@@ -278,8 +294,7 @@ def remove_node(d: Diagram, j: int) -> Diagram:
 
 # --- component classification ----------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentShape:
+class ComponentShape(NamedTuple):
     """A connected component identified as a simple type.
 
     ``embedding[p-1]`` is the global node sitting at Bourbaki position p.

@@ -23,14 +23,13 @@ point and drop out of all fiber analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import Diagram, MarkedDiagram, classify_components, remove_node
 from .root_system import SimpleType, _two_rho, positive_root_count
 
 
-@dataclass(frozen=True)
-class VarietyInvariants:
+class VarietyInvariants(NamedTuple):
     """Dimension, Picard number and anticanonical coefficients of G/P(I).
 
     ``index_vector`` lists (mark, coefficient) pairs with marks ascending;

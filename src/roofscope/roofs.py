@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .dynkin import MarkedDiagram, diagram_of, parse, remove_node, serialize
 from .homog import (
@@ -109,14 +108,7 @@ class Family(enum.Enum):
 NON_HOMOGENEOUS = "non-homogeneous"
 
 
-@dataclass(frozen=True)
-class RoofRecord:
-    """One recognized roof, with the invariants of its two contractions.
-
-    V_1 and V_2 are the images of the projections keeping the smaller
-    and the larger mark respectively.
-    """
-
+class _RoofRecordFields(NamedTuple):
     family: str
     r: int
     diagram: str
@@ -126,14 +118,40 @@ class RoofRecord:
     index_V1: int
     index_V2: int
     homogeneous: bool
-    notes: str = ""
+    notes: str
 
-    def __post_init__(self) -> None:
-        if self.dim_W != self.dim_V1 + self.r - 1 or self.dim_W != self.dim_V2 + self.r - 1:
+
+class RoofRecord(_RoofRecordFields):
+    """One recognized roof, with the invariants of its two contractions.
+
+    V_1 and V_2 are the images of the projections keeping the smaller
+    and the larger mark respectively.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        family: str,
+        r: int,
+        diagram: str,
+        dim_W: int,
+        dim_V1: int,
+        dim_V2: int,
+        index_V1: int,
+        index_V2: int,
+        homogeneous: bool,
+        notes: str = "",
+    ) -> RoofRecord:
+        if dim_W != dim_V1 + r - 1 or dim_W != dim_V2 + r - 1:
             raise ValueError(
-                f"dim W = {self.dim_W} must equal dim V_i + r - 1 "
-                f"({self.dim_V1}+{self.r}-1, {self.dim_V2}+{self.r}-1)"
+                f"dim W = {dim_W} must equal dim V_i + r - 1 "
+                f"({dim_V1}+{r}-1, {dim_V2}+{r}-1)"
             )
+        return tuple.__new__(
+            cls,
+            (family, r, diagram, dim_W, dim_V1, dim_V2, index_V1, index_V2, homogeneous, notes),
+        )
 
     def marked_diagram(self) -> MarkedDiagram:
         if self.diagram == NON_HOMOGENEOUS:
@@ -509,8 +527,7 @@ def _table_rs(family: Family, r_max: int) -> list[int]:
     return []
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     family: str
     r: int
     computed: tuple[int, int, int]
@@ -521,8 +538,7 @@ class TableRow:
         return self.computed == self.expected
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     rows: tuple[TableRow, ...]
 
     @property
@@ -596,8 +612,7 @@ def verify_paper_table(r_max: int, fault: Optional[str] = None) -> TableReport:
 # --- classification of simple K-equivalent maps --------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationQuery:
+class ClassificationQuery(NamedTuple):
     """Constraints on a simple K-equivalent map.
 
     ``r`` is the codimension of the two centers, ``fiber_gap`` is
@@ -634,6 +649,12 @@ _CASE_DIM_8 = {
     Family.G2_DAGGER: ("eq", 3),
 }
 
+# dim X = dim M + dim W + 1, and the smallest roof W is P^1 x P^1
+_BELOW_DIM_3 = (
+    "no simple K-equivalent map exists below dimension 3; the smallest is "
+    "the Atiyah flop: A1xA1 at r = 2, W = P^1xP^1, dim X = 3"
+)
+
 _INTRINSIC = {
     Family.A_PRODUCT: lambda r: r >= 2,
     Family.A_MUKAI: lambda r: r >= 2,
@@ -646,15 +667,13 @@ _INTRINSIC = {
 }
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
     family: Family
     label: str
     rules: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     available: bool
     entries: tuple[ClassEntry, ...]
     applied_rules: tuple[str, ...]
@@ -685,12 +704,17 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     Cases: symplectic total space (Mukai flop only); codimension 2;
     codimension at least fiber dimension minus 2; ambient dimension at
     most 8.  A query matching no case yields an explicit unavailable
-    result, not an empty list.
+    result, not an empty list.  So does an ambient dimension of 1 or 2,
+    which no map reaches; its one applied rule says why.
     """
     if not (q.symplectic or q.dim_x is not None or q.r is not None or q.fiber_gap is not None):
         raise ValueError("at least one constraint is required")
     if q.r is not None and q.r < 2:
         raise ValueError("the codimension of a simple K-equivalent map is at least 2")
+    if q.dim_x is not None and q.dim_x < 1:
+        raise ValueError(f"the ambient dimension must be positive, got {q.dim_x}")
+    if q.dim_x is not None and q.dim_x < 3:
+        return ClassificationResult(False, (), (_BELOW_DIM_3,))
 
     cases: list[tuple[str, dict]] = []
     if q.symplectic:

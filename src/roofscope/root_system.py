@@ -38,9 +38,8 @@ and serves as the test oracle for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 _SERIES_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
 
@@ -56,35 +55,35 @@ _CANONICAL_HINTS = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    """One simple Dynkin factor in canonical form, e.g. A7 or F4."""
-
+class _SimpleTypeFields(NamedTuple):
     letter: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.letter not in "ABCDEFG":
-            raise ValueError(f"unknown type letter {self.letter!r}")
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        hint = _CANONICAL_HINTS.get((self.letter, self.rank))
+
+class SimpleType(_SimpleTypeFields):
+    """One simple Dynkin factor in canonical form, e.g. A7 or F4."""
+
+    __slots__ = ()
+
+    def __new__(cls, letter: str, rank: int) -> SimpleType:
+        if letter not in "ABCDEFG":
+            raise ValueError(f"unknown type letter {letter!r}")
+        if not isinstance(rank, int) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        hint = _CANONICAL_HINTS.get((letter, rank))
         if hint is not None:
-            raise ValueError(
-                f"{self.letter}{self.rank} is not a canonical type; use {hint}"
-            )
-        if self.letter in _SERIES_MIN_RANK:
-            if self.rank < _SERIES_MIN_RANK[self.letter]:
-                raise ValueError(
-                    f"{self.letter}{self.rank} is not a canonical type"
-                )
-        elif self.letter == "E":
-            if self.rank not in (6, 7, 8):
+            raise ValueError(f"{letter}{rank} is not a canonical type; use {hint}")
+        if letter in _SERIES_MIN_RANK:
+            if rank < _SERIES_MIN_RANK[letter]:
+                raise ValueError(f"{letter}{rank} is not a canonical type")
+        elif letter == "E":
+            if rank not in (6, 7, 8):
                 raise ValueError("E rank must be 6, 7 or 8")
-        elif self.letter == "F" and self.rank != 4:
+        elif letter == "F" and rank != 4:
             raise ValueError("F4 is the only type F diagram")
-        elif self.letter == "G" and self.rank != 2:
+        elif letter == "G" and rank != 2:
             raise ValueError("G2 is the only type G diagram")
+        return tuple.__new__(cls, (letter, rank))
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
@@ -202,8 +201,7 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda v: (sum(v), v))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A semisimple root system with at most two simple factors.
 
     Immutable; safe to share between threads.
@@ -293,8 +291,7 @@ def sum_positive_roots(
     return tuple(total)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """An integral weight in the fundamental-weight basis."""
 
     coords: tuple[int, ...]

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +178,21 @@ def test_classify_symplectic_json():
     assert code == 0
     payload = json.loads(out)
     assert [e["family"] for e in payload["families"]] == ["A_r^M"]
+
+
+@pytest.mark.parametrize("dim_x", ["-5", "0"])
+def test_classify_nonpositive_dim_x_exits_2_naming_the_value(dim_x):
+    code, out, err = run("classify", "--dim-x", dim_x)
+    assert code == 2 and not out
+    assert f"got {dim_x}" in err
+
+
+@pytest.mark.parametrize("dim_x", ["1", "2"])
+def test_classify_below_dimension_3_has_no_map(dim_x):
+    code, out, err = run("classify", "--dim-x", dim_x)
+    assert code == 3 and not out
+    assert "no simple K-equivalent map exists below dimension 3" in err
+    assert "Atiyah flop: A1xA1 at r = 2, W = P^1xP^1, dim X = 3" in err
 
 
 def test_classify_exit_codes():
@@ -486,6 +505,30 @@ def test_roofs_max_rank_48_is_fast():
     assert 'C47,32,"C47:31,32",1519,1488,1488,64,63,true,' in lines
     assert lines[-1] == 'D48,48,"D48:47,48",1175,1128,1128,94,94,true,'
     assert elapsed < 6.0, f"roofs --max-rank 48 took {elapsed:.2f}s"
+
+
+# --- start-up ------------------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    show = "import sys; print(' '.join(sorted(sys.modules)))"
+
+    def loaded(prelude: str) -> set[str]:
+        out = subprocess.run(
+            [sys.executable, "-c", prelude + show],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        return set(out.split())
+
+    added = loaded("import roofscope.cli; ") - loaded("")
+    assert "roofscope.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 # --- determinism ---------------------------------------------------------------------
