@@ -512,7 +512,7 @@ def test_roofs_max_rank_48_is_fast():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=str(src))
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
     def loaded(prelude: str) -> set[str]:

@@ -32,19 +32,21 @@ from roofscope import (
 )
 
 
+A2 = SimpleType("A", 2)
+
+
 def one_of_each():
     """An instance of each of the 19 value types, keyed by type name."""
-    a2 = SimpleType("A", 2)
     table = verify_paper_table(2)
     classes = classify_simple_kequiv(ClassificationQuery(dim_x=8))
     values = [
-        a2,
-        construct([a2]),
+        A2,
+        construct([A2]),
         Weight((1, 0)),
         Edge(1, 2, 1, None),
-        diagram_of((a2,)),
+        diagram_of((A2,)),
         parse("A2:1"),
-        classify_components(diagram_of((a2,)))[0],
+        classify_components(diagram_of((A2,)))[0],
         gp_invariants(parse("A2:1")),
         G2_DAGGER_RECORD,
         table.rows[0],
@@ -122,8 +124,6 @@ def test_bundle_ring_stores_its_cherns_as_a_tuple_of_fractions(ring):
     assert all(type(c) is Fraction for c in ring.cherns)
     assert ring.cherns == (3, 3)
 
-
-A2 = SimpleType("A", 2)
 
 BAD_CONSTRUCTIONS = [
     pytest.param(
