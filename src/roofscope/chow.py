@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from .root_system import _make_checked
+
 Scalar = Union[int, Fraction]
 
 
@@ -192,6 +194,7 @@ class CyclicBase(_CyclicBaseFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, dim: int, degree: int, index: int) -> CyclicBase:
         if dim < 1 or degree < 1:
@@ -253,6 +256,7 @@ class BundleChowRing(_BundleChowRingFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(
         cls, base: CyclicBase, rank: int, cherns: Sequence[Scalar]
@@ -438,6 +442,7 @@ class KEquivScenario(_KEquivScenarioFields):
     on each side: centers of codimension r1, r2 inside dim_x-folds."""
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(
         cls, dim_x: int, r1: int, r2: int, dim_m: int | None = None

@@ -362,9 +362,9 @@ def cmd_roofs(args) -> int:
 
 
 def _family_latex(rec: roofs.RoofRecord) -> str:
-    for fam in roofs.Family:
-        if fam is not roofs.Family.UNKNOWN and fam.label(rec.r) == rec.family:
-            return fam.latex(rec.r)
+    for spec in roofs.FAMILY_SPECS.values():
+        if spec.label(rec.r) == rec.family:
+            return spec.latex(rec.r)
     return render.latex_escape(rec.family)
 
 

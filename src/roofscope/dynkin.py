@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .root_system import SimpleType, _bonds
+from .root_system import SimpleType, _bonds, _make_checked
 
 
 class ParseError(ValueError):
@@ -52,6 +52,7 @@ class Edge(_EdgeFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, a: int, b: int, mult: int, source: int | None) -> Edge:
         if a >= b:
@@ -86,6 +87,7 @@ class Diagram(_DiagramFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(
         cls,
@@ -129,6 +131,7 @@ class _MarkedDiagramFields(NamedTuple):
 
 class MarkedDiagram(_MarkedDiagramFields):
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, diagram: Diagram, marks: frozenset[int]) -> MarkedDiagram:
         if not marks:

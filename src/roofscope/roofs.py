@@ -3,7 +3,7 @@
 A two-marked diagram is a roof of P^{r-1}-bundles exactly when both
 fibration residues are projective spaces with the same fiber parameter
 r; the anticanonical coefficient vector of such a diagram is always
-(r, r).  Eight families are known:
+(r, r).  Eight families are known, one ``FAMILY_SPECS`` row each:
 
     A_{r-1}xA_{r-1}   P^{r-1} x P^{r-1}
     A_r^M             Fl(1, r; r+1)
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .dynkin import MarkedDiagram, diagram_of, parse, remove_node, serialize
 from .homog import (
@@ -48,7 +48,7 @@ from .homog import (
     is_projective_space,
     projective_space_charts,
 )
-from .root_system import SimpleType
+from .root_system import SimpleType, _make_checked
 
 
 class Family(enum.Enum):
@@ -66,43 +66,97 @@ class Family(enum.Enum):
 
     def label(self, r: int | None = None) -> str:
         """Instantiated label when r is given, else the generic one."""
-        if r is None:
-            return self.value
-        if self is Family.A_PRODUCT:
-            return f"A{r - 1}xA{r - 1}"
-        if self is Family.A_MUKAI:
-            return f"A{r}^M"
-        if self is Family.A_GRASS:
-            return f"A{2 * r - 2}^G"
-        if self is Family.C_FLAG:
-            return f"C{3 * r // 2 - 1}"
-        if self is Family.D_SPINOR:
-            return f"D{r}"
-        return self.value
+        spec = FAMILY_SPECS.get(self)
+        return self.value if r is None or spec is None else spec.label(r)
 
-    def latex(self, r: int | None = None) -> str:
-        if self is Family.A_PRODUCT:
-            k = "r-1" if r is None else str(r - 1)
-            return rf"$A_{{{k}}}\times A_{{{k}}}$"
-        if self is Family.A_MUKAI:
-            k = "r" if r is None else str(r)
-            return rf"$A_{{{k}}}^{{M}}$"
-        if self is Family.A_GRASS:
-            k = "2r-2" if r is None else str(2 * r - 2)
-            return rf"$A_{{{k}}}^{{G}}$"
-        if self is Family.C_FLAG:
-            k = "3r/2-1" if r is None else str(3 * r // 2 - 1)
-            return rf"$C_{{{k}}}$"
-        if self is Family.D_SPINOR:
-            k = "r" if r is None else str(r)
-            return rf"$D_{{{k}}}$"
-        if self is Family.F4:
-            return "$F_4$"
-        if self is Family.G2:
-            return "$G_2$"
-        if self is Family.G2_DAGGER:
-            return r"$G_2^{\dagger}$"
-        return "unknown"
+    def latex(self, r: int) -> str:
+        spec = FAMILY_SPECS.get(self)
+        return self.value if spec is None else spec.latex(r)
+
+
+class FamilySpec(NamedTuple):
+    """One roof family, each field a function of the fiber parameter r.
+
+    ``diagram`` and ``rank`` (its total rank) are None for G2^dagger,
+    which has no marked diagram.  ``triple`` is the closed-form
+    (dim V_1, index V_1, index V_2) that ``verify_paper_table`` checks.
+    """
+
+    label: Callable[[int], str]
+    latex: Callable[[int], str]
+    diagram: Optional[Callable[[int], str]]
+    rank: Optional[Callable[[int], int]]
+    admits: Callable[[int], bool]
+    triple: Callable[[int], tuple[int, int, int]]
+
+
+# The eight families, in table order; everything family-specific reads a row.
+FAMILY_SPECS: dict[Family, FamilySpec] = {
+    Family.A_PRODUCT: FamilySpec(
+        label=lambda r: f"A{r - 1}xA{r - 1}",
+        latex=lambda r: rf"$A_{{{r - 1}}}\times A_{{{r - 1}}}$",
+        diagram=lambda r: f"A{r - 1}*A{r - 1}:1,{r}",
+        rank=lambda r: 2 * r - 2,
+        admits=lambda r: r >= 2,
+        triple=lambda r: (r - 1, r, r),
+    ),
+    Family.A_MUKAI: FamilySpec(
+        label=lambda r: f"A{r}^M",
+        latex=lambda r: rf"$A_{{{r}}}^{{M}}$",
+        diagram=lambda r: f"A{r}:1,{r}",
+        rank=lambda r: r,
+        admits=lambda r: r >= 2,
+        triple=lambda r: (r, r + 1, r + 1),
+    ),
+    Family.A_GRASS: FamilySpec(
+        label=lambda r: f"A{2 * r - 2}^G",
+        latex=lambda r: rf"$A_{{{2 * r - 2}}}^{{G}}$",
+        diagram=lambda r: f"A{2 * r - 2}:{r - 1},{r}",
+        rank=lambda r: 2 * r - 2,
+        admits=lambda r: r >= 3,
+        triple=lambda r: (r * (r - 1), 2 * r - 1, 2 * r - 1),
+    ),
+    Family.C_FLAG: FamilySpec(
+        label=lambda r: f"C{3 * r // 2 - 1}",
+        latex=lambda r: rf"$C_{{{3 * r // 2 - 1}}}$",
+        diagram=lambda r: f"C{3 * r // 2 - 1}:{r - 1},{r}",
+        rank=lambda r: 3 * r // 2 - 1,
+        admits=lambda r: r >= 2 and r % 2 == 0,
+        triple=lambda r: (3 * r * (r - 1) // 2, 2 * r, 2 * r - 1),
+    ),
+    Family.D_SPINOR: FamilySpec(
+        label=lambda r: f"D{r}",
+        latex=lambda r: rf"$D_{{{r}}}$",
+        diagram=lambda r: f"D{r}:{r - 1},{r}",
+        rank=lambda r: r,
+        admits=lambda r: r >= 4,
+        triple=lambda r: (r * (r - 1) // 2, 2 * r - 2, 2 * r - 2),
+    ),
+    Family.F4: FamilySpec(
+        label=lambda r: "F4",
+        latex=lambda r: "$F_4$",
+        diagram=lambda r: "F4:2,3",
+        rank=lambda r: 4,
+        admits=lambda r: r == 3,
+        triple=lambda r: (20, 5, 7),
+    ),
+    Family.G2: FamilySpec(
+        label=lambda r: "G2",
+        latex=lambda r: "$G_2$",
+        diagram=lambda r: "G2:1,2",
+        rank=lambda r: 2,
+        admits=lambda r: r == 2,
+        triple=lambda r: (5, 3, 5),
+    ),
+    Family.G2_DAGGER: FamilySpec(
+        label=lambda r: "G2^dagger",
+        latex=lambda r: r"$G_2^{\dagger}$",
+        diagram=None,
+        rank=None,
+        admits=lambda r: r == 3,
+        triple=lambda r: (5, 5, 5),
+    ),
+}
 
 
 NON_HOMOGENEOUS = "non-homogeneous"
@@ -129,6 +183,7 @@ class RoofRecord(_RoofRecordFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(
         cls,
@@ -235,82 +290,40 @@ def _family_of(md: MarkedDiagram, r: int) -> Family:
         # both marks in one factor: the other factor is a point
         t = d.factors[0] if len(in_first) == 2 else d.factors[1]
         offset = 0 if len(in_first) == 2 else split
-        local = tuple(m - offset for m in marks)
-        return _single_factor_family(t, local, r)
-    return _single_factor_family(d.factors[0], tuple(marks), r)
+        local = frozenset(m - offset for m in marks)
+        return _single_factor_family(MarkedDiagram(diagram_of((t,)), local), r)
+    return _single_factor_family(md, r)
 
 
-def _single_factor_family(t: SimpleType, marks: tuple[int, int], r: int) -> Family:
-    i, j = marks
-    n = t.rank
-    if t.letter == "A":
-        if (i, j) == (1, n) and r == n:
-            return Family.A_MUKAI
-        if n >= 4 and n % 2 == 0 and (i, j) == (n // 2, n // 2 + 1) and r == n // 2 + 1:
-            return Family.A_GRASS
-        return Family.UNKNOWN
-    if t.letter == "C":
-        if r % 2 == 0 and n == 3 * r // 2 - 1 and (i, j) == (r - 1, r):
-            return Family.C_FLAG
-        return Family.UNKNOWN
-    if t.letter == "D":
-        if n == 4 and {i, j} <= {1, 3, 4} and r == 4:
-            return Family.D_SPINOR
-        if n >= 5 and (i, j) == (n - 1, n) and r == n:
-            return Family.D_SPINOR
-        return Family.UNKNOWN
-    if t.letter == "F" and (i, j) == (2, 3) and r == 3:
-        return Family.F4
-    if t.letter == "G" and (i, j) == (1, 2) and r == 2:
-        return Family.G2
+def _single_factor_family(md: MarkedDiagram, r: int) -> Family:
+    """The family whose canonical diagram at r is md up to automorphism."""
+    images = _mark_images(md)
+    for family, spec in FAMILY_SPECS.items():
+        if spec.diagram is not None and spec.admits(r) and spec.diagram(r) in images:
+            return family
     return Family.UNKNOWN
 
 
 def family_diagram(family: Family, r: int) -> str:
     """The canonical marked diagram of a family instance."""
-    if family is Family.A_PRODUCT:
-        return f"A{r - 1}*A{r - 1}:1,{r}"
-    if family is Family.A_MUKAI:
-        return f"A{r}:1,{r}"
-    if family is Family.A_GRASS:
-        return f"A{2 * r - 2}:{r - 1},{r}"
-    if family is Family.C_FLAG:
-        return f"C{3 * r // 2 - 1}:{r - 1},{r}"
-    if family is Family.D_SPINOR:
-        return f"D{r}:{r - 1},{r}"
-    if family is Family.F4:
-        return "F4:2,3"
-    if family is Family.G2:
-        return "G2:1,2"
-    raise ValueError(f"{family} has no canonical diagram")
+    spec = FAMILY_SPECS.get(family)
+    if spec is None or spec.diagram is None:
+        raise ValueError(f"{family} has no canonical diagram")
+    return spec.diagram(r)
 
 
 def _family_rank(family: Family, r: int) -> int:
-    if family is Family.A_PRODUCT:
-        return 2 * (r - 1)
-    if family is Family.A_MUKAI:
-        return r
-    if family is Family.A_GRASS:
-        return 2 * r - 2
-    if family is Family.C_FLAG:
-        return 3 * r // 2 - 1
-    if family is Family.D_SPINOR:
-        return r
-    if family is Family.F4:
-        return 4
-    if family is Family.G2:
-        return 2
-    raise ValueError(f"{family} has no diagram rank")
+    spec = FAMILY_SPECS.get(family)
+    if spec is None or spec.rank is None:
+        raise ValueError(f"{family} has no diagram rank")
+    return spec.rank(r)
 
 
 def name_family(record: RoofRecord) -> str:
     """Pattern-match a record against the eight family schemata."""
     if record.diagram == NON_HOMOGENEOUS:
         return Family.G2_DAGGER.label(record.r)
-    fam = _family_of(record.marked_diagram(), record.r)
-    if fam is Family.UNKNOWN:
-        return Family.UNKNOWN.value
-    return fam.label(record.r)
+    return _family_of(record.marked_diagram(), record.r).label(record.r)
 
 
 # --- automorphism canonicalization -------------------------------------------
@@ -410,7 +423,6 @@ def _pspace_chart_min_ranks(max_rank: int) -> dict[int, int]:
 def enumerate_roofs(
     max_total_rank: int,
     r_filter: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank.
 
@@ -425,9 +437,6 @@ def enumerate_roofs(
     vector (r, r).  Hits are deduplicated up to variety isomorphism and
     reported through their canonical family diagrams; the non-homogeneous
     G2^dagger record is appended whenever the fiber filter admits r = 3.
-    ``threads`` and ROOFSCOPE_THREADS are accepted and ignored: the scan
-    is pure Python, and a thread pool was slower than one thread under
-    the GIL.
     """
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
@@ -474,7 +483,7 @@ def _record_for(diagram: str, family: Family, r: int) -> RoofRecord:
     if v1.dim != v2.dim:  # both contractions of a roof have equal fiber dimension
         raise RuntimeError(f"unequal base dimensions for {diagram}")
     return RoofRecord(
-        family=family.label(r) if family is not Family.UNKNOWN else family.value,
+        family=family.label(r),
         r=r,
         diagram=serialize(md),
         dim_W=v1.dim + r - 1,
@@ -487,44 +496,6 @@ def _record_for(diagram: str, family: Family, r: int) -> RoofRecord:
 
 
 # --- reference table -----------------------------------------------------------
-
-
-def _expected_triple(family: Family, r: int) -> tuple[int, int, int]:
-    if family is Family.A_PRODUCT:
-        return (r - 1, r, r)
-    if family is Family.A_MUKAI:
-        return (r, r + 1, r + 1)
-    if family is Family.A_GRASS:
-        return (r * (r - 1), 2 * r - 1, 2 * r - 1)
-    if family is Family.C_FLAG:
-        return (3 * r * (r - 1) // 2, 2 * r, 2 * r - 1)
-    if family is Family.D_SPINOR:
-        return (r * (r - 1) // 2, 2 * r - 2, 2 * r - 2)
-    if family is Family.F4:
-        return (20, 5, 7)
-    if family is Family.G2:
-        return (5, 3, 5)
-    if family is Family.G2_DAGGER:
-        return (5, 5, 5)
-    raise ValueError(f"{family} has no table row")
-
-
-def _table_rs(family: Family, r_max: int) -> list[int]:
-    if family in (Family.A_PRODUCT, Family.A_MUKAI):
-        return list(range(2, r_max + 1))
-    if family is Family.A_GRASS:
-        return list(range(3, r_max + 1))
-    if family is Family.C_FLAG:
-        return list(range(2, r_max + 1, 2))
-    if family is Family.D_SPINOR:
-        return list(range(4, r_max + 1))
-    if family is Family.F4:
-        return [3] if r_max >= 3 else []
-    if family is Family.G2:
-        return [2]
-    if family is Family.G2_DAGGER:
-        return [3] if r_max >= 3 else []
-    return []
 
 
 class TableRow(NamedTuple):
@@ -569,18 +540,6 @@ def _computed_triple(family: Family, r: int) -> tuple[int, int, int]:
     return (v1.dim, v1.index, v2.index)
 
 
-_TABLE_FAMILIES = (
-    Family.A_PRODUCT,
-    Family.A_MUKAI,
-    Family.A_GRASS,
-    Family.C_FLAG,
-    Family.D_SPINOR,
-    Family.F4,
-    Family.G2,
-    Family.G2_DAGGER,
-)
-
-
 def verify_paper_table(r_max: int, fault: Optional[str] = None) -> TableReport:
     """Recompute every family instance with r <= r_max and compare it to
     the bundled closed-form table.
@@ -592,9 +551,9 @@ def verify_paper_table(r_max: int, fault: Optional[str] = None) -> TableReport:
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     rows = []
-    for family in _TABLE_FAMILIES:
-        for r in _table_rs(family, r_max):
-            label = family.label(r)
+    for family, spec in FAMILY_SPECS.items():
+        for r in filter(spec.admits, range(2, r_max + 1)):
+            label = spec.label(r)
             dim, i1, i2 = _computed_triple(family, r)
             if fault is not None and fault == label:
                 i1 += 1
@@ -603,7 +562,7 @@ def verify_paper_table(r_max: int, fault: Optional[str] = None) -> TableReport:
                     family=label,
                     r=r,
                     computed=(dim, i1, i2),
-                    expected=_expected_triple(family, r),
+                    expected=spec.triple(r),
                 )
             )
     return TableReport(tuple(rows))
@@ -654,18 +613,6 @@ _BELOW_DIM_3 = (
     "no simple K-equivalent map exists below dimension 3; the smallest is "
     "the Atiyah flop: A1xA1 at r = 2, W = P^1xP^1, dim X = 3"
 )
-
-_INTRINSIC = {
-    Family.A_PRODUCT: lambda r: r >= 2,
-    Family.A_MUKAI: lambda r: r >= 2,
-    Family.A_GRASS: lambda r: r >= 3,
-    Family.C_FLAG: lambda r: r >= 2 and r % 2 == 0,
-    Family.D_SPINOR: lambda r: r >= 4,
-    Family.F4: lambda r: r == 3,
-    Family.G2: lambda r: r == 2,
-    Family.G2_DAGGER: lambda r: r == 3,
-}
-
 
 class ClassEntry(NamedTuple):
     family: Family
@@ -746,7 +693,7 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
         if dead:
             continue
         if q.r is not None:
-            if not _INTRINSIC[family](q.r):
+            if not FAMILY_SPECS[family].admits(q.r):
                 continue
             if constraint is not None:
                 kind, k = constraint
@@ -754,7 +701,7 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
                     continue
             label = family.label(q.r)
         elif constraint is not None and constraint[0] == "eq":
-            if not _INTRINSIC[family](constraint[1]):
+            if not FAMILY_SPECS[family].admits(constraint[1]):
                 continue
             label = family.label(constraint[1])
         elif constraint is not None:

@@ -55,6 +55,16 @@ _CANONICAL_HINTS = {
 }
 
 
+_LETTERS = tuple("ABCDEFG")
+
+
+def _make_checked(cls, iterable):
+    """``_make`` for the checked value types: NamedTuple's own builds the
+    tuple without calling ``__new__`` (and ``_replace`` goes through it), so
+    it would skip the validation."""
+    return cls(*iterable)
+
+
 class _SimpleTypeFields(NamedTuple):
     letter: str
     rank: int
@@ -64,9 +74,10 @@ class SimpleType(_SimpleTypeFields):
     """One simple Dynkin factor in canonical form, e.g. A7 or F4."""
 
     __slots__ = ()
+    _make = classmethod(_make_checked)
 
     def __new__(cls, letter: str, rank: int) -> SimpleType:
-        if letter not in "ABCDEFG":
+        if letter not in _LETTERS:
             raise ValueError(f"unknown type letter {letter!r}")
         if not isinstance(rank, int) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")

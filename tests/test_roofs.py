@@ -23,7 +23,7 @@ from roofscope import (
     serialize,
     verify_paper_table,
 )
-from roofscope.roofs import _family_of, _family_rank
+from roofscope.roofs import FAMILY_SPECS, _family_of, _family_rank, _record_for
 
 def simple_types(max_rank):
     """(letter, rank) of every simple type of rank <= max_rank, B2 = C2 once."""
@@ -218,9 +218,8 @@ def test_record_invariants_hold_exhaustively():
 
 
 def test_enumeration_is_deterministic_and_thread_invariant():
-    base = enumerate_roofs(8, threads=1)
-    assert enumerate_roofs(8, threads=1) == base
-    assert enumerate_roofs(8, threads=8) == base
+    base = enumerate_roofs(8)
+    assert enumerate_roofs(8) == base
 
 
 def test_residue_join_matches_is_roof_on_every_single_factor():
@@ -346,6 +345,22 @@ def test_product_records_with_c_charts_are_named_as_products():
     assert name_family(_record_from("C2*C2:1,3", 4)) == "A3xA3"
     assert name_family(_record_from("C2*A3:1,3", 4)) == "A3xA3"
     assert name_family(_record_from("A2*A2:1,4", 3)) == "A2xA2"
+
+
+@pytest.mark.parametrize(
+    "family", [f for f, spec in FAMILY_SPECS.items() if spec.diagram is not None]
+)
+def test_each_family_row_agrees_with_its_diagram_up_to_r_16(family):
+    spec = FAMILY_SPECS[family]
+    for r in filter(spec.admits, range(2, 17)):
+        diagram = family_diagram(family, r)
+        md = parse(diagram)
+        assert is_roof(md) == r, diagram
+        assert _family_of(md, r) is family, diagram
+        assert _family_rank(family, r) == md.diagram.total_rank, diagram
+        rec = _record_for(diagram, family, r)
+        assert (rec.dim_V1, rec.index_V1, rec.index_V2) == spec.triple(r), diagram
+        assert rec.family == spec.label(r) == family.label(r)
 
 
 # --- the reference table --------------------------------------------------------------

@@ -129,6 +129,8 @@ BAD_CONSTRUCTIONS = [
     pytest.param(
         lambda: SimpleType("E", 5), "E5 is not a canonical type; use D5", id="SimpleType"
     ),
+    pytest.param(lambda: SimpleType("", 3), "unknown type letter ''", id="SimpleType-empty"),
+    pytest.param(lambda: SimpleType("AB", 3), "unknown type letter 'AB'", id="SimpleType-AB"),
     pytest.param(lambda: Edge(1, 2, 2, 3), "arrow source must be an endpoint", id="Edge"),
     pytest.param(
         lambda: Diagram((A2,), (2, 1), frozenset()),
@@ -165,3 +167,30 @@ BAD_CONSTRUCTIONS = [
 def test_each_checked_constructor_names_its_problem(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+BAD_REPLACEMENTS = [
+    pytest.param(SimpleType("E", 6), {"rank": 5}, "use D5", id="SimpleType"),
+    pytest.param(Edge(1, 2, 1, None), {"a": 5}, "a < b", id="Edge"),
+    pytest.param(diagram_of((A2,)), {"nodes": (2, 1)}, "sorted ascending", id="Diagram"),
+    pytest.param(parse("A2:1"), {"marks": frozenset()}, "at least one mark", id="MarkedDiagram"),
+    pytest.param(projective_space(2), {"dim": 0}, "must be positive", id="CyclicBase"),
+    pytest.param(
+        BundleChowRing(projective_space(2), 2, (3, 3)),
+        {"cherns": (3,)},
+        "expected 2 Chern coefficients",
+        id="BundleChowRing",
+    ),
+    pytest.param(KEquivScenario(5, 2, 2), {"r1": 5}, "must exceed", id="KEquivScenario"),
+    pytest.param(G2_DAGGER_RECORD, {"dim_W": 9}, "dim W = 9", id="RoofRecord"),
+]
+
+
+@pytest.mark.parametrize("value, changes, message", BAD_REPLACEMENTS)
+def test_make_and_replace_go_through_the_checked_constructor(value, changes, message):
+    assert type(value)._make(value) == value
+    assert value._replace() == value
+    with pytest.raises(ValueError, match=message):
+        value._replace(**changes)
+    with pytest.raises(ValueError, match=message):
+        type(value)._make({**value._asdict(), **changes}.values())
