@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import chow, render, roofs
-from .dynkin import ParseError, parse, serialize
+from .dynkin import parse, serialize
 from .homog import gp_invariants
 
 EXIT_OK = 0
@@ -304,20 +304,6 @@ def cmd_gp(args) -> int:
     return EXIT_OK
 
 
-_RECORD_HEADERS = [
-    "family",
-    "r",
-    "diagram",
-    "dim_W",
-    "dim_V1",
-    "dim_V2",
-    "index_V1",
-    "index_V2",
-    "homogeneous",
-    "notes",
-]
-
-
 def cmd_roofs(args) -> int:
     if args.max_rank < 1:
         print("error: --max-rank must be at least 1", file=sys.stderr)
@@ -326,21 +312,6 @@ def cmd_roofs(args) -> int:
         print("error: --fiber must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     records = roofs.enumerate_roofs(args.max_rank, r_filter=args.fiber)
-    rows = [
-        [
-            rec.family,
-            rec.r,
-            rec.diagram,
-            rec.dim_W,
-            rec.dim_V1,
-            rec.dim_V2,
-            rec.index_V1,
-            rec.index_V2,
-            rec.homogeneous,
-            rec.notes,
-        ]
-        for rec in records
-    ]
     if args.format == "latex":
         headers = ["Type", "Marked Dynkin diagram", r"$(\dim V_i,\ r_{V_1},\ r_{V_2})$"]
         latex_rows = [
@@ -357,7 +328,8 @@ def cmd_roofs(args) -> int:
             render.render_latex(headers, latex_rows, raw_columns=(0, 1, 2))
         )
         return EXIT_OK
-    _emit(args.format, _RECORD_HEADERS, rows, [rec.as_dict() for rec in records])
+    headers = list(roofs.RoofRecord._fields)
+    _emit(args.format, headers, records, [rec._asdict() for rec in records])
     return EXIT_OK
 
 
@@ -401,17 +373,13 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        query = roofs.ClassificationQuery(
-            dim_x=args.dim_x,
-            r=args.codim,
-            fiber_gap=args.fiber_gap,
-            symplectic=args.symplectic,
-        )
-        result = roofs.classify_simple_kequiv(query)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    query = roofs.ClassificationQuery(
+        dim_x=args.dim_x,
+        r=args.codim,
+        fiber_gap=args.fiber_gap,
+        symplectic=args.symplectic,
+    )
+    result = roofs.classify_simple_kequiv(query)
     if not result.available:
         print("no classification available for this query", file=sys.stderr)
         for rule in result.applied_rules:
@@ -491,6 +459,15 @@ def cmd_chow(args) -> int:
     raise AssertionError(f"unhandled chow subcommand {sub!r}")
 
 
+_COMMANDS = {
+    "gp": cmd_gp,
+    "roofs": cmd_roofs,
+    "verify-table": cmd_verify_table,
+    "classify": cmd_classify,
+    "chow": cmd_chow,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -503,23 +480,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: '--' is not a valid option value", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "gp":
-            return cmd_gp(args)
-        if args.command == "roofs":
-            return cmd_roofs(args)
-        if args.command == "verify-table":
-            return cmd_verify_table(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "chow":
-            return cmd_chow(args)
-    except ParseError as exc:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -64,14 +64,10 @@ class Family(enum.Enum):
     G2_DAGGER = "G2^dagger"
     UNKNOWN = "unknown"
 
-    def label(self, r: int | None = None) -> str:
-        """Instantiated label when r is given, else the generic one."""
+    def label(self, r: int) -> str:
+        """The label instantiated at r; 'unknown' has no other."""
         spec = FAMILY_SPECS.get(self)
-        return self.value if r is None or spec is None else spec.label(r)
-
-    def latex(self, r: int) -> str:
-        spec = FAMILY_SPECS.get(self)
-        return self.value if spec is None else spec.latex(r)
+        return self.value if spec is None else spec.label(r)
 
 
 class FamilySpec(NamedTuple):
@@ -213,34 +209,28 @@ class RoofRecord(_RoofRecordFields):
             raise ValueError("the G2^dagger roof has no marked diagram")
         return parse(self.diagram)
 
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "r": self.r,
-            "diagram": self.diagram,
-            "dim_W": self.dim_W,
-            "dim_V1": self.dim_V1,
-            "dim_V2": self.dim_V2,
-            "index_V1": self.index_V1,
-            "index_V2": self.index_V2,
-            "homogeneous": self.homogeneous,
-            "notes": self.notes,
-        }
+
+def _g2_dagger_record() -> RoofRecord:
+    """The non-homogeneous roof, read off its table row at r = 3: both
+    contractions land on Q^5, so dim V_2 = dim V_1."""
+    r = 3
+    dim, index_1, index_2 = FAMILY_SPECS[Family.G2_DAGGER].triple(r)
+    return RoofRecord(
+        family=Family.G2_DAGGER.label(r),
+        r=r,
+        diagram=NON_HOMOGENEOUS,
+        dim_W=dim + r - 1,
+        dim_V1=dim,
+        dim_V2=dim,
+        index_V1=index_1,
+        index_V2=index_2,
+        homogeneous=False,
+        notes="projectivized Ottaviani bundle on Q5: stable, Chern classes "
+        "(2,2,2) in the integral Chow units of Q5",
+    )
 
 
-G2_DAGGER_RECORD = RoofRecord(
-    family=Family.G2_DAGGER.label(3),
-    r=3,
-    diagram=NON_HOMOGENEOUS,
-    dim_W=7,
-    dim_V1=5,
-    dim_V2=5,
-    index_V1=5,
-    index_V2=5,
-    homogeneous=False,
-    notes="projectivized Ottaviani bundle on Q5: stable, Chern classes "
-    "(2,2,2) in the integral Chow units of Q5",
-)
+G2_DAGGER_RECORD = _g2_dagger_record()
 
 
 def is_roof(md: MarkedDiagram) -> int | None:
@@ -411,13 +401,13 @@ def _candidates(max_rank: int) -> Iterator[tuple[MarkedDiagram, int]]:
                     yield md, r
 
 
-def _pspace_chart_min_ranks(max_rank: int) -> dict[int, int]:
-    """The smallest rank of a (type, mark) chart that is P^{r-1}, keyed by r."""
-    charts: dict[int, int] = {}
-    for t in _admissible_types(max_rank):
-        for r in projective_space_charts(diagram_of((t,))).values():
-            charts[r] = min(charts.get(r, t.rank), t.rank)
-    return charts
+def _pspace_chart_rs(max_rank: int) -> set[int]:
+    """Every r with a (type, mark) chart of rank <= max_rank that is P^{r-1}."""
+    return {
+        r
+        for t in _admissible_types(max_rank)
+        for r in projective_space_charts(diagram_of((t,))).values()
+    }
 
 
 def enumerate_roofs(
@@ -430,10 +420,10 @@ def enumerate_roofs(
     each residue "type minus node k" is classified once, and a mark pair
     i < j is a roof when the residue without i is P^{r-1} at j and the
     residue without j is P^{r-1} at i, for the same r (``_candidates``).
-    Products with one mark per factor: the (type, mark) charts of the full
-    factors are grouped by r, and r yields an A_{r-1}xA_{r-1} instance
-    when two of its charts (possibly the same one twice) fit the rank
-    bound together.  Every single-factor hit is checked to have index
+    Products with one mark per factor: every r taken by a (type, mark)
+    chart of the full factors yields an A_{r-1}xA_{r-1} instance when that
+    instance fits the rank bound (its factors are then two A_{r-1} charts
+    that fit together).  Every single-factor hit is checked to have index
     vector (r, r).  Hits are deduplicated up to variety isomorphism and
     reported through their canonical family diagrams; the non-homogeneous
     G2^dagger record is appended whenever the fiber filter admits r = 3.
@@ -446,16 +436,15 @@ def enumerate_roofs(
         if r_filter is not None and r != r_filter:
             return
         if family is not Family.UNKNOWN and _family_rank(family, r) > max_total_rank:
-            return  # only reachable through a lower-rank C-chart of the same variety
+            return  # reached through a smaller C-chart, or a product pair too large
         instances.setdefault(key, (family, r))
 
     for md, r in _candidates(max_total_rank):
         family = _family_of(md, r)
         key = _dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
         add(family, r, key)
-    for r, rank in _pspace_chart_min_ranks(max_total_rank).items():
-        if 2 * rank <= max_total_rank:
-            add(Family.A_PRODUCT, r, family_diagram(Family.A_PRODUCT, r))
+    for r in _pspace_chart_rs(max_total_rank):
+        add(Family.A_PRODUCT, r, family_diagram(Family.A_PRODUCT, r))
 
     records = [
         _record_for(diagram, family, r)
@@ -533,11 +522,8 @@ def _computed_triple(family: Family, r: int) -> tuple[int, int, int]:
         if ring.canonical_class() != 3 * chow.XI:
             return (q5.dim, -1, -1)
         return (q5.dim, q5.index, q5.index)
-    md = parse(family_diagram(family, r))
-    i, j = sorted(md.marks)
-    v1 = gp_invariants(MarkedDiagram(md.diagram, frozenset({i})))
-    v2 = gp_invariants(MarkedDiagram(md.diagram, frozenset({j})))
-    return (v1.dim, v1.index, v2.index)
+    rec = _record_for(family_diagram(family, r), family, r)
+    return (rec.dim_V1, rec.index_V1, rec.index_V2)
 
 
 def verify_paper_table(r_max: int, fault: Optional[str] = None) -> TableReport:
@@ -585,27 +571,27 @@ class ClassificationQuery(NamedTuple):
     symplectic: bool = False
 
 
-# constraint encodings: ("eq", k) | ("le", k) | None (unconstrained)
-_CASE_SYMPLECTIC = {Family.A_MUKAI: None}
+# Each case bounds r per family by an interval (lo, hi); hi None is unbounded.
+_CASE_SYMPLECTIC = {Family.A_MUKAI: (2, None)}
 _CASE_CODIM_2 = {
-    Family.A_PRODUCT: ("eq", 2),
-    Family.A_MUKAI: ("eq", 2),
-    Family.C_FLAG: ("eq", 2),
-    Family.G2: ("eq", 2),
+    Family.A_PRODUCT: (2, 2),
+    Family.A_MUKAI: (2, 2),
+    Family.C_FLAG: (2, 2),
+    Family.G2: (2, 2),
 }
 _CASE_LARGE_CODIM = {
-    Family.A_PRODUCT: None,
-    Family.A_MUKAI: None,
-    Family.C_FLAG: ("eq", 2),
-    Family.D_SPINOR: ("eq", 4),
-    Family.G2_DAGGER: ("eq", 3),
+    Family.A_PRODUCT: (2, None),
+    Family.A_MUKAI: (2, None),
+    Family.C_FLAG: (2, 2),
+    Family.D_SPINOR: (4, 4),
+    Family.G2_DAGGER: (3, 3),
 }
 _CASE_DIM_8 = {
-    Family.A_PRODUCT: ("le", 3),
-    Family.A_MUKAI: ("le", 3),
-    Family.C_FLAG: ("eq", 2),
-    Family.G2: ("eq", 2),
-    Family.G2_DAGGER: ("eq", 3),
+    Family.A_PRODUCT: (2, 3),
+    Family.A_MUKAI: (2, 3),
+    Family.C_FLAG: (2, 2),
+    Family.G2: (2, 2),
+    Family.G2_DAGGER: (3, 3),
 }
 
 # dim X = dim M + dim W + 1, and the smallest roof W is P^1 x P^1
@@ -613,6 +599,7 @@ _BELOW_DIM_3 = (
     "no simple K-equivalent map exists below dimension 3; the smallest is "
     "the Atiyah flop: A1xA1 at r = 2, W = P^1xP^1, dim X = 3"
 )
+
 
 class ClassEntry(NamedTuple):
     family: Family
@@ -629,30 +616,20 @@ class ClassificationResult(NamedTuple):
         return [e.label for e in self.entries]
 
 
-def _merge(c1, c2):
-    """Intersect two constraints; returns ('empty',) when incompatible."""
-    if c1 is None:
-        return c2
-    if c2 is None:
-        return c1
-    k1, k2 = c1[1], c2[1]
-    if c1[0] == "eq" and c2[0] == "eq":
-        return c1 if k1 == k2 else ("empty",)
-    if c1[0] == "eq":
-        return c1 if k1 <= k2 else ("empty",)
-    if c2[0] == "eq":
-        return c2 if k2 <= k1 else ("empty",)
-    return ("le", min(k1, k2))
-
-
 def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     """Apply the classification cases admitted by the query and intersect them.
 
     Cases: symplectic total space (Mukai flop only); codimension 2;
     codimension at least fiber dimension minus 2; ambient dimension at
-    most 8.  A query matching no case yields an explicit unavailable
-    result, not an empty list.  So does an ambient dimension of 1 or 2,
-    which no map reaches; its one applied rule says why.
+    most 8.  Each case bounds r per family by an interval, and a family
+    survives when it is in every applied case; its intervals and the
+    codimension r, as (r, r), are intersected.  A single r gives the
+    label at r (if the family admits it), a bounded range the generic
+    label with "(r<=hi)", no bound the generic label; an empty
+    intersection drops the family.  A query matching no case yields an
+    explicit unavailable result, not an empty list.  So does an ambient
+    dimension of 1 or 2, which no map reaches; its one applied rule says
+    why.
     """
     if not (q.symplectic or q.dim_x is not None or q.r is not None or q.fiber_gap is not None):
         raise ValueError("at least one constraint is required")
@@ -675,38 +652,23 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     if not cases:
         return ClassificationResult(False, (), ())
 
-    families = set(cases[0][1])
-    for _, table in cases[1:]:
-        families &= set(table)
-
+    rules = tuple(name for name, _ in cases)
     entries = []
-    for family in sorted(families, key=lambda f: list(Family).index(f)):
-        constraint = None
-        rules = []
-        dead = False
-        for name, table in cases:
-            constraint = _merge(constraint, table[family])
-            rules.append(name)
-            if constraint == ("empty",):
-                dead = True
-                break
-        if dead:
+    for family, spec in FAMILY_SPECS.items():
+        bounds = [table[family] for _, table in cases if family in table]
+        if len(bounds) < len(cases):
             continue
         if q.r is not None:
-            if not FAMILY_SPECS[family].admits(q.r):
-                continue
-            if constraint is not None:
-                kind, k = constraint
-                if (kind == "eq" and q.r != k) or (kind == "le" and q.r > k):
-                    continue
-            label = family.label(q.r)
-        elif constraint is not None and constraint[0] == "eq":
-            if not FAMILY_SPECS[family].admits(constraint[1]):
-                continue
-            label = family.label(constraint[1])
-        elif constraint is not None:
-            label = f"{family.value} (r<={constraint[1]})"
-        else:
+            bounds.append((q.r, q.r))
+        lo = max(b[0] for b in bounds)
+        hi = min((b[1] for b in bounds if b[1] is not None), default=None)
+        if hi is None:
             label = family.value
-        entries.append(ClassEntry(family, label, tuple(rules)))
-    return ClassificationResult(True, tuple(entries), tuple(name for name, _ in cases))
+        elif lo < hi:
+            label = f"{family.value} (r<={hi})"
+        elif lo == hi and spec.admits(lo):
+            label = spec.label(lo)
+        else:
+            continue
+        entries.append(ClassEntry(family, label, rules))
+    return ClassificationResult(True, tuple(entries), rules)

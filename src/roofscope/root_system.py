@@ -226,15 +226,6 @@ class RootSystem(NamedTuple):
     def rank(self) -> int:
         return len(self.cartan)
 
-    def factor_of(self, node: int) -> int:
-        """Index of the factor containing a (1-based) node."""
-        upto = 0
-        for k, f in enumerate(self.factors):
-            upto += f.rank
-            if node <= upto:
-                return k
-        raise IndexError(f"node {node} out of range 1..{self.rank}")
-
     def __str__(self) -> str:
         return "*".join(str(f) for f in self.factors)
 

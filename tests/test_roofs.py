@@ -23,7 +23,13 @@ from roofscope import (
     serialize,
     verify_paper_table,
 )
-from roofscope.roofs import FAMILY_SPECS, _family_of, _family_rank, _record_for
+from roofscope.roofs import (
+    FAMILY_SPECS,
+    _computed_triple,
+    _family_of,
+    _family_rank,
+    _record_for,
+)
 
 def simple_types(max_rank):
     """(letter, rank) of every simple type of rank <= max_rank, B2 = C2 once."""
@@ -461,10 +467,80 @@ def test_classify_symplectic_with_codim_instantiates():
     assert result.labels() == ["A2^M"]
 
 
+# The four cases written out as the r each family may take; an unbounded
+# set is capped at R_CAP.
+R_CAP = 30
+ANY_R = frozenset(range(2, R_CAP + 1))
+ORACLE_CASES = {
+    "symplectic ambient variety": {Family.A_MUKAI: ANY_R},
+    "codimension 2": {
+        Family.A_PRODUCT: {2}, Family.A_MUKAI: {2}, Family.C_FLAG: {2}, Family.G2: {2},
+    },
+    "codimension >= fiber dimension - 2": {
+        Family.A_PRODUCT: ANY_R, Family.A_MUKAI: ANY_R, Family.C_FLAG: {2},
+        Family.D_SPINOR: {4}, Family.G2_DAGGER: {3},
+    },
+    "ambient dimension <= 8": {
+        Family.A_PRODUCT: {2, 3}, Family.A_MUKAI: {2, 3}, Family.C_FLAG: {2},
+        Family.G2: {2}, Family.G2_DAGGER: {3},
+    },
+}
+
+
+def _oracle_applies(name, q):
+    if name == "symplectic ambient variety":
+        return q.symplectic
+    if name == "codimension 2":
+        return q.r == 2
+    if name == "codimension >= fiber dimension - 2":
+        return q.r is not None and q.fiber_gap is not None and q.r >= q.fiber_gap - 2
+    return q.dim_x is not None and q.dim_x <= 8
+
+
+def test_classification_matches_the_r_set_oracle():
+    checked = 0
+    for dim_x in (None, 3, 5, 7, 8, 9, 100):
+        for r in (None, 2, 3, 4, 5, 6, 8):
+            for fiber_gap in (None, 2, 4, 5, 6, 7, 10):
+                for symplectic in (False, True):
+                    q = ClassificationQuery(dim_x, r, fiber_gap, symplectic)
+                    if q == ClassificationQuery():
+                        continue
+                    result = classify_simple_kequiv(q)
+                    applied = [n for n in ORACLE_CASES if _oracle_applies(n, q)]
+                    assert result.applied_rules == tuple(applied), q
+                    if not applied:
+                        assert not result.available and result.entries == (), q
+                        continue
+                    assert result.available, q
+                    expected = []
+                    for family, spec in FAMILY_SPECS.items():
+                        allowed = set(ANY_R if r is None else {r})
+                        for name in applied:
+                            allowed &= ORACLE_CASES[name].get(family, set())
+                        allowed = {k for k in allowed if spec.admits(k)}
+                        if not allowed:
+                            continue
+                        if len(allowed) == 1:
+                            label = spec.label(min(allowed))
+                        elif max(allowed) < R_CAP:
+                            label = f"{family.value} (r<={max(allowed)})"
+                        else:
+                            label = family.value
+                        expected.append((family, label, tuple(applied)))
+                    assert [tuple(e) for e in result.entries] == expected, q
+                    checked += 1
+    assert checked > 300
+
+
 def test_g2_dagger_record_contents():
     rec = G2_DAGGER_RECORD
     assert rec.r == 3 and rec.diagram == NON_HOMOGENEOUS
     assert (rec.dim_W, rec.dim_V1, rec.index_V1) == (7, 5, 5)
+    row = FAMILY_SPECS[Family.G2_DAGGER].triple(rec.r)
+    assert (rec.dim_V1, rec.index_V1, rec.index_V2) == row
+    assert row == _computed_triple(Family.G2_DAGGER, rec.r)
+    assert rec.dim_W == rec.dim_V1 + rec.r - 1
     assert not rec.homogeneous
     assert "Ottaviani" in rec.notes and "(2,2,2)" in rec.notes
     with pytest.raises(ValueError):
