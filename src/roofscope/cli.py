@@ -45,16 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gp", help="invariants of the variety of a marked diagram")
     p.add_argument("diagram", help="diagram string, e.g. F4:2,3 or A2*A2:1,4")
     _add_format(p)
+    p.set_defaults(run=cmd_gp)
 
     p = sub.add_parser("roofs", help="enumerate roofs up to a total rank")
     p.add_argument("--max-rank", type=int, required=True)
     p.add_argument("--fiber", type=int, default=None, help="keep only fiber parameter r")
     _add_format(p)
+    p.set_defaults(run=cmd_roofs)
 
     p = sub.add_parser("verify-table", help="recompute the family table and compare")
     p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     _add_format(p)
+    p.set_defaults(run=cmd_verify_table)
 
     p = sub.add_parser("classify", help="classify simple K-equivalent maps")
     p.add_argument("--dim-x", type=int, default=None, help="ambient dimension")
@@ -62,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber-gap", type=int, default=None, help="dim Y - dim M")
     p.add_argument("--symplectic", action="store_true")
     _add_format(p)
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("chow", help="projective-bundle divisor arithmetic")
     chow_sub = p.add_subparsers(dest="chow_command", required=True)
@@ -82,15 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_ring_flags(q)
     q.add_argument("--element", required=True)
     _add_format(q)
+    q.set_defaults(run=cmd_chow_reduce)
 
     q = chow_sub.add_parser("degree", help="degree pairing of a top-degree element")
     add_ring_flags(q)
     q.add_argument("--element", required=True)
     _add_format(q)
+    q.set_defaults(run=cmd_chow_degree)
 
     q = chow_sub.add_parser("canonical", help="the anticanonical class of P(E)")
     add_ring_flags(q)
     _add_format(q)
+    q.set_defaults(run=cmd_chow_canonical)
 
     q = chow_sub.add_parser("mukai-check", help="check c1(V) = c1(E)")
     q.add_argument("--index", type=int, required=True, help="Fano index of V")
@@ -98,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rank", type=int, required=True)
     q.add_argument("--dim", type=int, required=True)
     _add_format(q)
+    q.set_defaults(run=cmd_chow_mukai_check)
 
     q = chow_sub.add_parser("discrepancy", help="blow-up discrepancy arithmetic")
     q.add_argument("--codim", type=int, required=True)
     q.add_argument("--codim2", type=int, default=None, help="second codimension to compare")
     _add_format(q)
+    q.set_defaults(run=cmd_chow_discrepancy)
 
     return top
 
@@ -120,15 +128,13 @@ class _ElementParser:
     """expr := ('-')? term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := atom ('^' int)?; atom := '(' expr ')' | rational | 'H' | 'xi'.
 
-    With ``max_degree`` set, every product drops its monomials of total
-    degree above it.  They span an ideal that reduces to zero in a ring
-    of that top degree, so the normal form and the degree pairing of the
-    result are those of the untruncated element."""
+    Every product is reduced in ``ring``, so no intermediate element
+    outgrows a normal form."""
 
-    def __init__(self, text: str, max_degree: Optional[int] = None):
+    def __init__(self, text: str, ring: chow.BundleChowRing):
         self.text = text.replace(" ", "")
         self.pos = 0
-        self.max_degree = max_degree
+        self.ring = ring
 
     def fail(self, msg: str):
         raise ValueError(f"bad element: {msg} (at position {self.pos + 1})")
@@ -173,13 +179,11 @@ class _ElementParser:
         self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
     def product(self, a: chow.ChowElement, b: chow.ChowElement) -> chow.ChowElement:
-        terms = (a * b).terms
-        if self.max_degree is not None:
-            terms = {(h, x): c for (h, x), c in terms.items() if h + x <= self.max_degree}
-        for c in terms.values():
+        out = self.ring.reduce(a * b)
+        for c in out.terms.values():
             if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
                 self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
-        return chow.ChowElement(terms)
+        return out
 
     def factor(self) -> chow.ChowElement:
         base = self.atom()
@@ -220,13 +224,14 @@ class _ElementParser:
         out = self.expr()
         if self.pos != len(self.text):
             self.fail(f"unexpected {self.peek()!r}")
-        return out
+        return self.ring.reduce(out)
 
 
-def parse_element(text: str, max_degree: Optional[int] = None) -> chow.ChowElement:
-    """Parse an element of the free algebra; see :class:`_ElementParser`."""
+def parse_element(text: str, ring: chow.BundleChowRing) -> chow.ChowElement:
+    """Parse an element and return its normal form in ``ring``; see
+    :class:`_ElementParser`."""
     try:
-        return _ElementParser(text, max_degree).parse()
+        return _ElementParser(text, ring).parse()
     except RecursionError:
         raise ValueError("bad element: parentheses nested too deeply") from None
 
@@ -344,7 +349,7 @@ def cmd_verify_table(args) -> int:
     if args.r_max < 2:
         print("error: --r-max must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    report = roofs.verify_paper_table(args.r_max, fault=args.inject_fault)
+    report = roofs.verify_paper_table(args.r_max)
     headers = ["family", "r", "computed", "expected", "status"]
     rows = [
         [row.family, row.r, str(row.computed), str(row.expected), "pass" if row.ok else "FAIL"]
@@ -403,69 +408,53 @@ def _print_element(fmt: str, label: str, el: chow.ChowElement) -> None:
     _emit(fmt, [label], [[text]], {label: text})
 
 
-def cmd_chow(args) -> int:
-    sub = args.chow_command
-    if sub == "reduce":
-        ring = _ring_from_args(args)
-        el = ring.reduce(parse_element(args.element, ring.top_degree))
-        _print_element(args.format, "normal_form", el)
-        return EXIT_OK
-    if sub == "degree":
-        ring = _ring_from_args(args)
-        value = ring.degree(parse_element(args.element, ring.top_degree))
-        text = str(value) if value.denominator != 1 else str(value.numerator)
-        _emit(args.format, ["degree"], [[text]], {"degree": text})
-        return EXIT_OK
-    if sub == "canonical":
-        ring = _ring_from_args(args)
-        _print_element(args.format, "anticanonical", ring.canonical_class())
-        return EXIT_OK
-    if sub == "mukai-check":
-        verdict = chow.mukai_pair_check(args.index, _fraction(args.c1), args.rank, args.dim)
-        payload = {
-            "passed": verdict.passed,
-            "index_of_v": verdict.index_of_v,
-            "c1_of_e": str(verdict.c1_of_e),
-            "minus_k": verdict.minus_k,
-            "suggested_twist": verdict.suggested_twist,
-        }
-        if args.format == "json":
-            sys.stdout.write(render.render_json(payload))
-        else:
-            for line in verdict.lines():
-                print(line)
-        return EXIT_OK if verdict.passed else EXIT_VERIFY
-    if sub == "discrepancy":
-        if args.codim2 is None:
-            value = chow.blowup_discrepancy(args.codim)
-            _emit(args.format, ["discrepancy"], [[value]], {"discrepancy": value})
-            return EXIT_OK
-        verdict = chow.kequiv_forces_equal_codim(args.codim, args.codim2)
-        if args.format == "json":
-            sys.stdout.write(
-                render.render_json(
-                    {
-                        "consistent": verdict.consistent,
-                        "r1": verdict.r1,
-                        "r2": verdict.r2,
-                        "report": list(verdict.report),
-                    }
-                )
-            )
-        else:
-            for line in verdict.lines():
-                print(line)
-        return EXIT_OK if verdict.consistent else EXIT_VERIFY
-    raise AssertionError(f"unhandled chow subcommand {sub!r}")
+def _emit_verdict(fmt: str, payload, lines, ok: bool) -> int:
+    """A check's JSON payload, or its report lines in every other format."""
+    if fmt == "json":
+        sys.stdout.write(render.render_json(payload))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
-_COMMANDS = {
-    "gp": cmd_gp,
-    "roofs": cmd_roofs,
-    "verify-table": cmd_verify_table,
-    "classify": cmd_classify,
-    "chow": cmd_chow,
-}
+def cmd_chow_reduce(args) -> int:
+    ring = _ring_from_args(args)
+    _print_element(args.format, "normal_form", parse_element(args.element, ring))
+    return EXIT_OK
+
+
+def cmd_chow_degree(args) -> int:
+    ring = _ring_from_args(args)
+    text = str(ring.degree(parse_element(args.element, ring)))
+    _emit(args.format, ["degree"], [[text]], {"degree": text})
+    return EXIT_OK
+
+
+def cmd_chow_canonical(args) -> int:
+    _print_element(args.format, "anticanonical", _ring_from_args(args).canonical_class())
+    return EXIT_OK
+
+
+def cmd_chow_mukai_check(args) -> int:
+    verdict = chow.mukai_pair_check(args.index, _fraction(args.c1), args.rank, args.dim)
+    payload = {
+        "passed": verdict.passed,
+        "index_of_v": verdict.index_of_v,
+        "c1_of_e": str(verdict.c1_of_e),
+        "minus_k": verdict.minus_k,
+        "suggested_twist": verdict.suggested_twist,
+    }
+    return _emit_verdict(args.format, payload, verdict.lines(), verdict.passed)
+
+
+def cmd_chow_discrepancy(args) -> int:
+    if args.codim2 is None:
+        value = chow.blowup_discrepancy(args.codim)
+        _emit(args.format, ["discrepancy"], [[value]], {"discrepancy": value})
+        return EXIT_OK
+    verdict = chow.kequiv_forces_equal_codim(args.codim, args.codim2)
+    return _emit_verdict(args.format, verdict._asdict(), verdict.lines(), verdict.consistent)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -480,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: '--' is not a valid option value", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

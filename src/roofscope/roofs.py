@@ -526,28 +526,22 @@ def _computed_triple(family: Family, r: int) -> tuple[int, int, int]:
     return (rec.dim_V1, rec.index_V1, rec.index_V2)
 
 
-def verify_paper_table(r_max: int, fault: Optional[str] = None) -> TableReport:
+def verify_paper_table(r_max: int) -> TableReport:
     """Recompute every family instance with r <= r_max and compare it to
     the bundled closed-form table.
 
-    Mismatches become failing rows, never exceptions.  ``fault`` is a
-    test hook: the instantiated label it names has its computed first
-    index perturbed by one.
+    Mismatches become failing rows, never exceptions.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     rows = []
     for family, spec in FAMILY_SPECS.items():
         for r in filter(spec.admits, range(2, r_max + 1)):
-            label = spec.label(r)
-            dim, i1, i2 = _computed_triple(family, r)
-            if fault is not None and fault == label:
-                i1 += 1
             rows.append(
                 TableRow(
-                    family=label,
+                    family=spec.label(r),
                     r=r,
-                    computed=(dim, i1, i2),
+                    computed=_computed_triple(family, r),
                     expected=spec.triple(r),
                 )
             )

@@ -37,6 +37,7 @@ from roofscope import (
     quadric,
     twist_cherns,
 )
+from roofscope.cli import parse_element
 
 
 def tangent_bundle_ring(r: int) -> BundleChowRing:
@@ -118,6 +119,32 @@ def _ring_and_elements(draw):
     return ring, draw(_elements(ring)), draw(_elements(ring))
 
 
+_leaves = st.one_of(
+    st.sampled_from([("H", H), ("xi", XI)]),
+    st.integers(0, 9).map(lambda k: (str(k), ChowElement({(0, 0): k}))),
+    st.tuples(st.integers(0, 9), st.integers(1, 4)).map(
+        lambda t: (f"{t[0]}/{t[1]}", ChowElement({(0, 0): Fraction(t[0], t[1])}))
+    ),
+)
+
+
+def _combine(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: (f"({p[0][0]}+{p[1][0]})", p[0][1] + p[1][1])),
+        pairs.map(lambda p: (f"({p[0][0]}-{p[1][0]})", p[0][1] - p[1][1])),
+        pairs.map(lambda p: (f"{p[0][0]}*{p[1][0]}", p[0][1] * p[1][1])),
+        children.map(lambda c: (f"(-{c[0]})", -c[1])),
+        st.tuples(children, st.integers(0, 3)).map(
+            lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] ** t[1])
+        ),
+    )
+
+
+# (text, free element) pairs: the CLI grammar and the free algebra side by side
+_texts_and_free_elements = st.recursive(_leaves, _combine, max_leaves=10)
+
+
 # --- reduce ------------------------------------------------------------------
 
 
@@ -153,6 +180,12 @@ def test_reduce_matches_the_naive_oracle(case):
     ring, a, b = case
     assert ring.reduce(a) == naive_reduce(ring, a)
     assert ring.reduce(a * b) == naive_reduce(ring, a * b)
+
+
+@given(_rings(), _texts_and_free_elements)
+def test_parse_element_returns_the_normal_form_of_the_free_expression(ring, case):
+    text, free = case
+    assert parse_element(text, ring) == ring.reduce(free)
 
 
 @given(_ring_and_elements())

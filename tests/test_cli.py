@@ -9,15 +9,17 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roofscope import roofs
 from roofscope.cli import main, parse_element
 from roofscope.dynkin import parse
-from roofscope.chow import H, XI, BundleChowRing, projective_space
+from roofscope.chow import H, XI, BundleChowRing, ChowElement, projective_space
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -151,8 +153,11 @@ def test_verify_table_r_max_2_keeps_the_r2_families():
     assert families == {"A1xA1", "A2^M", "C2", "G2"}
 
 
-def test_verify_table_fault_injection_exits_one_and_names_the_row():
-    code, out, err = run("verify-table", "--r-max", "10", "--inject-fault", "A6^G")
+def test_verify_table_fault_injection_exits_one_and_names_the_row(monkeypatch):
+    spec = roofs.FAMILY_SPECS[roofs.Family.A_GRASS]  # A6^G is its r = 4 row
+    wrong = spec._replace(triple=lambda r: (12, 8, 7) if r == 4 else spec.triple(r))
+    monkeypatch.setitem(roofs.FAMILY_SPECS, roofs.Family.A_GRASS, wrong)
+    code, out, err = run("verify-table", "--r-max", "10")
     assert code == 1
     assert "A6^G" in err
     assert "FAIL" in out
@@ -319,43 +324,48 @@ def test_chow_zero_denominators_exit_2(argv):
     assert "zero denominator" in err and "Traceback" not in err
 
 
+_P2_RANK_2 = BundleChowRing(projective_space(2), 2, (3, 3))
+
+
 def test_element_parser_grammar():
     from fractions import Fraction
 
-    assert parse_element("3*H^2*xi") == 3 * H**2 * XI
-    assert parse_element("(xi+H)^2") == (XI + H) ** 2
-    assert parse_element("-xi + 1/2") == -XI + Fraction(1, 2)
+    ring = _P2_RANK_2
+    assert parse_element("3*H^2*xi", ring) == ring.reduce(3 * H**2 * XI)
+    assert parse_element("(xi+H)^2", ring) == ring.reduce((XI + H) ** 2)
+    assert parse_element("-xi + 1/2", ring) == ring.reduce(-XI + Fraction(1, 2))
     with pytest.raises(ValueError):
-        parse_element("xi^")
+        parse_element("xi^", ring)
     with pytest.raises(ValueError):
-        parse_element("2**xi")
+        parse_element("2**xi", ring)
     with pytest.raises(ValueError):
-        parse_element("(xi")
+        parse_element("(xi", ring)
     with pytest.raises(ValueError, match="zero denominator"):
-        parse_element("xi + 1/0")
+        parse_element("xi + 1/0", ring)
 
 
 def test_bounded_parse_drops_only_monomials_above_the_cap():
-    text = "(xi+H)^3*(1+xi) - H^2*xi^4"
-    full = parse_element(text)
-    capped = parse_element(text, max_degree=3)
-    assert capped.terms == {k: c for k, c in full.terms.items() if sum(k) <= 3}
-    ring = BundleChowRing(projective_space(2), 2, (3, 3))
-    assert ring.reduce(capped) == ring.reduce(full)
+    ring = _P2_RANK_2
+    assert parse_element("(xi+H)^3*(1+xi) - H^2*xi^4", ring) == ring.reduce(
+        (XI + H) ** 3 * (1 + XI) - H**2 * XI**4
+    )
 
 
 def test_bounded_parse_keeps_huge_powers_cheap():
     start = time.perf_counter()
-    assert parse_element("(xi+H)^4000", max_degree=3) == 0
-    assert parse_element("(1+xi)^99999999999999999999", max_degree=1) == 1 + (10**20 - 1) * XI
+    assert parse_element("(xi+H)^4000", _P2_RANK_2) == 0
+    line = BundleChowRing(projective_space(1), 1, (2,))  # top degree 1
+    assert parse_element("(1+xi)^99999999999999999999", line) == line.reduce(
+        1 + (10**20 - 1) * XI
+    )
     assert time.perf_counter() - start < 1.0
 
 
 def test_element_parser_refuses_runaway_coefficients_and_nesting():
     with pytest.raises(ValueError, match="bits"):
-        parse_element("((3^9999)^9999)^9999")
+        parse_element("((3^9999)^9999)^9999", _P2_RANK_2)
     with pytest.raises(ValueError, match="nested too deeply"):
-        parse_element("(" * 5000 + "xi" + ")" * 5000)
+        parse_element("(" * 5000 + "xi" + ")" * 5000, _P2_RANK_2)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +406,43 @@ def test_chow_scales_to_large_bases_and_exponents():
     )
     assert time.perf_counter() - start < 1.0
     assert code == 0 and json.loads(out) == {"normal_form": "0"}
+
+
+def test_chow_reduce_of_a_dense_power_stays_fast_on_a_large_base():
+    # every product is reduced in the ring, so no intermediate element
+    # has more than (n + 1) * r terms
+    start = time.perf_counter()
+    code, out, _ = run(
+        "chow", "reduce", "--base", "P40", "--rank", "2", "--cherns", "3,3",
+        "--element", "(1+xi+H)^1000", "--format", "json",
+    )
+    assert time.perf_counter() - start < 3.0
+    # the monomials of degree above the top degree 41 vanish in the ring
+    ring = BundleChowRing(projective_space(40), 2, (3, 3))
+    truncated = ChowElement(
+        {(a, b): comb(1000, a) * comb(1000 - a, b) for a in range(42) for b in range(42 - a)}
+    )
+    assert code == 0 and json.loads(out) == {"normal_form": str(ring.reduce(truncated))}
+
+
+def test_chow_reduce_matches_the_reduced_free_power():
+    ring = BundleChowRing(projective_space(20), 2, (3, 3))
+    code, out, _ = run(
+        "chow", "reduce", "--base", "P20", "--rank", "2", "--cherns", "3,3",
+        "--element", "(1+xi+H)^40", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"normal_form": str(ring.reduce((1 + XI + H) ** 40))}
+
+
+def test_degree_answers_when_the_lower_part_vanishes_in_the_ring():
+    # H^2 = 0 over P^1, so xi^3 + H^2 is the top-degree class xi^3
+    code, out, err = run(
+        "chow", "degree", "--base", "P1", "--rank", "3", "--cherns", "2,0,0",
+        "--element", "xi^3+H^2", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"degree": "2"}
 
 
 # --- fuzz of the chow input grammar ------------------------------------------------

@@ -397,8 +397,11 @@ def test_verify_table_rejects_small_r_max():
         verify_paper_table(1)
 
 
-def test_verify_table_fault_injection_fails_the_named_row():
-    report = verify_paper_table(10, fault="D5")
+def test_verify_table_fault_injection_fails_the_named_row(monkeypatch):
+    spec = FAMILY_SPECS[Family.D_SPINOR]
+    wrong = spec._replace(triple=lambda r: (10, 9, 8) if r == 5 else spec.triple(r))
+    monkeypatch.setitem(FAMILY_SPECS, Family.D_SPINOR, wrong)
+    report = verify_paper_table(10)
     assert not report.all_pass
     bad = report.failures()
     assert len(bad) == 1 and bad[0].family == "D5"
