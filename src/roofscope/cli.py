@@ -78,18 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument(
             "--cherns",
             required=True,
-            help="comma-separated H-multiples of c_1..c_r, e.g. 3,3 or 2,2,1",
+            help="comma-separated H-multiples of c_1..c_r, e.g. 3,3 or 2,2,1; "
+            "a list that starts with '-' needs '=', as in --cherns=-1,1",
         )
 
+    element_help = (
+        "a polynomial in xi and H, e.g. (2*xi)^3; an element that starts "
+        "with '-' needs '=', as in --element=-xi+H"
+    )
     q = chow_sub.add_parser("reduce", help="normal form of an element")
     add_ring_flags(q)
-    q.add_argument("--element", required=True)
+    q.add_argument("--element", required=True, help=element_help)
     _add_format(q)
     q.set_defaults(run=cmd_chow_reduce)
 
     q = chow_sub.add_parser("degree", help="degree pairing of a top-degree element")
     add_ring_flags(q)
-    q.add_argument("--element", required=True)
+    q.add_argument("--element", required=True, help=element_help)
     _add_format(q)
     q.set_defaults(run=cmd_chow_degree)
 

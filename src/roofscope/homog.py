@@ -23,10 +23,13 @@ point and drop out of all fiber analysis.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dynkin import Diagram, MarkedDiagram, classify_components, remove_node
+from .dynkin import MarkedDiagram, classify_components, remove_node
 from .root_system import SimpleType, _two_rho, positive_root_count
+
+if TYPE_CHECKING:  # annotations only: homog never builds a Diagram itself
+    from .dynkin import Diagram
 
 
 class VarietyInvariants(NamedTuple):
@@ -64,13 +67,9 @@ def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     """Compute dim, Picard number and the anticanonical coefficient vector."""
     d = md.diagram
     marks = sorted(md.marks)
-    levi = Diagram(
-        factors=d.factors,
-        nodes=tuple(v for v in d.nodes if v not in md.marks),
-        edges=frozenset(
-            e for e in d.edges if e.a not in md.marks and e.b not in md.marks
-        ),
-    )
+    levi = d
+    for m in marks:
+        levi = remove_node(levi, m)
     levi_shapes = classify_components(levi)
     dim = sum(positive_root_count(s.type) for s in classify_components(d))
     dim -= sum(positive_root_count(s.type) for s in levi_shapes)
@@ -121,25 +120,22 @@ def is_projective_space(md: MarkedDiagram) -> int | None:
     """Return r if the marked variety is the projective space P^{r-1}.
 
     The diagram must carry exactly one mark; unmarked components are
-    points and are ignored.  The recognized shapes are those of
-    ``_pspace_r``.
+    points and are ignored.  The answer is the mark's entry in
+    ``projective_space_charts``.
     """
     if len(md.marks) != 1:
         raise ValueError("projective-space detection expects exactly one mark")
     (mark,) = md.marks
-    for shape in classify_components(md.diagram):
-        if mark in shape.embedding:
-            return _pspace_r(shape.type, shape.position_of(mark))
-    raise RuntimeError(f"mark {mark} not found in any component of {md}")
+    return projective_space_charts(md.diagram).get(mark)
 
 
 def projective_space_charts(d: Diagram) -> dict[int, int]:
     """Every node m at which d marked at m alone is P^{r-1}, as {m: r}.
 
     One classification of d answers ``is_projective_space`` for all of
-    its nodes: ``projective_space_charts(d).get(m)`` equals
-    ``is_projective_space(MarkedDiagram(d, {m}))``.  Only chain ends can
-    qualify, so each component contributes at most two charts.
+    its nodes.  The recognized shapes are those of ``_pspace_r``; only
+    chain ends can qualify, so each component contributes at most two
+    charts.
     """
     charts: dict[int, int] = {}
     for shape in classify_components(d):

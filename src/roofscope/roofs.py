@@ -14,25 +14,27 @@ r; the anticanonical coefficient vector of such a diagram is always
     G2                the full G2 flag, r = 2
     G2^dagger         P(Ottaviani bundle) over Q^5, r = 3, not homogeneous
 
-Enumeration never tests a candidate diagram on its own; it joins
-projective-space charts, the (diagram, node) pairs whose single-marked
-variety is P^{r-1}: the A-chain ends and the short end of each C-chain.
-For a single factor G/P(i, j), the fiber over G/P(i) is the residue
-"type minus i" marked at j, and that residue is the same for every j.
-So each (type, removed node) residue is classified once into its
-charts, and i < j is a roof exactly when the residue without i is
-P^{r-1} at j and the residue without j is P^{r-1} at i.  A two-factor
-product with one mark per factor is a roof exactly when both
-single-marked factors are P^{r-1} for the same r, so product roofs come
-from the (type, mark) charts of the full factors, joined on r.
-``is_roof`` tests one diagram directly and is the oracle for both joins.
+Enumeration never tests a candidate diagram on its own.  Single factors
+come from a join of projective-space charts, the (diagram, node) pairs
+whose single-marked variety is P^{r-1}: the A-chain ends and the short
+end of each C-chain.  For a single factor G/P(i, j), the fiber over
+G/P(i) is the residue "type minus i" marked at j, and that residue is
+the same for every j.  So each (type, removed node) residue is
+classified once into its charts, and i < j is a roof exactly when the
+residue without i is P^{r-1} at j and the residue without j is P^{r-1}
+at i.  A two-factor product with one mark per factor is a roof exactly
+when both single-marked factors are P^{r-1} for the same r, so it is
+P^{r-1} x P^{r-1}: the A_{r-1}xA_{r-1} row, emitted at every r whose
+row rank fits the bound.  ``is_roof`` tests one diagram directly and is
+the oracle for both: the tests compare the chart join with the full
+single-factor scan and the row with the full product scan.
 
-Records are deduplicated up to variety isomorphism: diagram
-automorphisms (chain reversal, D-fork swap and D4 triality, E6
-reversal, factor swap) are quotiented out, and a product factor of
-shape C_m marked at its short end is the same variety as an end-marked
-A_{2m-1} chain, so such records are reported in their A-form.  A record
-is listed when its canonical diagram fits the rank bound.
+Records are deduplicated up to variety isomorphism: the automorphisms
+of a single factor (chain reversal, D-fork swap and D4 triality, E6
+reversal) are quotiented out, and a product is always reported in its
+A-form, since a C_m factor marked at its short end is the same variety
+as an end-marked A_{2m-1} chain.  A record is listed when its canonical
+diagram fits the rank bound.
 """
 
 from __future__ import annotations
@@ -259,12 +261,6 @@ def _check_index(md: MarkedDiagram, r: int) -> None:
 # --- family recognition ------------------------------------------------------
 
 
-def _marked_factor_is_pspace(md: MarkedDiagram, mark: int) -> int | None:
-    return is_projective_space(
-        MarkedDiagram(md.diagram, frozenset({mark}))
-    )
-
-
 def _family_of(md: MarkedDiagram, r: int) -> Family:
     d = md.diagram
     marks = sorted(md.marks)
@@ -274,7 +270,8 @@ def _family_of(md: MarkedDiagram, r: int) -> Family:
         if len(in_first) == 1:
             # one mark per factor: the roof is a product of the two
             # single-marked factors, each of which must be P^{r-1}
-            if all(_marked_factor_is_pspace(md, m) == r for m in marks):
+            charts = projective_space_charts(d)
+            if all(charts.get(m) == r for m in marks):
                 return Family.A_PRODUCT
             return Family.UNKNOWN
         # both marks in one factor: the other factor is a point
@@ -300,13 +297,6 @@ def family_diagram(family: Family, r: int) -> str:
     if spec is None or spec.diagram is None:
         raise ValueError(f"{family} has no canonical diagram")
     return spec.diagram(r)
-
-
-def _family_rank(family: Family, r: int) -> int:
-    spec = FAMILY_SPECS.get(family)
-    if spec is None or spec.rank is None:
-        raise ValueError(f"{family} has no diagram rank")
-    return spec.rank(r)
 
 
 def name_family(record: RoofRecord) -> str:
@@ -339,33 +329,13 @@ def _factor_automorphisms(t: SimpleType) -> list[dict[int, int]]:
 
 
 def _mark_images(md: MarkedDiagram) -> set[str]:
-    """All serializations of md under diagram automorphisms and factor swap."""
+    """All serializations of a single-factor md under its diagram automorphisms."""
     d = md.diagram
-    out: set[str] = set()
-    if len(d.factors) == 1:
-        for auto in _factor_automorphisms(d.factors[0]):
-            marks = frozenset(auto[m] for m in md.marks)
-            out.add(serialize(MarkedDiagram(d, marks)))
-        return out
-    n1 = d.factors[0].rank
-    autos1 = _factor_automorphisms(d.factors[0])
-    autos2 = _factor_automorphisms(d.factors[1])
-    orders = [(0, 1)]
-    if d.factors[0] == d.factors[1]:
-        orders.append((1, 0))
-    for a1 in autos1:
-        for a2 in autos2:
-            mapped = set()
-            for m in md.marks:
-                if m <= n1:
-                    mapped.add(("f1", a1[m]))
-                else:
-                    mapped.add(("f2", a2[m - n1]))
-            for order in orders:
-                offsets = {("f1", "f2")[order[0]]: 0, ("f1", "f2")[order[1]]: n1}
-                marks = frozenset(offsets[f] + local for f, local in mapped)
-                out.add(serialize(MarkedDiagram(d, marks)))
-    return out
+    (t,) = d.factors
+    return {
+        serialize(MarkedDiagram(d, frozenset(auto[m] for m in md.marks)))
+        for auto in _factor_automorphisms(t)
+    }
 
 
 def _dedup_key(md: MarkedDiagram) -> str:
@@ -401,54 +371,39 @@ def _candidates(max_rank: int) -> Iterator[tuple[MarkedDiagram, int]]:
                     yield md, r
 
 
-def _pspace_chart_rs(max_rank: int) -> set[int]:
-    """Every r with a (type, mark) chart of rank <= max_rank that is P^{r-1}."""
-    return {
-        r
-        for t in _admissible_types(max_rank)
-        for r in projective_space_charts(diagram_of((t,))).values()
-    }
-
-
 def enumerate_roofs(
     max_total_rank: int,
     r_filter: Optional[int] = None,
 ) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank.
 
-    Both halves are joins on projective-space charts.  Single factors:
-    each residue "type minus node k" is classified once, and a mark pair
-    i < j is a roof when the residue without i is P^{r-1} at j and the
-    residue without j is P^{r-1} at i, for the same r (``_candidates``).
-    Products with one mark per factor: every r taken by a (type, mark)
-    chart of the full factors yields an A_{r-1}xA_{r-1} instance when that
-    instance fits the rank bound (its factors are then two A_{r-1} charts
-    that fit together).  Every single-factor hit is checked to have index
-    vector (r, r).  Hits are deduplicated up to variety isomorphism and
-    reported through their canonical family diagrams; the non-homogeneous
-    G2^dagger record is appended whenever the fiber filter admits r = 3.
+    Single factors are a join on projective-space charts: each residue
+    "type minus node k" is classified once, and a mark pair i < j is a
+    roof when the residue without i is P^{r-1} at j and the residue
+    without j is P^{r-1} at i, for the same r (``_candidates``).  Every
+    single-factor hit is checked to have index vector (r, r), then
+    deduplicated up to variety isomorphism and reported through its
+    canonical family diagram.  Products with one mark per factor are
+    P^{r-1} x P^{r-1}, read off the A_{r-1}xA_{r-1} row at every r whose
+    row rank fits the bound; the tests check this against the full
+    ``is_roof`` scan of the products.  The non-homogeneous G2^dagger
+    record is appended whenever the fiber filter admits r = 3.
     """
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
     instances: dict[str, tuple[Family, int]] = {}
-
-    def add(family: Family, r: int, key: str) -> None:
-        if r_filter is not None and r != r_filter:
-            return
-        if family is not Family.UNKNOWN and _family_rank(family, r) > max_total_rank:
-            return  # reached through a smaller C-chart, or a product pair too large
-        instances.setdefault(key, (family, r))
-
     for md, r in _candidates(max_total_rank):
         family = _family_of(md, r)
         key = _dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
-        add(family, r, key)
-    for r in _pspace_chart_rs(max_total_rank):
-        add(Family.A_PRODUCT, r, family_diagram(Family.A_PRODUCT, r))
-
+        instances[key] = (family, r)
+    product = FAMILY_SPECS[Family.A_PRODUCT]
+    for r in filter(product.admits, range(max_total_rank + 2)):
+        if product.rank(r) <= max_total_rank:
+            instances[product.diagram(r)] = (Family.A_PRODUCT, r)
     records = [
         _record_for(diagram, family, r)
         for diagram, (family, r) in instances.items()
+        if r_filter in (None, r)
     ]
     if r_filter in (None, G2_DAGGER_RECORD.r):
         records.append(G2_DAGGER_RECORD)

@@ -248,6 +248,16 @@ def test_chow_canonical():
     assert "3*xi + 3*H" in out
 
 
+def test_negative_option_values_need_an_equals_sign():
+    ring = ("chow", "canonical", "--base", "P6", "--rank", "2")
+    code, out, _ = run(*ring, "--cherns=-1,1")
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "2*xi + 8*H"
+    code, out, err = run(*ring, "--cherns", "-1,1")
+    assert code == 2 and out == ""
+    assert "--cherns: expected one argument" in err
+
+
 def test_chow_mukai_check_exit_codes():
     code, out, _ = run(
         "chow", "mukai-check", "--index", "5", "--c1", "5", "--rank", "3", "--dim", "5",

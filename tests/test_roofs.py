@@ -27,7 +27,6 @@ from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
     _family_of,
-    _family_rank,
     _record_for,
 )
 
@@ -223,7 +222,7 @@ def test_record_invariants_hold_exhaustively():
         assert gp_invariants(MarkedDiagram(md.diagram, frozenset({j}))).index == rec.index_V2
 
 
-def test_enumeration_is_deterministic_and_thread_invariant():
+def test_enumeration_is_deterministic():
     base = enumerate_roofs(8)
     assert enumerate_roofs(8) == base
 
@@ -248,7 +247,7 @@ def _scanned_product_instances(max_rank, r_filter, hits):
             continue
         family = _family_of(md, r)
         assert family is Family.A_PRODUCT, md
-        if _family_rank(family, r) <= max_rank:
+        if FAMILY_SPECS[family].rank(r) <= max_rank:
             out.add((family_diagram(family, r), r))
     return out
 
@@ -260,7 +259,7 @@ def test_product_join_matches_the_full_product_scan(monkeypatch):
         if (r := is_roof(md)) is not None
     ]
     # with the single-factor scan emptied, every homogeneous record is
-    # one of the join's
+    # an A_PRODUCT row instance
     monkeypatch.setattr(roofscope.roofs, "_candidates", lambda max_rank: iter(()))
     for max_rank in range(1, 13):
         for r_filter in (None, 2, 3, 4, 5, 6, 7):
@@ -277,7 +276,7 @@ def test_product_join_matches_the_full_product_scan(monkeypatch):
             )
 
 
-def test_product_join_keeps_the_family_rank_skip():
+def test_product_records_fit_the_rank_bound_in_their_a_form():
     # C2*C2:1,3 is P^3 x P^3 at rank 4, but its A-form A3*A3:1,4 has rank 6
     md = parse("C2*C2:1,3")
     assert is_roof(md) == 4 and _family_of(md, 4) is Family.A_PRODUCT
@@ -285,6 +284,21 @@ def test_product_join_keeps_the_family_rank_skip():
     assert not any(rec.r == 4 and "*" in rec.diagram for rec in enumerate_roofs(4))
     assert not any("*" in rec.diagram for rec in enumerate_roofs(4, r_filter=4))
     assert ("A3*A3:1,4", 4) in {(rec.diagram, rec.r) for rec in enumerate_roofs(6)}
+
+
+@pytest.mark.parametrize("max_rank", [16, 24, 32])
+def test_enumeration_is_every_row_instance_that_fits_the_rank_bound(max_rank):
+    # ranks the exhaustive scans above do not reach
+    expected = {
+        (spec.label(r), r, spec.diagram(r))
+        for spec in FAMILY_SPECS.values()
+        if spec.diagram is not None
+        for r in filter(spec.admits, range(2, max_rank + 2))
+        if spec.rank(r) <= max_rank
+    }
+    expected.add((G2_DAGGER_RECORD.family, G2_DAGGER_RECORD.r, NON_HOMOGENEOUS))
+    got = {(rec.family, rec.r, rec.diagram) for rec in enumerate_roofs(max_rank)}
+    assert got == expected
 
 
 # --- family naming -----------------------------------------------------------------
@@ -343,7 +357,6 @@ def test_automorphism_dedup_key_identifies_isomorphic_markings():
     assert _dedup_key(parse("D4:1,4")) == _dedup_key(parse("D4:3,4"))  # triality
     assert _dedup_key(parse("D5:4,5")) == _dedup_key(parse("D5:4,5"))  # fork swap fixes
     assert _dedup_key(parse("E6:1,3")) == _dedup_key(parse("E6:5,6"))  # E6 reversal
-    assert _dedup_key(parse("A2*A2:2,3")) == _dedup_key(parse("A2*A2:1,4"))
     assert _dedup_key(parse("A4:1,2")) != _dedup_key(parse("A4:1,3"))
 
 
@@ -363,7 +376,7 @@ def test_each_family_row_agrees_with_its_diagram_up_to_r_16(family):
         md = parse(diagram)
         assert is_roof(md) == r, diagram
         assert _family_of(md, r) is family, diagram
-        assert _family_rank(family, r) == md.diagram.total_rank, diagram
+        assert spec.rank(r) == md.diagram.total_rank, diagram
         rec = _record_for(diagram, family, r)
         assert (rec.dim_V1, rec.index_V1, rec.index_V2) == spec.triple(r), diagram
         assert rec.family == spec.label(r) == family.label(r)
