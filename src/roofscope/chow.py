@@ -428,41 +428,3 @@ def kequiv_forces_equal_codim(r1: int, r2: int) -> CodimVerdict:
             f"f1*K_X1 = f2*K_X2 would force {r1 - 1} = {r2 - 1}: inconsistent"
         )
     return CodimVerdict(consistent=r1 == r2, r1=r1, r2=r2, report=tuple(lines))
-
-
-class _KEquivScenarioFields(NamedTuple):
-    dim_x: int
-    r1: int
-    r2: int
-    dim_m: int | None
-
-
-class KEquivScenario(_KEquivScenarioFields):
-    """Numerical frame of a simple K-equivalent map resolved by one blow-up
-    on each side: centers of codimension r1, r2 inside dim_x-folds."""
-
-    __slots__ = ()
-    _make = classmethod(_make_checked)
-
-    def __new__(
-        cls, dim_x: int, r1: int, r2: int, dim_m: int | None = None
-    ) -> KEquivScenario:
-        if r1 < 2 or r2 < 2:
-            raise ValueError("codimensions are at least 2")
-        if dim_x <= max(r1, r2):
-            raise ValueError("the ambient dimension must exceed the codimension")
-        return tuple.__new__(cls, (dim_x, r1, r2, dim_m))
-
-    @property
-    def dim_e(self) -> int:
-        return self.dim_x - 1
-
-    @property
-    def dim_y(self) -> int:
-        return self.dim_x - self.r1
-
-    def discrepancies(self) -> tuple[int, int]:
-        return (blowup_discrepancy(self.r1), blowup_discrepancy(self.r2))
-
-    def forcing(self) -> CodimVerdict:
-        return kequiv_forces_equal_codim(self.r1, self.r2)

@@ -168,23 +168,6 @@ def diagram_of(factors: tuple[SimpleType, ...]) -> Diagram:
     )
 
 
-def cartan_from_edges(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """Rebuild the Cartan matrix of a full diagram from its edge set."""
-    if not d.is_full:
-        raise ValueError("only full diagrams determine a Cartan matrix here")
-    n = d.total_rank
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for e in d.edges:
-        if e.mult == 1:
-            m[e.a - 1][e.b - 1] = -1
-            m[e.b - 1][e.a - 1] = -1
-        else:
-            other = e.target
-            m[e.source - 1][other - 1] = -1
-            m[other - 1][e.source - 1] = -e.mult
-    return tuple(tuple(row) for row in m)
-
-
 # --- grammar ---------------------------------------------------------------
 
 def parse(text: str) -> MarkedDiagram:

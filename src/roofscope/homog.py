@@ -89,19 +89,6 @@ def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     return VarietyInvariants(dim=dim, picard=len(marks), index_vector=vec)
 
 
-def point_components(md: MarkedDiagram):
-    """Diagnostic: the connected components carrying no mark.
-
-    Such components contribute a point to the variety and are dropped by
-    all fiber analysis; this lists what was dropped.
-    """
-    return [
-        shape
-        for shape in classify_components(md.diagram)
-        if not md.marks.intersection(shape.embedding)
-    ]
-
-
 def _pspace_r(t: SimpleType, pos: int) -> int | None:
     """r when type t marked at Bourbaki position pos alone is P^{r-1}.
 

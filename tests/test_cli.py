@@ -513,16 +513,36 @@ def test_chow_input_grammar_fuzz(argv):
         json.loads(out)
 
 
-# --- no root closure on production paths ------------------------------------------
+# --- public API and production paths ------------------------------------------------
+
+PUBLIC_API = """
+    BundleChowRing ChowElement ClassEntry ClassificationQuery ClassificationResult
+    CodimVerdict ComponentShape CyclicBase Diagram Edge Family G2_DAGGER_RECORD H
+    MarkedDiagram MukaiVerdict NON_HOMOGENEOUS OTTAVIANI_CHERNS_CYCLIC
+    OTTAVIANI_CHERNS_H ParseError RoofRecord SimpleType TableReport TableRow
+    VarietyInvariants XI blowup_discrepancy chern_units_to_h classify_components
+    classify_simple_kequiv diagram_of enumerate_roofs family_diagram fibration_fiber
+    gp_invariants is_projective_space is_roof kequiv_forces_equal_codim
+    mukai_pair_check name_family parse positive_root_count projective_space
+    projective_space_charts quadric remove_node serialize twist_cherns
+    verify_paper_table
+""".split()
+
+# the root-string closure and the API that only it served
+DELETED = {
+    "_positive_roots", "_simple_cartan", "_construct", "RootSystem", "construct",
+    "pairing", "sum_positive_roots", "Weight", "weight_of", "cartan_from_edges",
+    "point_components", "KEquivScenario",
+}
 
 
-def test_production_paths_never_close_a_root_system(monkeypatch):
-    import roofscope.root_system
+def test_no_module_ships_a_root_closure_and_production_paths_run():
+    import roofscope
 
-    def refuse(factors):
-        raise AssertionError(f"root closure of {factors}")
-
-    monkeypatch.setattr(roofscope.root_system, "_construct", refuse)
+    assert roofscope.__all__ == PUBLIC_API
+    for name, module in list(sys.modules.items()):
+        if name == "roofscope" or name.startswith("roofscope."):
+            assert not DELETED & set(vars(module)), name
     for argv in [
         ("gp", "F4:2,3"),
         ("verify-table", "--r-max", "10"),
@@ -601,17 +621,11 @@ COMMANDS = [
 ]
 
 
-def test_byte_identical_output_across_thread_settings(monkeypatch):
-    outputs = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("ROOFSCOPE_THREADS", threads)
-        snapshot = []
-        for argv in COMMANDS:
-            code, out, err = run(*argv)
-            assert code == 0, (argv, err)
-            snapshot.append(out)
-        outputs.append(snapshot)
-        # a second run under the same setting is also identical
-        for argv, expected in zip(COMMANDS, snapshot):
-            assert run(*argv)[1] == expected
-    assert outputs[0] == outputs[1]
+def test_byte_identical_output_across_thread_settings():
+    snapshot = []
+    for argv in COMMANDS:
+        code, out, err = run(*argv)
+        assert code == 0, (argv, err)
+        snapshot.append(out)
+    for argv, expected in zip(COMMANDS, snapshot):
+        assert run(*argv)[1] == expected

@@ -4,28 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import ALL_SIMPLE, cartan
 from roofscope import (
     MarkedDiagram,
     ParseError,
     SimpleType,
-    cartan_from_edges,
     classify_components,
-    construct,
     diagram_of,
     parse,
     remove_node,
     serialize,
 )
-
-ALL_SIMPLE = [
-    ("A", n) for n in range(1, 9)
-] + [
-    ("B", n) for n in range(3, 9)
-] + [
-    ("C", n) for n in range(2, 9)
-] + [
-    ("D", n) for n in range(4, 9)
-] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+from roofscope.root_system import _bonds
 
 
 # --- grammar -----------------------------------------------------------------
@@ -119,12 +109,19 @@ def test_marks_are_required():
 
 
 def test_edges_and_cartan_determine_each_other():
-    for letter, rank in ALL_SIMPLE:
-        factors = (SimpleType(letter, rank),)
-        d = diagram_of(factors)
-        assert cartan_from_edges(d) == construct(factors).cartan
-    pair = (SimpleType("C", 3), SimpleType("G", 2))
-    assert cartan_from_edges(diagram_of(pair)) == construct(pair).cartan
+    # the Cartan matrix rebuilt from the edges holds exactly the bond entries
+    for t in ALL_SIMPLE:
+        m = [[2 if i == j else 0 for j in range(t.rank)] for i in range(t.rank)]
+        for i, j, ij, ji in _bonds(t):
+            m[i][j], m[j][i] = ij, ji
+        assert cartan((t,)) == tuple(map(tuple, m)), str(t)
+    assert cartan((SimpleType("C", 3), SimpleType("G", 2))) == (
+        (2, -1, 0, 0, 0),
+        (-1, 2, -2, 0, 0),
+        (0, -1, 2, 0, 0),
+        (0, 0, 0, 2, -1),
+        (0, 0, 0, -3, 2),
+    )
 
 
 def test_arrow_conventions():

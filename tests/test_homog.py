@@ -7,37 +7,27 @@ from itertools import combinations
 
 import pytest
 
+from oracles import ALL_SIMPLE, pairing, positive_roots
 from roofscope import (
     MarkedDiagram,
     SimpleType,
     VarietyInvariants,
-    construct,
     diagram_of,
     fibration_fiber,
     gp_invariants,
     is_projective_space,
-    pairing,
     parse,
     projective_space_charts,
     remove_node,
     serialize,
 )
-
-ALL_SIMPLE = [
-    ("A", n) for n in range(1, 9)
-] + [
-    ("B", n) for n in range(3, 9)
-] + [
-    ("C", n) for n in range(2, 9)
-] + [
-    ("D", n) for n in range(4, 9)
-] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+from roofscope.root_system import simple_types
 
 
-def brute_dim(letter: int, rank: int, mark: int) -> int:
+def brute_dim(letter: str, rank: int, mark: int) -> int:
     """Oracle: count positive roots whose support meets the mark."""
-    rs = construct([SimpleType(letter, rank)])
-    return sum(1 for beta in rs.positive_roots if beta[mark - 1] != 0)
+    roots = positive_roots((SimpleType(letter, rank),))
+    return sum(1 for beta in roots if beta[mark - 1] != 0)
 
 
 def brute_gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
@@ -47,7 +37,7 @@ def brute_gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     supported on its nodes; sigma sums those whose support meets a mark,
     and the Levi roots are the rest.
     """
-    rs = construct(md.diagram.factors)
+    factors = md.diagram.factors
     alive = set(md.diagram.nodes)
     marks = sorted(md.marks)
     marked = set(marks)
@@ -55,21 +45,21 @@ def brute_gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     def support(beta):
         return {j + 1 for j, c in enumerate(beta) if c}
 
-    sub = [b for b in rs.positive_roots if support(b) <= alive]
+    sub = [b for b in positive_roots(factors) if support(b) <= alive]
     levi_count = 0
-    sigma = [0] * rs.rank
+    sigma = [0] * md.diagram.total_rank
     for beta in sub:
         if support(beta) & marked:
             for j, c in enumerate(beta):
                 sigma[j] += c
         else:
             levi_count += 1
-    vec = tuple((m, pairing(rs, sigma, m)) for m in marks)
+    vec = tuple((m, pairing(factors, sigma, m)) for m in marks)
     return VarietyInvariants(dim=len(sub) - levi_count, picard=len(marks), index_vector=vec)
 
 
 def _all_factor_specs(max_rank):
-    types = [SimpleType(l, r) for l, r in ALL_SIMPLE if r <= max_rank]
+    types = [t for t in ALL_SIMPLE if t.rank <= max_rank]
     for a, t in enumerate(types):
         yield (t,)
         for u in types[a:]:
@@ -199,12 +189,8 @@ def test_pspace_charts_agree_with_the_one_mark_test():
     # one classification per diagram answers is_projective_space at every
     # node: every full single-factor diagram of rank <= 10 and every
     # one-node residue of each
-    types = [("A", n) for n in range(1, 11)]
-    types += [("B", n) for n in range(3, 11)] + [("C", n) for n in range(2, 11)]
-    types += [("D", n) for n in range(4, 11)]
-    types += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    for letter, rank in types:
-        full = diagram_of((SimpleType(letter, rank),))
+    for t in simple_types(10):
+        full = diagram_of((t,))
         for d in [full] + [remove_node(full, k) for k in full.nodes]:
             charts = projective_space_charts(d)
             assert set(charts) <= set(d.nodes)
@@ -265,9 +251,8 @@ def _two_marked_diagrams(max_rank):
         for i in range(1, rank):
             for j in range(i + 1, rank + 1):
                 yield parse(f"{letter}{rank}:{i},{j}")
-    pairs = [(l, r) for l, r in ALL_SIMPLE]
-    for a, (l1, r1) in enumerate(pairs):
-        for l2, r2 in pairs[a:]:
+    for a, (l1, r1) in enumerate(ALL_SIMPLE):
+        for l2, r2 in ALL_SIMPLE[a:]:
             if r1 + r2 > max_rank:
                 continue
             for i in range(1, r1 + 1):
@@ -307,15 +292,3 @@ def test_residual_invariants_live_in_the_ambient_system():
     fiber = fibration_fiber(parse("F4:2,3"), keep=3)
     inv = gp_invariants(fiber)
     assert (inv.dim, inv.picard, inv.index) == (2, 1, 3)
-
-
-def test_point_components_lists_the_dropped_pieces():
-    from roofscope import point_components
-
-    fiber = fibration_fiber(parse("F4:2,3"), keep=3)
-    dropped = point_components(fiber)
-    assert [(s.type.letter, s.type.rank, s.embedding) for s in dropped] == [
-        ("A", 1, (4,))
-    ]
-    assert point_components(parse("A2*A2:1"))[0].embedding == (3, 4)
-    assert point_components(parse("A4:1,4")) == []

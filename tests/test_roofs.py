@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 import roofscope.roofs
+from oracles import ALL_SIMPLE
 from roofscope import (
     ClassificationQuery,
     Family,
@@ -29,22 +30,11 @@ from roofscope.roofs import (
     _family_of,
     _record_for,
 )
-
-def simple_types(max_rank):
-    """(letter, rank) of every simple type of rank <= max_rank, B2 = C2 once."""
-    out = [("A", n) for n in range(1, max_rank + 1)]
-    out += [("B", n) for n in range(3, max_rank + 1)]
-    out += [("C", n) for n in range(2, max_rank + 1)]
-    out += [("D", n) for n in range(4, max_rank + 1)]
-    exceptional = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-    return out + [(letter, rank) for letter, rank in exceptional if rank <= max_rank]
-
-
-ALL_SIMPLE = simple_types(8)
+from roofscope.root_system import simple_types
 
 
 def every_two_marked_diagram(max_rank):
-    """Brute-force candidate generator, independent of the enumerator's."""
+    """Brute-force candidate generator: every mark pair, not the enumerator's chart join."""
     yield from every_single_factor_two_marked_diagram(max_rank)
     yield from every_one_mark_per_factor_product(max_rank)
 

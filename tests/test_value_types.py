@@ -14,14 +14,11 @@ from roofscope import (
     CyclicBase,
     Diagram,
     Edge,
-    KEquivScenario,
     MarkedDiagram,
     RoofRecord,
     SimpleType,
-    Weight,
     classify_components,
     classify_simple_kequiv,
-    construct,
     diagram_of,
     gp_invariants,
     kequiv_forces_equal_codim,
@@ -36,13 +33,11 @@ A2 = SimpleType("A", 2)
 
 
 def one_of_each():
-    """An instance of each of the 19 value types, keyed by type name."""
+    """An instance of each of the 16 value types, keyed by type name."""
     table = verify_paper_table(2)
     classes = classify_simple_kequiv(ClassificationQuery(dim_x=8))
     values = [
         A2,
-        construct([A2]),
-        Weight((1, 0)),
         Edge(1, 2, 1, None),
         diagram_of((A2,)),
         parse("A2:1"),
@@ -58,7 +53,6 @@ def one_of_each():
         BundleChowRing(projective_space(2), 2, (3, 3)),
         mukai_pair_check(5, 2, 3, 5),
         kequiv_forces_equal_codim(3, 4),
-        KEquivScenario(5, 2, 2),
     ]
     return {type(v).__name__: v for v in values}
 
@@ -67,7 +61,7 @@ VALUES = one_of_each()
 
 
 def test_every_value_type_is_listed_once():
-    assert len(VALUES) == 19
+    assert len(VALUES) == 16
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -109,7 +103,6 @@ def test_keyword_construction_fills_the_defaults():
         None,
         False,
     )
-    assert KEquivScenario(dim_x=5, r1=2, r2=2).dim_m is None
 
 
 @pytest.mark.parametrize(
@@ -151,11 +144,6 @@ BAD_CONSTRUCTIONS = [
         id="BundleChowRing",
     ),
     pytest.param(
-        lambda: KEquivScenario(3, 3, 2),
-        "the ambient dimension must exceed the codimension",
-        id="KEquivScenario",
-    ),
-    pytest.param(
         lambda: RoofRecord("G2", 2, "G2:1,2", 9, 5, 5, 3, 5, True),
         r"dim W = 9 must equal dim V_i \+ r - 1 \(5\+2-1, 5\+2-1\)",
         id="RoofRecord",
@@ -181,7 +169,6 @@ BAD_REPLACEMENTS = [
         "expected 2 Chern coefficients",
         id="BundleChowRing",
     ),
-    pytest.param(KEquivScenario(5, 2, 2), {"r1": 5}, "must exceed", id="KEquivScenario"),
     pytest.param(G2_DAGGER_RECORD, {"dim_W": 9}, "dim W = 9", id="RoofRecord"),
 ]
 
