@@ -19,6 +19,12 @@ node 2 long).  The alias ``B2`` is accepted on input and remapped, so
 Arrows on multiple bonds point from the long root to the short root
 (B_n: n-1 -> n, C_n: n -> n-1, F4: 2 -> 3, G2: 1 -> 2); see
 :mod:`roofscope.root_system` for the numbering.
+
+Components of a single A, B, C or D factor, with or without removed
+nodes, are read off its Bourbaki chain in closed form
+(``chain_components``).  Products and the E, F, G factors go through the
+generic graph classifier, which checks each component it names against
+the model diagram of that type.
 """
 
 from __future__ import annotations
@@ -409,8 +415,20 @@ def classify_components(d: Diagram) -> list[ComponentShape]:
     """Identify every connected component, ordered by smallest global node.
 
     Rank-2 double-bond residuals come back as C2 and rank-1 residuals as
-    A1, regardless of the factor they were cut from.
+    A1, regardless of the factor they were cut from.  A single A, B, C
+    or D factor is answered by ``chain_components`` from the nodes it
+    lacks, so its edges must be the ones ``diagram_of`` and
+    ``remove_node`` leave; every other diagram is classified as a graph.
     """
+    if len(d.factors) == 1 and d.factors[0].letter in "ABCD":
+        alive = set(d.nodes)
+        removed = [v for v in range(1, d.factors[0].rank + 1) if v not in alive]
+        return chain_components(d.factors[0], removed)
+    return _classify_graph(d)
+
+
+def _classify_graph(d: Diagram) -> list[ComponentShape]:
+    # the generic path: identify each component, then verify the embedding
     adj: dict[int, list[int]] = {v: [] for v in d.nodes}
     edges_at: dict[int, list[Edge]] = {v: [] for v in d.nodes}  # keyed by e.a
     for e in d.edges:
@@ -437,4 +455,49 @@ def classify_components(d: Diagram) -> list[ComponentShape]:
         shape = _identify(comp, comp_edges)
         _verify(shape, comp_edges, comp)
         shapes.append(shape)
+    return shapes
+
+
+# --- closed form for a classical factor -------------------------------------
+
+def chain_components(t: SimpleType, removed: Iterable[int]) -> list[ComponentShape]:
+    """The components of the classical factor t minus the nodes ``removed``,
+    in closed form, exactly as the graph classifier reports them.
+
+    The surviving nodes split into runs of the Bourbaki chain 1..n; in
+    D_n the chain stops at n-1, and node n hangs off n-2 beside it.
+    Each run is an A chain in ascending order, except the last run when it
+    holds the special end (n in B_n and C_n, n-2 in D_n): B_m or C_m for
+    m >= 3; C2 with the short node first for a two-node double-bond run;
+    D_m, nodes ascending, for m >= 4; and the D3 run as A3 embedded
+    (n-1, n-2, n).  Components are ordered by smallest node.
+    """
+    n = t.rank
+    if t.letter not in "ABCD":
+        raise ValueError(f"{t} is not a classical type")
+    gone = set(removed)
+    if any(not 1 <= v <= n for v in gone):
+        raise ValueError(f"removed nodes must lie in 1..{n}")
+    end = n - 1 if t.letter == "D" else n
+    cuts = [0, *sorted(v for v in gone if v <= end), end + 1]
+    runs = [tuple(range(a + 1, b)) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
+    shapes = [ComponentShape(SimpleType("A", len(run)), run) for run in runs]
+    if t.letter == "A" or n in gone:
+        return shapes
+    if t.letter == "D" and n - 2 in gone:
+        return shapes + [ComponentShape(SimpleType("A", 1), (n,))]
+    run = runs[-1]
+    m = len(run)
+    if t.letter == "D":
+        if run[-1] == n - 2:  # n-1 is gone, so n continues the chain
+            shapes[-1] = ComponentShape(SimpleType("A", m + 1), run + (n,))
+        elif m == 2:  # D3 is A3 with ends n-1 and n
+            shapes[-1] = ComponentShape(SimpleType("A", 3), (n - 1, n - 2, n))
+        else:
+            shapes[-1] = ComponentShape(SimpleType("D", m + 1), run + (n,))
+    elif m == 2:  # C2 with the short node first: n in B_n, n-1 in C_n
+        short_first = run[::-1] if t.letter == "B" else run
+        shapes[-1] = ComponentShape(SimpleType("C", 2), short_first)
+    elif m >= 3:
+        shapes[-1] = ComponentShape(SimpleType(t.letter, m), run)
     return shapes

@@ -18,18 +18,21 @@ the bond, -1 otherwise.  No root system is ever built.
 Residual diagrams (after node removal) are handled the same way, one
 component at a time, since an induced subdiagram's root system is the
 product of its components' systems.  Unmarked components contribute a
-point and drop out of all fiber analysis.
+point and drop out of all fiber analysis.  ``classify_components``
+reads the components of a single A, B, C or D factor, the Levi diagram
+included, off its Bourbaki chain in closed form; products and E, F, G
+factors go through the graph classifier.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .dynkin import MarkedDiagram, classify_components, remove_node
 from .root_system import SimpleType, _two_rho, positive_root_count
 
 if TYPE_CHECKING:  # annotations only: homog never builds a Diagram itself
-    from .dynkin import Diagram
+    from .dynkin import ComponentShape, Diagram
 
 
 class VarietyInvariants(NamedTuple):
@@ -120,12 +123,19 @@ def projective_space_charts(d: Diagram) -> dict[int, int]:
     """Every node m at which d marked at m alone is P^{r-1}, as {m: r}.
 
     One classification of d answers ``is_projective_space`` for all of
-    its nodes.  The recognized shapes are those of ``_pspace_r``; only
-    chain ends can qualify, so each component contributes at most two
-    charts.
+    its nodes.
+    """
+    return component_charts(classify_components(d))
+
+
+def component_charts(shapes: Iterable[ComponentShape]) -> dict[int, int]:
+    """The projective-space charts {m: r} of a diagram given by its components.
+
+    The recognized shapes are those of ``_pspace_r``; only chain ends can
+    qualify, so each component contributes at most two charts.
     """
     charts: dict[int, int] = {}
-    for shape in classify_components(d):
+    for shape in shapes:
         for pos in (1, shape.type.rank):
             r = _pspace_r(shape.type, pos)
             if r is not None:

@@ -20,9 +20,13 @@ whose single-marked variety is P^{r-1}: the A-chain ends and the short
 end of each C-chain.  For a single factor G/P(i, j), the fiber over
 G/P(i) is the residue "type minus i" marked at j, and that residue is
 the same for every j.  So each (type, removed node) residue is
-classified once into its charts, and i < j is a roof exactly when the
+read once into its charts, and i < j is a roof exactly when the
 residue without i is P^{r-1} at j and the residue without j is P^{r-1}
-at i.  A two-factor product with one mark per factor is a roof exactly
+at i.  An A, B, C or D residue is a few runs of the Bourbaki chain, so
+its charts come from ``chain_components`` without building a diagram;
+an E, F or G residue is cut with ``remove_node`` and classified as a
+graph.  A fiber filter drops the charts of every other r before the
+join.  A two-factor product with one mark per factor is a roof exactly
 when both single-marked factors are P^{r-1} for the same r, so it is
 P^{r-1} x P^{r-1}: the A_{r-1}xA_{r-1} row, emitted at every r whose
 row rank fits the bound.  ``is_roof`` tests one diagram directly and is
@@ -43,8 +47,17 @@ import enum
 import itertools
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .dynkin import MarkedDiagram, diagram_of, parse, remove_node, serialize
+from .dynkin import (
+    Diagram,
+    MarkedDiagram,
+    chain_components,
+    diagram_of,
+    parse,
+    remove_node,
+    serialize,
+)
 from .homog import (
+    component_charts,
     fibration_fiber,
     gp_invariants,
     is_projective_space,
@@ -345,12 +358,25 @@ def _dedup_key(md: MarkedDiagram) -> str:
 # --- enumeration --------------------------------------------------------------
 
 
-def _candidates(max_rank: int) -> Iterator[tuple[MarkedDiagram, int]]:
-    """Every single-factor roof of rank <= max_rank with its r: the mark
-    pairs whose two residue charts agree on r."""
+def _residue_charts(d: Diagram, k: int) -> dict[int, int]:
+    """The projective-space charts of the residue "d minus node k"."""
+    (t,) = d.factors
+    if t.letter in "ABCD":
+        return component_charts(chain_components(t, (k,)))
+    return projective_space_charts(remove_node(d, k))
+
+
+def _candidates(
+    max_rank: int, r_filter: Optional[int] = None
+) -> Iterator[tuple[MarkedDiagram, int]]:
+    """Every single-factor roof of rank <= max_rank with its r (only r_filter,
+    when given): the mark pairs whose two residue charts agree on r."""
     for t in simple_types(max_rank):
         d = diagram_of((t,))
-        charts = {k: projective_space_charts(remove_node(d, k)) for k in d.nodes}
+        charts = {
+            k: {j: r for j, r in _residue_charts(d, k).items() if r_filter in (None, r)}
+            for k in d.nodes
+        }
         for i in d.nodes:
             for j, r in charts[i].items():
                 if j > i and charts[j].get(i) == r:
@@ -366,9 +392,10 @@ def enumerate_roofs(
     """Every roof whose canonical diagram has total rank <= max_total_rank.
 
     Single factors are a join on projective-space charts: each residue
-    "type minus node k" is classified once, and a mark pair i < j is a
-    roof when the residue without i is P^{r-1} at j and the residue
-    without j is P^{r-1} at i, for the same r (``_candidates``).  Every
+    "type minus node k" is read once into its charts, and a mark pair
+    i < j is a roof when the residue without i is P^{r-1} at j and the
+    residue without j is P^{r-1} at i, for the same r (``_candidates``).
+    With ``r_filter`` only the charts of that r enter the join.  Every
     single-factor hit is checked to have index vector (r, r), then
     deduplicated up to variety isomorphism and reported through its
     canonical family diagram.  Products with one mark per factor are
@@ -380,19 +407,15 @@ def enumerate_roofs(
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
     instances: dict[str, tuple[Family, int]] = {}
-    for md, r in _candidates(max_total_rank):
+    for md, r in _candidates(max_total_rank, r_filter):
         family = _family_of(md, r)
         key = _dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
         instances[key] = (family, r)
     product = FAMILY_SPECS[Family.A_PRODUCT]
     for r in filter(product.admits, range(max_total_rank + 2)):
-        if product.rank(r) <= max_total_rank:
+        if product.rank(r) <= max_total_rank and r_filter in (None, r):
             instances[product.diagram(r)] = (Family.A_PRODUCT, r)
-    records = [
-        _record_for(diagram, family, r)
-        for diagram, (family, r) in instances.items()
-        if r_filter in (None, r)
-    ]
+    records = [_record_for(diagram, family, r) for diagram, (family, r) in instances.items()]
     if r_filter in (None, G2_DAGGER_RECORD.r):
         records.append(G2_DAGGER_RECORD)
     return sorted(records, key=_record_sort_key)

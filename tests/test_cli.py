@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -582,6 +583,17 @@ def test_roofs_max_rank_48_is_fast():
     assert 'C47,32,"C47:31,32",1519,1488,1488,64,63,true,' in lines
     assert lines[-1] == 'D48,48,"D48:47,48",1175,1128,1128,94,94,true,'
     assert elapsed < 6.0, f"roofs --max-rank 48 took {elapsed:.2f}s"
+
+
+def test_roofs_max_rank_96_csv_is_pinned():
+    # recorded from the generic residue classification, before A-D residues
+    # were read off the Bourbaki chain; no brute-force scan reaches rank 96
+    code, out, err = run("roofs", "--max-rank", "96", "--format", "csv")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 319
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "88d809065f089d02ad97d8fe12aded1e5cf5f90e092611f22b6ed3a9ff7ce654"
+    )
 
 
 # --- start-up ------------------------------------------------------------------------

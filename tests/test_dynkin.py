@@ -15,7 +15,8 @@ from roofscope import (
     remove_node,
     serialize,
 )
-from roofscope.root_system import _bonds
+from roofscope.dynkin import _classify_graph, chain_components
+from roofscope.root_system import _bonds, simple_types
 
 
 # --- grammar -----------------------------------------------------------------
@@ -271,6 +272,65 @@ def test_every_induced_subdiagram_classifies():
                 assert sum(s.type.rank for s in shapes) == rank - k
                 covered = sorted(v for s in shapes for v in s.embedding)
                 assert covered == list(d.nodes)
+
+
+def _classical_types(max_rank):
+    return [t for t in simple_types(max_rank) if t.letter in "ABCD"]
+
+
+def _assert_closed_form_matches_the_graph_classifier(t, removed):
+    d = diagram_of((t,))
+    for j in removed:
+        d = remove_node(d, j)
+    expected = _classify_graph(d)  # _identify, then _verify
+    assert chain_components(t, removed) == expected, (str(t), removed)
+    assert classify_components(d) == expected, (str(t), removed)
+
+
+def test_chain_components_match_the_graph_classifier_on_one_and_two_node_residues():
+    # same types, embeddings and component order
+    from itertools import combinations
+
+    checked = 0
+    for t in _classical_types(24):
+        for k in (1, 2):
+            for removed in combinations(range(1, t.rank + 1), k):
+                _assert_closed_form_matches_the_graph_classifier(t, removed)
+                checked += 1
+    assert checked == 10_385  # three of them (A1, A2, C2 emptied) have no component
+
+
+def test_chain_components_match_the_graph_classifier_on_every_node_subset():
+    from itertools import combinations
+
+    for t in _classical_types(10):
+        for k in range(t.rank + 1):
+            for removed in combinations(range(1, t.rank + 1), k):
+                _assert_closed_form_matches_the_graph_classifier(t, removed)
+
+
+def test_chain_components_special_runs():
+    def shapes(text, removed):
+        (t,) = parse(text + ":1").diagram.factors
+        return [(str(s.type), s.embedding) for s in chain_components(t, removed)]
+
+    assert shapes("B6", (3,)) == [("A2", (1, 2)), ("B3", (4, 5, 6))]
+    assert shapes("B6", (4,)) == [("A3", (1, 2, 3)), ("C2", (6, 5))]
+    assert shapes("C6", (4,)) == [("A3", (1, 2, 3)), ("C2", (5, 6))]
+    assert shapes("C6", (6,)) == [("A5", (1, 2, 3, 4, 5))]
+    assert shapes("D7", (3,)) == [("A2", (1, 2)), ("D4", (4, 5, 6, 7))]
+    assert shapes("D7", (4,)) == [("A3", (1, 2, 3)), ("A3", (6, 5, 7))]
+    assert shapes("D7", (6,)) == [("A6", (1, 2, 3, 4, 5, 7))]
+    assert shapes("D7", (5,)) == [("A4", (1, 2, 3, 4)), ("A1", (6,)), ("A1", (7,))]
+
+
+def test_chain_components_reject_other_types_and_foreign_nodes():
+    with pytest.raises(ValueError, match="classical"):
+        chain_components(SimpleType("E", 6), (1,))
+    with pytest.raises(ValueError, match="1..4"):
+        chain_components(SimpleType("D", 4), (5,))
+    with pytest.raises(ValueError, match="1..4"):
+        chain_components(SimpleType("A", 4), (0,))
 
 
 def test_marked_diagram_validation():

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 import roofscope.roofs
-from oracles import ALL_SIMPLE
 from roofscope import (
     ClassificationQuery,
     Family,
@@ -21,6 +20,7 @@ from roofscope import (
     is_roof,
     name_family,
     parse,
+    remove_node,
     serialize,
     verify_paper_table,
 )
@@ -47,8 +47,10 @@ def every_single_factor_two_marked_diagram(max_rank):
 
 
 def every_one_mark_per_factor_product(max_rank):
-    for a, (l1, r1) in enumerate(ALL_SIMPLE):
-        for l2, r2 in ALL_SIMPLE[a:]:
+    # each factor leaves at least rank 1 to the other
+    factors = simple_types(max_rank - 1)
+    for a, (l1, r1) in enumerate(factors):
+        for l2, r2 in factors[a:]:
             if r1 + r2 > max_rank:
                 continue
             for i in range(1, r1 + 1):
@@ -229,6 +231,31 @@ def test_residue_join_matches_is_roof_on_every_single_factor():
     assert ("A12:6,7", 7) in joined and ("C8:5,6", 6) in joined
 
 
+def test_candidates_cut_no_classical_diagram(monkeypatch):
+    # A-D residues are read off the Bourbaki chain; only E, F, G are cut
+    cut = []
+
+    def counting_remove_node(d, j):
+        cut.append(d.factors)
+        return remove_node(d, j)
+
+    monkeypatch.setattr(roofscope.roofs, "remove_node", counting_remove_node)
+    hits = list(roofscope.roofs._candidates(48))
+    assert ("D48:47,48", 48) in {(serialize(md), r) for md, r in hits}
+    assert cut, "E, F, G residues should still go through remove_node"
+    assert {t.letter for (t,) in cut} == set("EFG")
+
+
+def test_fiber_filter_matches_the_filtered_enumeration():
+    # r_filter prunes the charts before the join; the records must not change
+    for max_rank in range(1, 25):
+        full = enumerate_roofs(max_rank)
+        for r in range(2, 14):
+            assert enumerate_roofs(max_rank, r_filter=r) == [
+                rec for rec in full if rec.r == r
+            ], (max_rank, r)
+
+
 def _scanned_product_instances(max_rank, r_filter, hits):
     """The instances a full scan of the products keeps from their is_roof hits."""
     out = set()
@@ -250,7 +277,9 @@ def test_product_join_matches_the_full_product_scan(monkeypatch):
     ]
     # with the single-factor scan emptied, every homogeneous record is
     # an A_PRODUCT row instance
-    monkeypatch.setattr(roofscope.roofs, "_candidates", lambda max_rank: iter(()))
+    monkeypatch.setattr(
+        roofscope.roofs, "_candidates", lambda max_rank, r_filter=None: iter(())
+    )
     for max_rank in range(1, 13):
         for r_filter in (None, 2, 3, 4, 5, 6, 7):
             records = [
