@@ -3,113 +3,52 @@
 Dynkin types and diagrams, homogeneous variety invariants, enumeration and
 classification of roofs of P^{r-1}-bundles, and divisor arithmetic on
 projectivized bundles over bases with H-power cohomology.
-"""
 
-from .root_system import SimpleType, positive_root_count
-from .dynkin import (
-    ComponentShape,
-    Diagram,
-    Edge,
-    MarkedDiagram,
-    ParseError,
-    classify_components,
-    diagram_of,
-    parse,
-    remove_node,
-    serialize,
-)
-from .homog import (
-    VarietyInvariants,
-    fibration_fiber,
-    gp_invariants,
-    is_projective_space,
-    projective_space_charts,
-)
-from .roofs import (
-    ClassEntry,
-    ClassificationQuery,
-    ClassificationResult,
-    Family,
-    G2_DAGGER_RECORD,
-    NON_HOMOGENEOUS,
-    RoofRecord,
-    TableReport,
-    TableRow,
-    classify_simple_kequiv,
-    enumerate_roofs,
-    family_diagram,
-    is_roof,
-    name_family,
-    verify_paper_table,
-)
-from .chow import (
-    BundleChowRing,
-    ChowElement,
-    CodimVerdict,
-    CyclicBase,
-    H,
-    MukaiVerdict,
-    OTTAVIANI_CHERNS_CYCLIC,
-    OTTAVIANI_CHERNS_H,
-    XI,
-    blowup_discrepancy,
-    chern_units_to_h,
-    kequiv_forces_equal_codim,
-    mukai_pair_check,
-    projective_space,
-    quadric,
-    twist_cherns,
-)
+Importing the package loads no submodule: a public name is looked up in
+``_EXPORTS`` and its submodule is imported on first access (PEP 562), so
+a command line query loads only the layer it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleChowRing",
-    "ChowElement",
-    "ClassEntry",
-    "ClassificationQuery",
-    "ClassificationResult",
-    "CodimVerdict",
-    "ComponentShape",
-    "CyclicBase",
-    "Diagram",
-    "Edge",
-    "Family",
-    "G2_DAGGER_RECORD",
-    "H",
-    "MarkedDiagram",
-    "MukaiVerdict",
-    "NON_HOMOGENEOUS",
-    "OTTAVIANI_CHERNS_CYCLIC",
-    "OTTAVIANI_CHERNS_H",
-    "ParseError",
-    "RoofRecord",
-    "SimpleType",
-    "TableReport",
-    "TableRow",
-    "VarietyInvariants",
-    "XI",
-    "blowup_discrepancy",
-    "chern_units_to_h",
-    "classify_components",
-    "classify_simple_kequiv",
-    "diagram_of",
-    "enumerate_roofs",
-    "family_diagram",
-    "fibration_fiber",
-    "gp_invariants",
-    "is_projective_space",
-    "is_roof",
-    "kequiv_forces_equal_codim",
-    "mukai_pair_check",
-    "name_family",
-    "parse",
-    "positive_root_count",
-    "projective_space",
-    "projective_space_charts",
-    "quadric",
-    "remove_node",
-    "serialize",
-    "twist_cherns",
-    "verify_paper_table",
-]
+# every public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "root_system": "SimpleType positive_root_count",
+        "dynkin": """
+            ComponentShape Diagram Edge MarkedDiagram ParseError
+            classify_components diagram_of parse remove_node serialize
+        """,
+        "homog": """
+            VarietyInvariants fibration_fiber gp_invariants is_projective_space
+            projective_space_charts
+        """,
+        "roofs": """
+            ClassEntry ClassificationQuery ClassificationResult Family
+            G2_DAGGER_RECORD NON_HOMOGENEOUS RoofRecord TableReport TableRow
+            classify_simple_kequiv enumerate_roofs family_diagram is_roof
+            name_family verify_paper_table
+        """,
+        "chow": """
+            BundleChowRing ChowElement CodimVerdict CyclicBase H MukaiVerdict
+            OTTAVIANI_CHERNS_CYCLIC OTTAVIANI_CHERNS_H XI blowup_discrepancy
+            chern_units_to_h kequiv_forces_equal_codim mukai_pair_check
+            projective_space quadric twist_cherns
+        """,
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -5,18 +5,25 @@ subcommands reduce, degree, canonical, mukai-check and discrepancy.
 Every command takes --format {table,json,csv,latex}.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 no result.
 All rendering lives here; the libraries never print.
+
+Each command imports the layer it runs when it runs: ``gp`` the diagram
+and G/P layers, ``roofs``, ``verify-table`` and ``classify`` the roofs
+layer, and ``chow`` the bundle calculus alone.  Importing this module
+loads only ``argparse`` and ``render``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import chow, render, roofs
-from .dynkin import parse, serialize
-from .homog import gp_invariants
+from . import render
+
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
+
+    from . import chow, roofs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -156,6 +163,10 @@ class _ElementParser:
         return int(self.text[start : self.pos])
 
     def atom(self) -> chow.ChowElement:
+        from fractions import Fraction
+
+        from .chow import H, XI, ChowElement
+
         ch = self.peek()
         if ch == "(":
             self.pos += 1
@@ -173,14 +184,14 @@ class _ElementParser:
                 if den == 0:
                     self.pos = start
                     self.fail("zero denominator")
-                return chow.ChowElement({(0, 0): Fraction(num, den)})
-            return chow.ChowElement({(0, 0): num})
+                return ChowElement({(0, 0): Fraction(num, den)})
+            return ChowElement({(0, 0): num})
         if self.text.startswith("xi", self.pos):
             self.pos += 2
-            return chow.XI
+            return XI
         if ch == "H":
             self.pos += 1
-            return chow.H
+            return H
         self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
     def product(self, a: chow.ChowElement, b: chow.ChowElement) -> chow.ChowElement:
@@ -191,12 +202,14 @@ class _ElementParser:
         return out
 
     def factor(self) -> chow.ChowElement:
+        from .chow import ChowElement
+
         base = self.atom()
         if self.peek() != "^":
             return base
         self.pos += 1
         k = self.take_int()
-        out = chow.ChowElement({(0, 0): 1})
+        out = ChowElement({(0, 0): 1})
         while k:
             if k & 1:
                 out = self.product(out, base)
@@ -242,6 +255,8 @@ def parse_element(text: str, ring: chow.BundleChowRing) -> chow.ChowElement:
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     # Fraction("1e3000000") builds the integer before anything can check
     # its size, so exponent notation is refused outright
     if "e" in text.lower():
@@ -253,6 +268,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def _base_from_args(args) -> chow.CyclicBase:
+    from . import chow
+
     if args.base is not None:
         if args.base_dim is not None or args.base_degree is not None:
             raise ValueError("give either --base or the explicit --base-* flags")
@@ -274,9 +291,11 @@ def _base_from_args(args) -> chow.CyclicBase:
 
 
 def _ring_from_args(args) -> chow.BundleChowRing:
+    from .chow import BundleChowRing
+
     base = _base_from_args(args)
     cherns = tuple(_fraction(c) for c in args.cherns.split(","))
-    return chow.BundleChowRing(base=base, rank=args.rank, cherns=cherns)
+    return BundleChowRing(base=base, rank=args.rank, cherns=cherns)
 
 
 # --- command bodies ------------------------------------------------------------
@@ -294,6 +313,9 @@ def _emit(fmt: str, headers, rows, json_payload, raw_latex_columns=()) -> None:
 
 
 def cmd_gp(args) -> int:
+    from .dynkin import parse, serialize
+    from .homog import gp_invariants
+
     md = parse(args.diagram)
     inv = gp_invariants(md)
     index_txt = (
@@ -315,6 +337,8 @@ def cmd_gp(args) -> int:
 
 
 def cmd_roofs(args) -> int:
+    from . import roofs
+
     if args.max_rank < 1:
         print("error: --max-rank must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -344,17 +368,21 @@ def cmd_roofs(args) -> int:
 
 
 def _family_latex(rec: roofs.RoofRecord) -> str:
-    for spec in roofs.FAMILY_SPECS.values():
+    from .roofs import FAMILY_SPECS
+
+    for spec in FAMILY_SPECS.values():
         if spec.label(rec.r) == rec.family:
             return spec.latex(rec.r)
     return render.latex_escape(rec.family)
 
 
 def cmd_verify_table(args) -> int:
+    from .roofs import verify_paper_table
+
     if args.r_max < 2:
         print("error: --r-max must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    report = roofs.verify_paper_table(args.r_max)
+    report = verify_paper_table(args.r_max)
     headers = ["family", "r", "computed", "expected", "status"]
     rows = [
         [row.family, row.r, str(row.computed), str(row.expected), "pass" if row.ok else "FAIL"]
@@ -383,13 +411,15 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    query = roofs.ClassificationQuery(
+    from .roofs import ClassificationQuery, classify_simple_kequiv
+
+    query = ClassificationQuery(
         dim_x=args.dim_x,
         r=args.codim,
         fiber_gap=args.fiber_gap,
         symplectic=args.symplectic,
     )
-    result = roofs.classify_simple_kequiv(query)
+    result = classify_simple_kequiv(query)
     if not result.available:
         print("no classification available for this query", file=sys.stderr)
         for rule in result.applied_rules:
@@ -409,7 +439,9 @@ def cmd_classify(args) -> int:
 
 
 def _print_element(fmt: str, label: str, el: chow.ChowElement) -> None:
-    text = chow.format_element(el)
+    from .chow import format_element
+
+    text = format_element(el)
     _emit(fmt, [label], [[text]], {label: text})
 
 
@@ -442,7 +474,9 @@ def cmd_chow_canonical(args) -> int:
 
 
 def cmd_chow_mukai_check(args) -> int:
-    verdict = chow.mukai_pair_check(args.index, _fraction(args.c1), args.rank, args.dim)
+    from .chow import mukai_pair_check
+
+    verdict = mukai_pair_check(args.index, _fraction(args.c1), args.rank, args.dim)
     payload = {
         "passed": verdict.passed,
         "index_of_v": verdict.index_of_v,
@@ -454,11 +488,13 @@ def cmd_chow_mukai_check(args) -> int:
 
 
 def cmd_chow_discrepancy(args) -> int:
+    from .chow import blowup_discrepancy, kequiv_forces_equal_codim
+
     if args.codim2 is None:
-        value = chow.blowup_discrepancy(args.codim)
+        value = blowup_discrepancy(args.codim)
         _emit(args.format, ["discrepancy"], [[value]], {"discrepancy": value})
         return EXIT_OK
-    verdict = chow.kequiv_forces_equal_codim(args.codim, args.codim2)
+    verdict = kequiv_forces_equal_codim(args.codim, args.codim2)
     return _emit_verdict(args.format, verdict._asdict(), verdict.lines(), verdict.consistent)
 
 

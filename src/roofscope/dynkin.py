@@ -20,11 +20,11 @@ Arrows on multiple bonds point from the long root to the short root
 (B_n: n-1 -> n, C_n: n -> n-1, F4: 2 -> 3, G2: 1 -> 2); see
 :mod:`roofscope.root_system` for the numbering.
 
-Components of a single A, B, C or D factor, with or without removed
-nodes, are read off its Bourbaki chain in closed form
-(``chain_components``).  Products and the E, F, G factors go through the
-generic graph classifier, which checks each component it names against
-the model diagram of that type.
+Components are read factor by factor, with any set of nodes removed at
+once (``classify_components``).  An A, B, C or D factor is read off its
+Bourbaki chain in closed form (``chain_components``); an E, F or G
+factor goes through the generic graph classifier, which checks each
+component it names against the model diagram of that type.
 """
 
 from __future__ import annotations
@@ -411,33 +411,48 @@ def _verify(shape: ComponentShape, edges: list[Edge], nodes: list[int]) -> None:
         raise _corrupt(nodes)
 
 
-def classify_components(d: Diagram) -> list[ComponentShape]:
-    """Identify every connected component, ordered by smallest global node.
+def classify_components(d: Diagram, removed: Iterable[int] = ()) -> list[ComponentShape]:
+    """Identify every connected component of d minus the nodes ``removed``,
+    ordered by smallest global node.
 
     Rank-2 double-bond residuals come back as C2 and rank-1 residuals as
-    A1, regardless of the factor they were cut from.  A single A, B, C
-    or D factor is answered by ``chain_components`` from the nodes it
-    lacks, so its edges must be the ones ``diagram_of`` and
-    ``remove_node`` leave; every other diagram is classified as a graph.
+    A1, regardless of the factor they were cut from.  Each factor is read
+    on its own: an A, B, C or D factor by ``chain_components`` from the
+    nodes it lacks, so its edges must be the ones ``diagram_of`` and
+    ``remove_node`` leave; an E, F or G factor is classified as a graph.
     """
-    if len(d.factors) == 1 and d.factors[0].letter in "ABCD":
-        alive = set(d.nodes)
-        removed = [v for v in range(1, d.factors[0].rank + 1) if v not in alive]
-        return chain_components(d.factors[0], removed)
-    return _classify_graph(d)
+    alive = set(d.nodes)
+    gone = set(removed)
+    if not gone <= alive:
+        raise ValueError(f"removed nodes must be nodes of {d}")
+    alive -= gone
+    shapes: list[ComponentShape] = []
+    offset = 0
+    for t in d.factors:
+        span = range(offset + 1, offset + t.rank + 1)
+        if t.letter in "ABCD":
+            for s in chain_components(t, [v - offset for v in span if v not in alive]):
+                if offset:
+                    s = ComponentShape(s.type, tuple(v + offset for v in s.embedding))
+                shapes.append(s)
+        else:
+            edges = [e for e in d.edges if e.a in span and e.a in alive and e.b in alive]
+            shapes += _classify_graph([v for v in span if v in alive], edges)
+        offset += t.rank
+    return shapes
 
 
-def _classify_graph(d: Diagram) -> list[ComponentShape]:
+def _classify_graph(nodes: list[int], edges: Iterable[Edge]) -> list[ComponentShape]:
     # the generic path: identify each component, then verify the embedding
-    adj: dict[int, list[int]] = {v: [] for v in d.nodes}
-    edges_at: dict[int, list[Edge]] = {v: [] for v in d.nodes}  # keyed by e.a
-    for e in d.edges:
+    adj: dict[int, list[int]] = {v: [] for v in nodes}
+    edges_at: dict[int, list[Edge]] = {v: [] for v in nodes}  # keyed by e.a
+    for e in edges:
         adj[e.a].append(e.b)
         adj[e.b].append(e.a)
         edges_at[e.a].append(e)
     seen: set[int] = set()
     shapes: list[ComponentShape] = []
-    for start in d.nodes:
+    for start in nodes:
         if start in seen:
             continue
         comp = []

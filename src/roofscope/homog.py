@@ -18,10 +18,12 @@ the bond, -1 otherwise.  No root system is ever built.
 Residual diagrams (after node removal) are handled the same way, one
 component at a time, since an induced subdiagram's root system is the
 product of its components' systems.  Unmarked components contribute a
-point and drop out of all fiber analysis.  ``classify_components``
-reads the components of a single A, B, C or D factor, the Levi diagram
-included, off its Bourbaki chain in closed form; products and E, F, G
-factors go through the graph classifier.
+point and drop out of all fiber analysis.  The Levi components come
+from one ``classify_components`` call with every mark removed at once,
+for full and residual diagrams alike, so no Levi diagram is cut.  It
+reads a product factor by factor: each A, B, C or D factor off its
+Bourbaki chain in closed form, and only E, F and G factors through the
+graph classifier.
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     """Compute dim, Picard number and the anticanonical coefficient vector."""
     d = md.diagram
     marks = sorted(md.marks)
-    levi = d
-    for m in marks:
-        levi = remove_node(levi, m)
-    levi_shapes = classify_components(levi)
+    levi_shapes = classify_components(d, marks)
     dim = sum(positive_root_count(s.type) for s in classify_components(d))
     dim -= sum(positive_root_count(s.type) for s in levi_shapes)
     levi_two_rho: dict[int, int] = {}

@@ -1,14 +1,14 @@
 """Output formatting: aligned text tables, JSON, CSV and LaTeX.
 
 All emitters are deterministic: rows arrive pre-sorted from the library
-layer and are rendered without any environment-dependent state.
+layer and are rendered without any environment-dependent state.  The
+CSV and JSON emitters import their modules when called, so a query
+loads only the format it prints.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 from typing import Sequence
 
 FORMATS = ("table", "json", "csv", "latex")
@@ -36,6 +36,8 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
@@ -45,6 +47,8 @@ def render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def render_json(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -541,9 +543,13 @@ def test_no_module_ships_a_root_closure_and_production_paths_run():
     import roofscope
 
     assert roofscope.__all__ == PUBLIC_API
-    for name, module in list(sys.modules.items()):
-        if name == "roofscope" or name.startswith("roofscope."):
-            assert not DELETED & set(vars(module)), name
+    # the package loads its submodules lazily, so each one is imported here
+    names = ["roofscope"] + [
+        f"roofscope.{info.name}" for info in pkgutil.iter_modules(roofscope.__path__)
+    ]
+    assert {"roofscope.chow", "roofscope.cli", "roofscope.roofs"} <= set(names)
+    for name in names:
+        assert not DELETED & set(vars(importlib.import_module(name))), name
     for argv in [
         ("gp", "F4:2,3"),
         ("verify-table", "--r-max", "10"),
@@ -551,6 +557,38 @@ def test_no_module_ships_a_root_closure_and_production_paths_run():
     ]:
         code, out, err = run(*argv)
         assert code == 0 and out, (argv, err)
+
+
+def test_star_import_exports_the_public_api_from_its_modules():
+    import roofscope
+
+    namespace: dict = {}
+    exec("from roofscope import *", namespace)
+    for name in PUBLIC_API:
+        module = importlib.import_module(f"roofscope.{roofscope._EXPORTS[name]}")
+        assert namespace[name] is getattr(module, name) is getattr(roofscope, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        roofscope.no_such_name
+
+
+@pytest.mark.parametrize(
+    "diagram,expected",
+    [
+        ("A3000:1500", [
+            "diagram     dim      picard  index",
+            "----------  -------  ------  -----",
+            "A3000:1500  2251500  1       3001",
+        ]),
+        ("D150:149,150", [
+            "diagram       dim    picard  index",
+            "------------  -----  ------  ----------",
+            "D150:149,150  11324  2       (150, 150)",
+        ]),
+    ],
+)
+def test_gp_on_large_diagrams_is_pinned(diagram, expected):
+    # recorded when each mark still cut the Levi diagram with remove_node
+    assert run("gp", diagram) == (0, "\n".join(expected) + "\n", "")
 
 
 def test_gp_on_a_huge_diagram_is_fast():
@@ -599,9 +637,27 @@ def test_roofs_max_rank_96_csv_is_pinned():
 # --- start-up ------------------------------------------------------------------------
 
 
+# what each command may not load: the chow layer (and fractions, which
+# imports decimal) stays out of the roof queries, and so on
+LAYERS_LEFT_OUT = [
+    (["roofs", "--max-rank", "8"], "roofscope.roofs",
+     {"roofscope.chow", "fractions", "decimal"}),
+    (["verify-table", "--r-max", "10"], "roofscope.roofs",
+     {"roofscope.chow", "fractions", "decimal"}),
+    (["classify", "--dim-x", "8"], "roofscope.roofs",
+     {"roofscope.chow", "fractions", "decimal"}),
+    (["gp", "F4:2,3", "--format", "json"], "roofscope.homog",
+     {"roofscope.roofs", "roofscope.chow"}),
+    (["chow", "degree", "--base", "P2", "--rank", "2", "--cherns", "3,3",
+      "--element", "(2*xi)^3"], "roofscope.chow",
+     {"roofscope.roofs", "roofscope.dynkin", "roofscope.homog"}),
+]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(src)
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
     def loaded(prelude: str) -> set[str]:
@@ -615,9 +671,21 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         ).stdout
         return set(out.split())
 
-    added = loaded("import roofscope.cli; ") - loaded("")
+    bare = loaded("")
+    added = loaded("import roofscope.cli; ") - bare
     assert "roofscope.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert {m for m in added if m.startswith("roofscope")} == {
+        "roofscope", "roofscope.cli", "roofscope.render",
+    }
+    for argv, layer, left_out in LAYERS_LEFT_OUT:
+        added = loaded(
+            "import io, sys; from roofscope.cli import main; "
+            "out, sys.stdout = sys.stdout, io.StringIO(); "
+            f"code = main({argv!r}); sys.stdout = out; assert code == 0; "
+        ) - bare
+        assert layer in added, argv
+        assert not added & (left_out | {"dataclasses", "inspect"}), (argv, added & left_out)
 
 
 # --- determinism ---------------------------------------------------------------------

@@ -282,7 +282,7 @@ def _assert_closed_form_matches_the_graph_classifier(t, removed):
     d = diagram_of((t,))
     for j in removed:
         d = remove_node(d, j)
-    expected = _classify_graph(d)  # _identify, then _verify
+    expected = _classify_graph(list(d.nodes), d.edges)  # _identify, then _verify
     assert chain_components(t, removed) == expected, (str(t), removed)
     assert classify_components(d) == expected, (str(t), removed)
 

@@ -7,11 +7,18 @@ from itertools import combinations
 
 import pytest
 
-from oracles import ALL_SIMPLE, pairing, positive_roots
+from oracles import (
+    ALL_SIMPLE,
+    pairing,
+    positive_roots,
+    surgery_components,
+    surgery_gp_invariants,
+)
 from roofscope import (
     MarkedDiagram,
     SimpleType,
     VarietyInvariants,
+    classify_components,
     diagram_of,
     fibration_fiber,
     gp_invariants,
@@ -292,3 +299,71 @@ def test_residual_invariants_live_in_the_ambient_system():
     fiber = fibration_fiber(parse("F4:2,3"), keep=3)
     inv = gp_invariants(fiber)
     assert (inv.dim, inv.picard, inv.index) == (2, 1, 3)
+
+
+# --- Levi factors read factor by factor ---------------------------------------------
+
+
+def _assert_levi_path_matches_surgery(md):
+    d = md.diagram
+    assert classify_components(d) == surgery_components(d), str(md)
+    assert classify_components(d, md.marks) == surgery_components(d, md.marks), str(md)
+    assert gp_invariants(md) == surgery_gp_invariants(md), str(md)
+
+
+def _one_and_two_mark_diagrams(factor_specs):
+    for factors in factor_specs:
+        d = diagram_of(factors)
+        for k in (1, 2):
+            for marks in combinations(d.nodes, k):
+                yield MarkedDiagram(d, frozenset(marks))
+
+
+def test_levi_factors_match_surgery_on_single_factors_up_to_rank_10():
+    checked = 0
+    for md in _one_and_two_mark_diagrams((t,) for t in simple_types(10)):
+        _assert_levi_path_matches_surgery(md)
+        checked += 1
+    assert checked == 963
+
+
+def test_levi_factors_match_surgery_on_products_up_to_rank_10():
+    types = simple_types(9)
+    products = [
+        (t, u) for a, t in enumerate(types) for u in types[a:] if t.rank + u.rank <= 10
+    ]
+    checked = 0
+    for md in _one_and_two_mark_diagrams(products):
+        _assert_levi_path_matches_surgery(md)
+        checked += 1
+    assert checked == 9_704
+
+
+def test_levi_factors_match_surgery_on_the_residues_of_these_tests():
+    # the fibration fibers of every two-marked diagram of rank <= 8, the
+    # one-node residues of every type of rank <= 10, and the F4 fiber
+    checked = 0
+    for factors in _all_factor_specs(8):
+        d = diagram_of(factors)
+        for marks in combinations(d.nodes, 2):
+            md = MarkedDiagram(d, frozenset(marks))
+            for keep in marks:
+                _assert_levi_path_matches_surgery(fibration_fiber(md, keep))
+                checked += 1
+    for t in simple_types(10):
+        full = diagram_of((t,))
+        for k in full.nodes:
+            residue = remove_node(full, k)
+            for m in residue.nodes:
+                _assert_levi_path_matches_surgery(MarkedDiagram(residue, frozenset({m})))
+                checked += 1
+    _assert_levi_path_matches_surgery(fibration_fiber(parse("F4:2,3"), keep=3))
+    assert checked == 7_390
+
+
+def test_classify_components_rejects_foreign_removed_nodes():
+    d = remove_node(diagram_of((SimpleType("A", 4),)), 2)
+    with pytest.raises(ValueError, match="removed nodes"):
+        classify_components(d, (2,))
+    with pytest.raises(ValueError, match="removed nodes"):
+        classify_components(d, (5,))

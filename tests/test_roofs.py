@@ -24,11 +24,14 @@ from roofscope import (
     serialize,
     verify_paper_table,
 )
+from roofscope.dynkin import chain_components
+from roofscope.homog import component_charts
 from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
     _family_of,
     _record_for,
+    _residue_charts,
 )
 from roofscope.root_system import simple_types
 
@@ -246,6 +249,60 @@ def test_candidates_cut_no_classical_diagram(monkeypatch):
     assert {t.letter for (t,) in cut} == set("EFG")
 
 
+def test_residue_charts_match_the_chain_components_up_to_rank_96():
+    # the O(1) charts against the charts of the closed-form components
+    checked = 0
+    for t in simple_types(96):
+        if t.letter in "ABCD":
+            for k in range(1, t.rank + 1):
+                charts = _residue_charts(t, k)
+                assert charts == component_charts(chain_components(t, (k,))), (str(t), k)
+                assert len(charts) <= 4
+                checked += 1
+    assert checked == 4 * sum(range(1, 97)) - (1 + 2) - (1 + 2 + 3) - 1
+
+
+def test_candidates_read_classical_residues_without_surgery(monkeypatch):
+    # an A-D residue is arithmetic: no chain_components, no remove_node;
+    # chain_components runs only in each hit's index check (the full
+    # factor and its Levi factor)
+    components, cut = [], []
+
+    def counting_chain_components(t, removed):
+        removed = tuple(removed)
+        components.append((t, removed))
+        return chain_components(t, removed)
+
+    def counting_remove_node(d, j):
+        cut.append(d.factors)
+        return remove_node(d, j)
+
+    monkeypatch.setattr(roofscope.dynkin, "chain_components", counting_chain_components)
+    monkeypatch.setattr(roofscope.roofs, "chain_components", counting_chain_components,
+                        raising=False)
+    for module in (roofscope.dynkin, roofscope.homog, roofscope.roofs):
+        monkeypatch.setattr(module, "remove_node", counting_remove_node)
+    hits = list(roofscope.roofs._candidates(64))
+    assert ("D64:63,64", 64) in {(serialize(md), r) for md, r in hits}
+    assert cut and {t.letter for (t,) in cut} == set("EFG")
+    checks = {(md.diagram.factors[0], tuple(sorted(md.marks))) for md, _ in hits}
+    assert {(t, removed) for t, removed in components if removed} == {
+        check for check in checks if check[0].letter in "ABCD"
+    }
+
+
+def test_enumeration_parses_each_record_once(monkeypatch):
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(roofscope.roofs, "parse", counting_parse)
+    records = enumerate_roofs(24)
+    assert sorted(parsed) == sorted(rec.diagram for rec in records if rec.homogeneous)
+
+
 def test_fiber_filter_matches_the_filtered_enumeration():
     # r_filter prunes the charts before the join; the records must not change
     for max_rank in range(1, 25):
@@ -396,7 +453,7 @@ def test_each_family_row_agrees_with_its_diagram_up_to_r_16(family):
         assert is_roof(md) == r, diagram
         assert _family_of(md, r) is family, diagram
         assert spec.rank(r) == md.diagram.total_rank, diagram
-        rec = _record_for(diagram, family, r)
+        rec = _record_for(md, family, r)
         assert (rec.dim_V1, rec.index_V1, rec.index_V2) == spec.triple(r), diagram
         assert rec.family == spec.label(r) == family.label(r)
 
@@ -580,6 +637,29 @@ def test_g2_dagger_record_contents():
     assert "Ottaviani" in rec.notes and "(2,2,2)" in rec.notes
     with pytest.raises(ValueError):
         rec.marked_diagram()
+
+
+def test_g2_dagger_certificate_matches_the_bundle_ring():
+    # verify-table certifies r = 3 without the chow layer: index Q^5 must
+    # equal c_1(E(1)) = c_1(E) + 3; chow states the same bundle and base
+    from roofscope.chow import (
+        OTTAVIANI_CHERNS_H, XI, BundleChowRing, quadric, twist_cherns,
+    )
+    from roofscope.roofs import _OTTAVIANI_C1, _OTTAVIANI_RANK
+
+    assert len(OTTAVIANI_CHERNS_H) == _OTTAVIANI_RANK
+    assert OTTAVIANI_CHERNS_H[0] == _OTTAVIANI_C1
+    twisted = twist_cherns(OTTAVIANI_CHERNS_H, _OTTAVIANI_RANK, 1)
+    assert twisted[0] == _OTTAVIANI_C1 + _OTTAVIANI_RANK
+    assert quadric(5).index == gp_invariants(parse("B3:1")).index
+    ring = BundleChowRing(quadric(5), _OTTAVIANI_RANK, twisted)
+    assert ring.canonical_class() == _OTTAVIANI_RANK * XI
+
+
+def test_g2_dagger_row_fails_when_the_certificate_does(monkeypatch):
+    monkeypatch.setattr(roofscope.roofs, "_OTTAVIANI_C1", 1)
+    (row,) = [row for row in verify_paper_table(3).rows if row.family == "G2^dagger"]
+    assert row.computed == (5, -1, -1) and not row.ok
 
 
 def test_roof_record_validates_dimension_additivity():
