@@ -21,10 +21,9 @@ Arrows on multiple bonds point from the long root to the short root
 :mod:`roofscope.root_system` for the numbering.
 
 Components are read factor by factor, with any set of nodes removed at
-once (``classify_components``).  An A, B, C or D factor is read off its
-Bourbaki chain in closed form (``chain_components``); an E, F or G
-factor goes through the generic graph classifier, which checks each
-component it names against the model diagram of that type.
+once (``classify_components``).  Each factor, of any of the seven
+letters, is read in closed form off its Bourbaki spine, pendant node and
+multiple bond (``chain_components``); no graph is searched.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ class Diagram(_DiagramFields):
         if not 1 <= len(factors) <= 2:
             raise ValueError("a diagram has 1 or 2 factors")
         total = sum(f.rank for f in factors)
-        if tuple(sorted(nodes)) != nodes:
-            raise ValueError("nodes must be sorted ascending")
+        if tuple(sorted(set(nodes))) != nodes:
+            raise ValueError("nodes must be sorted ascending, each at most once")
         for v in nodes:
             if not 1 <= v <= total:
                 raise ValueError(f"node {v} out of range 1..{total}")
@@ -300,126 +299,14 @@ class ComponentShape(NamedTuple):
         return self.embedding.index(node) + 1
 
 
-def _corrupt(nodes: Iterable[int]) -> ValueError:
-    listed = ",".join(map(str, sorted(nodes)))
-    return ValueError(f"component on nodes {listed} matches no simple Dynkin graph")
-
-
-def _walk(start: int, adj: dict[int, list[int]], avoid: int | None = None) -> list[int]:
-    # follow a path (all degrees <= 2) away from `avoid`
-    order = [start]
-    prev, cur = avoid, start
-    while True:
-        nxt = [x for x in adj[cur] if x != prev]
-        if not nxt:
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-
-
-def _identify(nodes: list[int], edges: list[Edge]) -> ComponentShape:
-    n = len(nodes)
-    if n == 1:
-        return ComponentShape(SimpleType("A", 1), (nodes[0],))
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    for v in adj:
-        adj[v].sort()
-    deg = {v: len(adj[v]) for v in nodes}
-
-    triple = [e for e in edges if e.mult == 3]
-    double = [e for e in edges if e.mult == 2]
-    if triple:
-        if n != 2 or double:
-            raise _corrupt(nodes)
-        e = triple[0]
-        return ComponentShape(SimpleType("G", 2), (e.source, e.target))
-
-    if double:
-        if len(double) > 1 or any(d > 2 for d in deg.values()):
-            raise _corrupt(nodes)
-        e = double[0]
-        if n == 2:
-            # rank-2 double bond is reported as C2: node 1 short, node 2 long
-            return ComponentShape(SimpleType("C", 2), (e.target, e.source))
-        if deg[e.source] == 1:
-            # long end of the path: C_n with position n at the arrow source
-            path = _walk(e.source, adj)
-            return ComponentShape(SimpleType("C", n), tuple(reversed(path)))
-        if deg[e.target] == 1:
-            path = _walk(e.target, adj)
-            return ComponentShape(SimpleType("B", n), tuple(reversed(path)))
-        # interior double bond: only F4 qualifies
-        if n != 4:
-            raise _corrupt(nodes)
-        left = [x for x in adj[e.source] if x != e.target]
-        right = [x for x in adj[e.target] if x != e.source]
-        if len(left) != 1 or len(right) != 1:
-            raise _corrupt(nodes)
-        return ComponentShape(SimpleType("F", 4), (left[0], e.source, e.target, right[0]))
-
-    # simply laced
-    forks = [v for v in nodes if deg[v] >= 3]
-    if not forks:
-        ends = [v for v in nodes if deg[v] == 1]
-        if len(ends) != 2:
-            raise _corrupt(nodes)
-        path = _walk(min(ends), adj)
-        return ComponentShape(SimpleType("A", n), tuple(path))
-    if len(forks) > 1 or deg[forks[0]] != 3:
-        raise _corrupt(nodes)
-    center = forks[0]
-    branches = sorted(
-        (_walk(nb, adj, avoid=center) for nb in adj[center]),
-        key=lambda br: (len(br), br[-1]),
-    )
-    lens = [len(b) for b in branches]
-    if lens[0] == 1 and lens[1] == 1:
-        # D_n; fork positions n-1, n take the smaller global index first
-        rank = lens[2] + 3
-        if rank == 4:
-            leaves = sorted(b[0] for b in branches)
-            embedding = (leaves[0], center, leaves[1], leaves[2])
-        else:
-            tail = branches[2]
-            fork = sorted((branches[0][0], branches[1][0]))
-            embedding = tuple(reversed(tail)) + (center, fork[0], fork[1])
-        return ComponentShape(SimpleType("D", rank), embedding)
-    if lens[0] == 1 and lens[1] == 2 and 2 <= lens[2] <= 4:
-        rank = lens[2] + 4
-        short, mid, long_ = branches  # for E6 the (len, leaf) sort fixes mid vs long
-        embedding = (mid[1], short[0], mid[0], center) + tuple(long_)
-        return ComponentShape(SimpleType("E", rank), embedding)
-    raise _corrupt(nodes)
-
-
-def _verify(shape: ComponentShape, edges: list[Edge], nodes: list[int]) -> None:
-    # the embedding must be a graph isomorphism preserving mult and arrows
-    model = diagram_of((shape.type,))
-    emb = shape.embedding
-
-    def translate(e: Edge) -> Edge:
-        u, v = emb[e.a - 1], emb[e.b - 1]
-        src = None if e.source is None else emb[e.source - 1]
-        if u > v:
-            u, v = v, u
-        return Edge(u, v, e.mult, src)
-
-    if {translate(e) for e in model.edges} != set(edges):
-        raise _corrupt(nodes)
-
-
 def classify_components(d: Diagram, removed: Iterable[int] = ()) -> list[ComponentShape]:
     """Identify every connected component of d minus the nodes ``removed``,
     ordered by smallest global node.
 
     Rank-2 double-bond residuals come back as C2 and rank-1 residuals as
     A1, regardless of the factor they were cut from.  Each factor is read
-    on its own: an A, B, C or D factor by ``chain_components`` from the
-    nodes it lacks, so its edges must be the ones ``diagram_of`` and
-    ``remove_node`` leave; an E, F or G factor is classified as a graph.
+    on its own by ``chain_components`` from the nodes it lacks, so its
+    edges must be the ones ``diagram_of`` and ``remove_node`` leave.
     """
     alive = set(d.nodes)
     gone = set(removed)
@@ -430,89 +317,89 @@ def classify_components(d: Diagram, removed: Iterable[int] = ()) -> list[Compone
     offset = 0
     for t in d.factors:
         span = range(offset + 1, offset + t.rank + 1)
-        if t.letter in "ABCD":
-            for s in chain_components(t, [v - offset for v in span if v not in alive]):
-                if offset:
-                    s = ComponentShape(s.type, tuple(v + offset for v in s.embedding))
-                shapes.append(s)
-        else:
-            edges = [e for e in d.edges if e.a in span and e.a in alive and e.b in alive]
-            shapes += _classify_graph([v for v in span if v in alive], edges)
+        for s in chain_components(t, [v - offset for v in span if v not in alive]):
+            if offset:
+                s = ComponentShape(s.type, tuple(v + offset for v in s.embedding))
+            shapes.append(s)
         offset += t.rank
     return shapes
 
 
-def _classify_graph(nodes: list[int], edges: Iterable[Edge]) -> list[ComponentShape]:
-    # the generic path: identify each component, then verify the embedding
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    edges_at: dict[int, list[Edge]] = {v: [] for v in nodes}  # keyed by e.a
-    for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-        edges_at[e.a].append(e)
-    seen: set[int] = set()
-    shapes: list[ComponentShape] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comp.sort()
-        comp_edges = [e for v in comp for e in edges_at[v]]
-        shape = _identify(comp, comp_edges)
-        _verify(shape, comp_edges, comp)
-        shapes.append(shape)
-    return shapes
+# --- closed form for one factor ----------------------------------------------
+
+def _shape(letter: str, embedding: tuple[int, ...]) -> ComponentShape:
+    return ComponentShape(SimpleType(letter, len(embedding)), embedding)
 
 
-# --- closed form for a classical factor -------------------------------------
+# the spine runs of F4 and G2 that hold the multiple bond, by letter and ends
+_BOND_RUNS = {
+    ("F", 2, 3): _shape("C", (3, 2)),
+    ("F", 1, 3): _shape("B", (1, 2, 3)),
+    ("F", 2, 4): _shape("C", (4, 3, 2)),
+    ("F", 1, 4): _shape("F", (1, 2, 3, 4)),
+    ("G", 1, 2): _shape("G", (1, 2)),
+}
+
 
 def chain_components(t: SimpleType, removed: Iterable[int]) -> list[ComponentShape]:
-    """The components of the classical factor t minus the nodes ``removed``,
-    in closed form, exactly as the graph classifier reports them.
+    """The components of the factor t minus the nodes ``removed``, in
+    closed form, ordered by smallest node.
 
-    The surviving nodes split into runs of the Bourbaki chain 1..n; in
-    D_n the chain stops at n-1, and node n hangs off n-2 beside it.
-    Each run is an A chain in ascending order, except the last run when it
-    holds the special end (n in B_n and C_n, n-2 in D_n): B_m or C_m for
-    m >= 3; C2 with the short node first for a two-node double-bond run;
-    D_m, nodes ascending, for m >= 4; and the D3 run as A3 embedded
-    (n-1, n-2, n).  Components are ordered by smallest node.
+    A Bourbaki diagram is a spine with at most one pendant node and one
+    multiple bond: the spine is 1..n, but 1..n-1 in D_n, whose pendant n
+    hangs off n-2, and 1, 3, 4, ..., n in E_n, whose pendant 2 hangs off
+    4; the bond is (n-1, n) in B_n and C_n, (2, 3) in F4, (1, 2) in G2.
+    The surviving spine nodes split into runs.  The run through the
+    anchor of a surviving pendant is, pendant included, an A chain from
+    its smaller end if the anchor ends it, and else a fork read as D or E.
+    The run holding the bond is B_m or C_m for m >= 3 and C2, short node
+    first, for m = 2, or a ``_BOND_RUNS`` entry in F4 and G2.  Every other
+    run is an A chain, ascending, and a pendant without its anchor is A1.
     """
-    n = t.rank
-    if t.letter not in "ABCD":
-        raise ValueError(f"{t} is not a classical type")
+    letter, n = t
     gone = set(removed)
     if any(not 1 <= v <= n for v in gone):
         raise ValueError(f"removed nodes must lie in 1..{n}")
-    end = n - 1 if t.letter == "D" else n
-    cuts = [0, *sorted(v for v in gone if v <= end), end + 1]
-    runs = [tuple(range(a + 1, b)) for a, b in zip(cuts, cuts[1:]) if b - a > 1]
-    shapes = [ComponentShape(SimpleType("A", len(run)), run) for run in runs]
-    if t.letter == "A" or n in gone:
-        return shapes
-    if t.letter == "D" and n - 2 in gone:
-        return shapes + [ComponentShape(SimpleType("A", 1), (n,))]
-    run = runs[-1]
-    m = len(run)
-    if t.letter == "D":
-        if run[-1] == n - 2:  # n-1 is gone, so n continues the chain
-            shapes[-1] = ComponentShape(SimpleType("A", m + 1), run + (n,))
-        elif m == 2:  # D3 is A3 with ends n-1 and n
-            shapes[-1] = ComponentShape(SimpleType("A", 3), (n - 1, n - 2, n))
+    spine, pendant, anchor = range(1, n + 1), None, None
+    if letter == "D":
+        spine, pendant, anchor = range(1, n), n, n - 2
+    elif letter == "E":
+        spine, pendant, anchor = (1, *range(3, n + 1)), 2, 4
+    hangs = pendant is not None and pendant not in gone
+    cuts = [-1, *sorted(spine.index(v) for v in gone if v != pendant), len(spine)]
+    shapes = []
+    for a, b in zip(cuts, cuts[1:]):
+        run = tuple(spine[a + 1 : b])
+        if not run:
+            continue
+        if hangs and anchor in run:
+            shapes.append(_pendant_run(run, anchor, pendant))
+        elif (letter, run[0], run[-1]) in _BOND_RUNS:
+            shapes.append(_BOND_RUNS[letter, run[0], run[-1]])
+        elif letter in "BC" and run[-1] == n and len(run) >= 3:
+            shapes.append(_shape(letter, run))
+        elif letter in "BC" and run[-1] == n and len(run) == 2:
+            # C2 with the short node first: n in B_n, n-1 in C_n
+            shapes.append(_shape("C", run[::-1] if letter == "B" else run))
         else:
-            shapes[-1] = ComponentShape(SimpleType("D", m + 1), run + (n,))
-    elif m == 2:  # C2 with the short node first: n in B_n, n-1 in C_n
-        short_first = run[::-1] if t.letter == "B" else run
-        shapes[-1] = ComponentShape(SimpleType("C", 2), short_first)
-    elif m >= 3:
-        shapes[-1] = ComponentShape(SimpleType(t.letter, m), run)
-    return shapes
+            shapes.append(_shape("A", run))
+    if hangs and anchor in gone:
+        shapes.append(_shape("A", (pendant,)))
+    return sorted(shapes, key=lambda s: min(s.embedding))
+
+
+def _pendant_run(run: tuple[int, ...], anchor: int, pendant: int) -> ComponentShape:
+    # the spine run through the anchor, with the pendant hanging off it
+    i = run.index(anchor)
+    if i in (0, len(run) - 1):  # an A chain, read from its smaller end
+        path = (pendant, *run) if i == 0 else (*run, pendant)
+        return _shape("A", min(path, path[::-1]))
+    # a fork: its arms walked away from the anchor, by (length, last node)
+    short, mid, long_ = sorted(
+        ((pendant,), run[i - 1 :: -1], run[i + 1 :]), key=lambda arm: (len(arm), arm[-1])
+    )
+    if len(mid) == 2:  # arms (1, 2, 2..4); for E6 the sort fixes mid vs long
+        return _shape("E", (mid[1], short[0], mid[0], anchor, *long_))
+    if len(long_) == 1:  # D4: the leaves ascending around the centre
+        return _shape("D", (short[0], anchor, mid[0], long_[0]))
+    return _shape("D", (*long_[::-1], anchor, short[0], mid[0]))

@@ -21,9 +21,7 @@ product of its components' systems.  Unmarked components contribute a
 point and drop out of all fiber analysis.  The Levi components come
 from one ``classify_components`` call with every mark removed at once,
 for full and residual diagrams alike, so no Levi diagram is cut.  It
-reads a product factor by factor: each A, B, C or D factor off its
-Bourbaki chain in closed form, and only E, F and G factors through the
-graph classifier.
+reads a product factor by factor, each factor in closed form.
 """
 
 from __future__ import annotations

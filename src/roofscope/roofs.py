@@ -24,8 +24,8 @@ read once into its charts, and i < j is a roof exactly when the
 residue without i is P^{r-1} at j and the residue without j is P^{r-1}
 at i.  An A, B, C or D residue is a few runs of the Bourbaki chain, so
 its charts, at most four, are O(1) arithmetic on (letter, n, k) and no
-diagram, type or component is built; an E, F or G residue is cut with
-``remove_node`` and classified as a graph.  Enumeration up to rank N is
+diagram, type or component is built; an E, F or G residue is read by
+``chain_components`` and no diagram is cut.  Enumeration up to rank N is
 thus O(N^2).  A fiber filter drops the charts of every other r before
 the join.  A two-factor product with one mark per factor is a roof exactly
 when both single-marked factors are P^{r-1} for the same r, so it is
@@ -48,8 +48,9 @@ import enum
 import itertools
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .dynkin import MarkedDiagram, diagram_of, parse, remove_node, serialize
+from .dynkin import MarkedDiagram, chain_components, diagram_of, parse, serialize
 from .homog import (
+    component_charts,
     fibration_fiber,
     gp_invariants,
     is_projective_space,
@@ -353,15 +354,15 @@ def _dedup_key(md: MarkedDiagram) -> str:
 def _residue_charts(t: SimpleType, k: int) -> dict[int, int]:
     """The projective-space charts {node: r} of the residue "t minus node k".
 
-    For A, B, C and D these are the charts (``homog.component_charts``)
-    of the runs that ``dynkin.chain_components`` names, read off
-    (letter, n, k): the run 1..k-1 is an A_(k-1) chain, P^(k-1) at both
-    ends, and the run beyond k is an A chain in A_n and holds the special
-    end otherwise.  An E, F or G residue is cut and classified.
+    These are the charts (``homog.component_charts``) of the components
+    that ``dynkin.chain_components`` names.  For A, B, C and D they are
+    read off (letter, n, k): the run 1..k-1 is an A_(k-1) chain, P^(k-1)
+    at both ends, and the run beyond k is an A chain in A_n and holds the
+    special end otherwise.
     """
     letter, n = t
     if letter not in "ABCD":
-        return projective_space_charts(remove_node(diagram_of((t,)), k))
+        return component_charts(chain_components(t, (k,)))
     if letter == "D" and k == n - 1:  # n continues the chain 1..n-2: A_(n-1)
         return {1: n, n: n}
     charts = {1: k, k - 1: k} if k > 1 else {}

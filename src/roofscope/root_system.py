@@ -75,7 +75,7 @@ class SimpleType(_SimpleTypeFields):
     def __new__(cls, letter: str, rank: int) -> SimpleType:
         if letter not in _LETTERS:
             raise ValueError(f"unknown type letter {letter!r}")
-        if not isinstance(rank, int) or rank < 1:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         problem = _noncanonical(letter, rank)
         if problem is not None:

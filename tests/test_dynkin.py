@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import ALL_SIMPLE, cartan
+from oracles import ALL_SIMPLE, _classify_graph, cartan
 from roofscope import (
     MarkedDiagram,
     ParseError,
@@ -15,7 +15,7 @@ from roofscope import (
     remove_node,
     serialize,
 )
-from roofscope.dynkin import _classify_graph, chain_components
+from roofscope.dynkin import chain_components
 from roofscope.root_system import _bonds, simple_types
 
 
@@ -274,10 +274,6 @@ def test_every_induced_subdiagram_classifies():
                 assert covered == list(d.nodes)
 
 
-def _classical_types(max_rank):
-    return [t for t in simple_types(max_rank) if t.letter in "ABCD"]
-
-
 def _assert_closed_form_matches_the_graph_classifier(t, removed):
     d = diagram_of((t,))
     for j in removed:
@@ -292,18 +288,19 @@ def test_chain_components_match_the_graph_classifier_on_one_and_two_node_residue
     from itertools import combinations
 
     checked = 0
-    for t in _classical_types(24):
+    for t in simple_types(24):
         for k in (1, 2):
             for removed in combinations(range(1, t.rank + 1), k):
                 _assert_closed_form_matches_the_graph_classifier(t, removed)
                 checked += 1
-    assert checked == 10_385  # three of them (A1, A2, C2 emptied) have no component
+    # E6-E8, F4 and G2 add 21 + 28 + 36 + 10 + 3 to the 10 385 classical cases
+    assert checked == 10_483  # four of them (A1, A2, C2, G2 emptied) have no component
 
 
 def test_chain_components_match_the_graph_classifier_on_every_node_subset():
     from itertools import combinations
 
-    for t in _classical_types(10):
+    for t in simple_types(10):
         for k in range(t.rank + 1):
             for removed in combinations(range(1, t.rank + 1), k):
                 _assert_closed_form_matches_the_graph_classifier(t, removed)
@@ -322,11 +319,14 @@ def test_chain_components_special_runs():
     assert shapes("D7", (4,)) == [("A3", (1, 2, 3)), ("A3", (6, 5, 7))]
     assert shapes("D7", (6,)) == [("A6", (1, 2, 3, 4, 5, 7))]
     assert shapes("D7", (5,)) == [("A4", (1, 2, 3, 4)), ("A1", (6,)), ("A1", (7,))]
+    assert shapes("E6", (1,)) == [("D5", (6, 5, 4, 2, 3))]
+    assert shapes("E8", (8,)) == [("E7", (1, 2, 3, 4, 5, 6, 7))]
+    assert shapes("E8", (3,)) == [("A1", (1,)), ("A6", (2, 4, 5, 6, 7, 8))]
+    assert shapes("E6", (4,)) == [("A2", (1, 3)), ("A1", (2,)), ("A2", (5, 6))]
+    assert shapes("F4", (2,)) == [("A1", (1,)), ("A2", (3, 4))]
 
 
 def test_chain_components_reject_other_types_and_foreign_nodes():
-    with pytest.raises(ValueError, match="classical"):
-        chain_components(SimpleType("E", 6), (1,))
     with pytest.raises(ValueError, match="1..4"):
         chain_components(SimpleType("D", 4), (5,))
     with pytest.raises(ValueError, match="1..4"):

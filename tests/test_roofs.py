@@ -235,18 +235,20 @@ def test_residue_join_matches_is_roof_on_every_single_factor():
 
 
 def test_candidates_cut_no_classical_diagram(monkeypatch):
-    # A-D residues are read off the Bourbaki chain; only E, F, G are cut
+    # every residue, E, F and G included, is read off its type in closed form
     cut = []
 
     def counting_remove_node(d, j):
         cut.append(d.factors)
         return remove_node(d, j)
 
-    monkeypatch.setattr(roofscope.roofs, "remove_node", counting_remove_node)
+    assert not hasattr(roofscope.roofs, "remove_node")
+    for module in (roofscope.dynkin, roofscope.homog):
+        monkeypatch.setattr(module, "remove_node", counting_remove_node)
     hits = list(roofscope.roofs._candidates(48))
     assert ("D48:47,48", 48) in {(serialize(md), r) for md, r in hits}
-    assert cut, "E, F, G residues should still go through remove_node"
-    assert {t.letter for (t,) in cut} == set("EFG")
+    assert ("F4:2,3", 3) in {(serialize(md), r) for md, r in hits}
+    assert cut == []
 
 
 def test_residue_charts_match_the_chain_components_up_to_rank_96():
@@ -264,8 +266,9 @@ def test_residue_charts_match_the_chain_components_up_to_rank_96():
 
 def test_candidates_read_classical_residues_without_surgery(monkeypatch):
     # an A-D residue is arithmetic: no chain_components, no remove_node;
-    # chain_components runs only in each hit's index check (the full
-    # factor and its Levi factor)
+    # an E, F or G residue is one chain_components call with one node
+    # removed; each hit's index check reads the full factor and its Levi
+    # factor, the latter with both marks removed
     components, cut = [], []
 
     def counting_chain_components(t, removed):
@@ -278,16 +281,16 @@ def test_candidates_read_classical_residues_without_surgery(monkeypatch):
         return remove_node(d, j)
 
     monkeypatch.setattr(roofscope.dynkin, "chain_components", counting_chain_components)
-    monkeypatch.setattr(roofscope.roofs, "chain_components", counting_chain_components,
-                        raising=False)
-    for module in (roofscope.dynkin, roofscope.homog, roofscope.roofs):
+    monkeypatch.setattr(roofscope.roofs, "chain_components", counting_chain_components)
+    for module in (roofscope.dynkin, roofscope.homog):
         monkeypatch.setattr(module, "remove_node", counting_remove_node)
     hits = list(roofscope.roofs._candidates(64))
     assert ("D64:63,64", 64) in {(serialize(md), r) for md, r in hits}
-    assert cut and {t.letter for (t,) in cut} == set("EFG")
+    assert cut == []
     checks = {(md.diagram.factors[0], tuple(sorted(md.marks))) for md, _ in hits}
-    assert {(t, removed) for t, removed in components if removed} == {
-        check for check in checks if check[0].letter in "ABCD"
+    assert {(t, removed) for t, removed in components if len(removed) == 2} == checks
+    assert {(t, removed) for t, removed in components if len(removed) == 1} == {
+        (t, (k,)) for t in simple_types(64) if t.letter in "EFG" for k in range(1, t.rank + 1)
     }
 
 

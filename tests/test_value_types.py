@@ -30,6 +30,7 @@ from roofscope import (
 
 
 A2 = SimpleType("A", 2)
+A3 = SimpleType("A", 3)
 
 
 def one_of_each():
@@ -124,11 +125,21 @@ BAD_CONSTRUCTIONS = [
     ),
     pytest.param(lambda: SimpleType("", 3), "unknown type letter ''", id="SimpleType-empty"),
     pytest.param(lambda: SimpleType("AB", 3), "unknown type letter 'AB'", id="SimpleType-AB"),
+    pytest.param(
+        lambda: SimpleType("A", True),
+        "rank must be a positive integer, got True",
+        id="SimpleType-bool",
+    ),
     pytest.param(lambda: Edge(1, 2, 2, 3), "arrow source must be an endpoint", id="Edge"),
     pytest.param(
         lambda: Diagram((A2,), (2, 1), frozenset()),
         "nodes must be sorted ascending",
         id="Diagram",
+    ),
+    pytest.param(
+        lambda: Diagram((A3,), (1, 1, 2), frozenset()),
+        "nodes must be sorted ascending, each at most once",
+        id="Diagram-duplicate",
     ),
     pytest.param(
         lambda: MarkedDiagram(diagram_of((A2,)), frozenset()),
