@@ -43,6 +43,14 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+def _make_checked(cls, iterable):
+    """``_make`` for the checked value types: NamedTuple's own builds the
+    tuple without calling ``__new__`` (and ``_replace`` goes through it), so
+    it would skip the validation.  It lives here, where every layer finds
+    it without loading another."""
+    return cls(*iterable)
+
+
 def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:

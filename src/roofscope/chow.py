@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .root_system import _make_checked
+from . import _make_checked
 
 Scalar = Union[int, Fraction]
 

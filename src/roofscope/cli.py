@@ -6,21 +6,28 @@ Every command takes --format {table,json,csv,latex}.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 no result.
 All rendering lives here; the libraries never print.
 
-Each command imports the layer it runs when it runs: ``gp`` the diagram
-and G/P layers, ``roofs``, ``verify-table`` and ``classify`` the roofs
-layer, and ``chow`` the bundle calculus alone.  Importing this module
-loads only ``argparse`` and ``render``.
+The grammar is one table, ``GRAMMAR``.  ``build_parser`` makes the
+argparse parser from it, and ``_read_argv`` reads a well-formed query
+off it without argparse; any other argv (``--help``, an abbreviated or
+repeated flag, a bad value, ...) goes to argparse, which alone writes
+help and usage errors.  Each command imports the layer it runs when it
+runs: ``gp`` the diagram and G/P layers, ``roofs``, ``verify-table`` and
+``classify`` the roofs layer, and ``chow`` the bundle calculus alone.
+Importing this module loads only ``render``, and a well-formed query
+loads ``render`` and its layer; ``argparse`` loads for help and refused
+input only.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import render
 
 if TYPE_CHECKING:  # annotations only
+    import argparse
     from fractions import Fraction
 
     from . import chow, roofs
@@ -29,102 +36,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NO_RESULT = 3
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=render.FORMATS,
-        default="table",
-        help="output format (default: table)",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="roofscope",
-        description="Marked Dynkin diagram combinatorics: homogeneous variety "
-        "invariants, roofs of projective-bundle pairs, and projective-bundle "
-        "divisor arithmetic.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gp", help="invariants of the variety of a marked diagram")
-    p.add_argument("diagram", help="diagram string, e.g. F4:2,3 or A2*A2:1,4")
-    _add_format(p)
-    p.set_defaults(run=cmd_gp)
-
-    p = sub.add_parser("roofs", help="enumerate roofs up to a total rank")
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--fiber", type=int, default=None, help="keep only fiber parameter r")
-    _add_format(p)
-    p.set_defaults(run=cmd_roofs)
-
-    p = sub.add_parser("verify-table", help="recompute the family table and compare")
-    p.add_argument("--r-max", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(run=cmd_verify_table)
-
-    p = sub.add_parser("classify", help="classify simple K-equivalent maps")
-    p.add_argument("--dim-x", type=int, default=None, help="ambient dimension")
-    p.add_argument("--codim", type=int, default=None, help="codimension r of the centers")
-    p.add_argument("--fiber-gap", type=int, default=None, help="dim Y - dim M")
-    p.add_argument("--symplectic", action="store_true")
-    _add_format(p)
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("chow", help="projective-bundle divisor arithmetic")
-    chow_sub = p.add_subparsers(dest="chow_command", required=True)
-
-    def add_ring_flags(q: argparse.ArgumentParser) -> None:
-        q.add_argument("--base", default=None, help="base preset, e.g. P2 or Q5")
-        q.add_argument("--base-dim", type=int, default=None)
-        q.add_argument("--base-degree", type=int, default=None)
-        q.add_argument("--base-index", type=int, default=None)
-        q.add_argument("--rank", type=int, required=True)
-        q.add_argument(
-            "--cherns",
-            required=True,
-            help="comma-separated H-multiples of c_1..c_r, e.g. 3,3 or 2,2,1; "
-            "a list that starts with '-' needs '=', as in --cherns=-1,1",
-        )
-
-    element_help = (
-        "a polynomial in xi and H, e.g. (2*xi)^3; an element that starts "
-        "with '-' needs '=', as in --element=-xi+H"
-    )
-    q = chow_sub.add_parser("reduce", help="normal form of an element")
-    add_ring_flags(q)
-    q.add_argument("--element", required=True, help=element_help)
-    _add_format(q)
-    q.set_defaults(run=cmd_chow_reduce)
-
-    q = chow_sub.add_parser("degree", help="degree pairing of a top-degree element")
-    add_ring_flags(q)
-    q.add_argument("--element", required=True, help=element_help)
-    _add_format(q)
-    q.set_defaults(run=cmd_chow_degree)
-
-    q = chow_sub.add_parser("canonical", help="the anticanonical class of P(E)")
-    add_ring_flags(q)
-    _add_format(q)
-    q.set_defaults(run=cmd_chow_canonical)
-
-    q = chow_sub.add_parser("mukai-check", help="check c1(V) = c1(E)")
-    q.add_argument("--index", type=int, required=True, help="Fano index of V")
-    q.add_argument("--c1", required=True, help="H-multiple of c1(E)")
-    q.add_argument("--rank", type=int, required=True)
-    q.add_argument("--dim", type=int, required=True)
-    _add_format(q)
-    q.set_defaults(run=cmd_chow_mukai_check)
-
-    q = chow_sub.add_parser("discrepancy", help="blow-up discrepancy arithmetic")
-    q.add_argument("--codim", type=int, required=True)
-    q.add_argument("--codim2", type=int, default=None, help="second codimension to compare")
-    _add_format(q)
-    q.set_defaults(run=cmd_chow_discrepancy)
-
-    return top
 
 
 # --- chow element grammar ----------------------------------------------------
@@ -498,17 +409,238 @@ def cmd_chow_discrepancy(args) -> int:
     return _emit_verdict(args.format, verdict._asdict(), verdict.lines(), verdict.consistent)
 
 
+# --- the grammar ----------------------------------------------------------------
+
+
+class _Flag(NamedTuple):
+    """An option of one command: ``kind`` is int, str, or bool for a
+    store-true switch; the namespace attribute is argparse's dest."""
+
+    name: str
+    kind: type = str
+    required: bool = False
+    default: object = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+class _Command(NamedTuple):
+    help: str
+    run: Callable
+    positionals: tuple = ()  # (dest, help) pairs
+    flags: tuple = ()
+
+
+_FORMAT = _Flag(
+    "--format", choices=render.FORMATS, default="table", help="output format (default: table)"
+)
+_RING = (
+    _Flag("--base", help="base preset, e.g. P2 or Q5"),
+    _Flag("--base-dim", int),
+    _Flag("--base-degree", int),
+    _Flag("--base-index", int),
+    _Flag("--rank", int, required=True),
+    _Flag(
+        "--cherns",
+        required=True,
+        help="comma-separated H-multiples of c_1..c_r, e.g. 3,3 or 2,2,1; "
+        "a list that starts with '-' needs '=', as in --cherns=-1,1",
+    ),
+)
+_ELEMENT = _Flag(
+    "--element",
+    required=True,
+    help="a polynomial in xi and H, e.g. (2*xi)^3; an element that starts "
+    "with '-' needs '=', as in --element=-xi+H",
+)
+
+_DESCRIPTION = (
+    "Marked Dynkin diagram combinatorics: homogeneous variety invariants, roofs "
+    "of projective-bundle pairs, and projective-bundle divisor arithmetic."
+)
+# a command word that only groups subcommands -> its help
+_GROUPS = {"chow": "projective-bundle divisor arithmetic"}
+
+# command words -> grammar, in the order --help lists them
+GRAMMAR = {
+    ("gp",): _Command(
+        "invariants of the variety of a marked diagram",
+        cmd_gp,
+        (("diagram", "diagram string, e.g. F4:2,3 or A2*A2:1,4"),),
+        (_FORMAT,),
+    ),
+    ("roofs",): _Command(
+        "enumerate roofs up to a total rank",
+        cmd_roofs,
+        flags=(
+            _Flag("--max-rank", int, required=True),
+            _Flag("--fiber", int, help="keep only fiber parameter r"),
+            _FORMAT,
+        ),
+    ),
+    ("verify-table",): _Command(
+        "recompute the family table and compare",
+        cmd_verify_table,
+        flags=(_Flag("--r-max", int, required=True), _FORMAT),
+    ),
+    ("classify",): _Command(
+        "classify simple K-equivalent maps",
+        cmd_classify,
+        flags=(
+            _Flag("--dim-x", int, help="ambient dimension"),
+            _Flag("--codim", int, help="codimension r of the centers"),
+            _Flag("--fiber-gap", int, help="dim Y - dim M"),
+            _Flag("--symplectic", bool),
+            _FORMAT,
+        ),
+    ),
+    ("chow", "reduce"): _Command(
+        "normal form of an element", cmd_chow_reduce, flags=(*_RING, _ELEMENT, _FORMAT)
+    ),
+    ("chow", "degree"): _Command(
+        "degree pairing of a top-degree element",
+        cmd_chow_degree,
+        flags=(*_RING, _ELEMENT, _FORMAT),
+    ),
+    ("chow", "canonical"): _Command(
+        "the anticanonical class of P(E)", cmd_chow_canonical, flags=(*_RING, _FORMAT)
+    ),
+    ("chow", "mukai-check"): _Command(
+        "check c1(V) = c1(E)",
+        cmd_chow_mukai_check,
+        flags=(
+            _Flag("--index", int, required=True, help="Fano index of V"),
+            _Flag("--c1", required=True, help="H-multiple of c1(E)"),
+            _Flag("--rank", int, required=True),
+            _Flag("--dim", int, required=True),
+            _FORMAT,
+        ),
+    ),
+    ("chow", "discrepancy"): _Command(
+        "blow-up discrepancy arithmetic",
+        cmd_chow_discrepancy,
+        flags=(
+            _Flag("--codim", int, required=True),
+            _Flag("--codim2", int, help="second codimension to compare"),
+            _FORMAT,
+        ),
+    ),
+}
+
+
+def _dest(word: str) -> str:
+    return word.lstrip("-").replace("-", "_")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``GRAMMAR``, which writes the help and error
+    text."""
+    import argparse
+
+    top = argparse.ArgumentParser(prog="roofscope", description=_DESCRIPTION)
+    subparsers = {(): top.add_subparsers(dest="command", required=True)}
+    for words, command in GRAMMAR.items():
+        group = words[:-1]
+        if group not in subparsers:
+            p = subparsers[()].add_parser(group[0], help=_GROUPS[group[0]])
+            subparsers[group] = p.add_subparsers(
+                dest=_dest(group[0]) + "_command", required=True
+            )
+        p = subparsers[group].add_parser(words[-1], help=command.help)
+        for dest, text in command.positionals:
+            p.add_argument(dest, help=text)
+        for flag in command.flags:
+            if flag.kind is bool:
+                p.add_argument(flag.name, action="store_true", help=flag.help)
+            else:
+                p.add_argument(
+                    flag.name,
+                    type=int if flag.kind is int else None,
+                    required=flag.required,
+                    default=flag.default,
+                    choices=flag.choices,
+                    help=flag.help,
+                )
+        p.set_defaults(run=command.run)
+    return top
+
+
+def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from a well-formed query, read off
+    ``GRAMMAR``; None for anything else.
+
+    Only exact flag names are read, each at most once, as ``--flag value``
+    or ``--flag=value`` (split at the first '=').  A value or positional
+    that is empty or starts with '-' is left to argparse, as are a failing
+    ``int``, a choice outside the list, a value given to a switch, a
+    missing required flag and a wrong number of positionals."""
+    words = tuple(argv[:1])
+    if words not in GRAMMAR:
+        words = tuple(argv[:2])
+    command = GRAMMAR.get(words)
+    if command is None:
+        return None
+    values = {"command": words[0]}
+    if len(words) == 2:
+        values[_dest(words[0]) + "_command"] = words[1]
+    flags = {flag.name: flag for flag in command.flags}
+    given, positionals = {}, []
+    tokens = iter(argv[len(words) :])
+    for token in tokens:
+        if not token:
+            return None
+        if token[0] != "-":
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        flag = flags.get(name)
+        if flag is None or name in given:
+            return None
+        if flag.kind is bool:
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value[0] == "-":
+            return None
+        if flag.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        given[name] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    values.update(zip((dest for dest, _ in command.positionals), positionals))
+    for flag in command.flags:
+        if flag.name in given:
+            values[_dest(flag.name)] = given[flag.name]
+        elif flag.required:
+            return None
+        else:
+            values[_dest(flag.name)] = False if flag.kind is bool else flag.default
+    values["run"] = command.run
+    return SimpleNamespace(**values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # argparse stores an option value of exactly "--" (as in --element=--)
-    # as an empty list; no option of this parser takes a list
-    if [] in vars(args).values():
-        print("error: '--' is not a valid option value", file=sys.stderr)
-        return EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse stores an option value of exactly "--" (as in --element=--)
+        # as an empty list; no option of this parser takes a list
+        if [] in vars(args).values():
+            print("error: '--' is not a valid option value", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.run(args)
     except ValueError as exc:  # ParseError included

@@ -31,7 +31,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .root_system import SimpleType, _bonds, _make_checked
+from . import _make_checked
+from .root_system import SimpleType, _bonds
 
 
 class ParseError(ValueError):
@@ -384,8 +385,11 @@ def chain_components(t: SimpleType, removed: Iterable[int]) -> list[ComponentSha
         else:
             shapes.append(_shape("A", run))
     if hangs and anchor in gone:
-        shapes.append(_shape("A", (pendant,)))
-    return sorted(shapes, key=lambda s: min(s.embedding))
+        # the runs came in spine order, which is node order except for a
+        # lone pendant: n of D_n comes last, 2 of E_n after the run of 1
+        at = len(shapes) if letter == "D" else int(1 not in gone)
+        shapes.insert(at, _shape("A", (pendant,)))
+    return shapes
 
 
 def _pendant_run(run: tuple[int, ...], anchor: int, pendant: int) -> ComponentShape:

@@ -48,6 +48,7 @@ import enum
 import itertools
 from typing import Callable, Iterator, NamedTuple, Optional
 
+from . import _make_checked
 from .dynkin import MarkedDiagram, chain_components, diagram_of, parse, serialize
 from .homog import (
     component_charts,
@@ -56,7 +57,7 @@ from .homog import (
     is_projective_space,
     projective_space_charts,
 )
-from .root_system import SimpleType, _make_checked, simple_types
+from .root_system import SimpleType, simple_types
 
 
 class Family(enum.Enum):

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+from . import _make_checked
+
 _SERIES_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
 
 _CANONICAL_HINTS = {
@@ -52,13 +54,6 @@ _CANONICAL_HINTS = {
 
 
 _LETTERS = tuple("ABCDEFG")
-
-
-def _make_checked(cls, iterable):
-    """``_make`` for the checked value types: NamedTuple's own builds the
-    tuple without calling ``__new__`` (and ``_replace`` goes through it), so
-    it would skip the validation."""
-    return cls(*iterable)
 
 
 class _SimpleTypeFields(NamedTuple):

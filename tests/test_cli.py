@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import io
 import json
 import os
 import pkgutil
+import runpy
 import subprocess
 import sys
 import time
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roofscope import roofs
-from roofscope.cli import main, parse_element
+from roofscope.cli import GRAMMAR, _read_argv, build_parser, main, parse_element
 from roofscope.dynkin import parse
 from roofscope.chow import H, XI, BundleChowRing, ChowElement, projective_space
 
@@ -516,6 +518,184 @@ def test_chow_input_grammar_fuzz(argv):
         json.loads(out)
 
 
+# --- the argv reader -----------------------------------------------------------------
+
+# one well-formed query per command, both flag forms, and the switch
+WELL_FORMED = [
+    ["gp", "F4:2,3"],
+    ["gp", "--format=json", "A2*A2:1,4"],
+    ["roofs", "--max-rank", "8"],
+    ["roofs", "--format", "csv", "--fiber=3", "--max-rank=10"],
+    ["verify-table", "--r-max", "20"],
+    ["classify"],
+    ["classify", "--symplectic", "--dim-x", "8", "--codim=2", "--fiber-gap", "1"],
+    ["chow", "reduce", "--base", "P2", "--rank", "2", "--cherns", "3,3", "--element", "xi^2"],
+    ["chow", "degree", "--element=(2*xi)^3", "--cherns=2,2,1", "--rank=3", "--base-dim=5",
+     "--base-degree", "2", "--base-index", "5", "--format", "latex"],
+    ["chow", "canonical", "--base", "Q5", "--rank", "3", "--cherns", "2,2,1"],
+    ["chow", "mukai-check", "--index", "5", "--c1", "2", "--rank", "3", "--dim", "5"],
+    ["chow", "discrepancy", "--codim", "3", "--codim2", "4"],
+]
+
+
+def _bench_queries() -> list[list[str]]:
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    workloads = runpy.run_path(str(path), run_name="bench_run")["WORKLOADS"]
+    return [argv for queries in workloads.values() for argv in queries.values()]
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    return build_parser()
+
+
+def _parsed(argv) -> dict:
+    return vars(_parser().parse_args(argv))
+
+
+def test_the_reader_serves_every_well_formed_and_bench_query_as_argparse_does():
+    # a query that fell back to argparse would still answer, only slower
+    bench = _bench_queries()
+    assert bench
+    queries = WELL_FORMED + bench
+    assert {tuple(argv[:2]) if argv[0] == "chow" else (argv[0],) for argv in queries} == set(
+        GRAMMAR
+    )
+    for argv in queries:
+        args = _read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == _parsed(argv), argv
+
+
+_FLAGS = sorted({flag.name for command in GRAMMAR.values() for flag in command.flags})
+# values argparse reads in its own way: '-' alone is a value, '-1' a
+# negative number, '--' ends the options, '-1,1' looks like a flag, int()
+# takes ' 5', '+5' and '1_0' and refuses more than 4300 digits
+_ODD = ["", "-", "--", "-1", "-1,1", "-xi+H", " 5", "+5", "1_0", "1" + "0" * 5000,
+        "x", "=", "a=b", "yaml", "JSON"]
+_VALUES = st.one_of(
+    st.sampled_from(_ODD),
+    st.sampled_from([-1, 0, 1, 2]).map(str),
+    st.integers().map(str),
+    st.integers(0, 5000).map(lambda k: "1" + "0" * k),  # 10^k
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A well-formed query of one command of GRAMMAR, or one with a flaw
+    or two: a missing flag or positional, an odd value, a repeat, an
+    abbreviation, a help flag, '--', another command's flag, a stray
+    value, a flag without its value or a wrong command word.  The items
+    come in any order, each flag as '--f v' or '--f=v'."""
+    words = list(draw(st.sampled_from(sorted(GRAMMAR))))
+    command = GRAMMAR[tuple(words)]
+    items = [(None, draw(st.sampled_from(["F4:2,3", "A2*A2:1,4"]))) for _ in command.positionals]
+    for flag in command.flags:
+        if flag.required or draw(st.booleans()):
+            if flag.kind is bool:
+                value = None
+            elif flag.kind is int:
+                value = str(draw(st.integers(-3, 30)))
+            else:
+                value = draw(st.sampled_from(flag.choices or ["P2", "3,3", "2", "xi^2"]))
+            items.append((flag.name, value))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        flaw = draw(st.integers(0, 9))
+        at = draw(st.integers(0, max(len(items) - 1, 0)))
+        if flaw == 0 and items:  # a missing flag or positional
+            del items[at]
+        elif flaw in (1, 2) and items:  # an odd value
+            items[at] = (items[at][0], draw(_VALUES))
+        elif flaw == 3 and items and items[at][0]:  # a repeat
+            items.append((items[at][0], draw(_VALUES) if draw(st.booleans()) else items[at][1]))
+        elif flaw == 4 and command.flags:  # an abbreviation
+            name = draw(st.sampled_from(command.flags)).name
+            items.append((name[: draw(st.integers(3, len(name) - 1))], "2"))
+        elif flaw == 5:
+            items.append((draw(st.sampled_from(["-h", "--help", "--he", "--", "-"])), None))
+        elif flaw == 6:  # any command's flag
+            items.append((draw(st.sampled_from(_FLAGS)), draw(_VALUES)))
+        elif flaw == 7:  # a stray value
+            items.append((None, draw(_VALUES)))
+        elif flaw == 8:  # a flag without its value
+            items.append((draw(st.sampled_from(_FLAGS)), None))
+        else:  # a wrong command word
+            words = draw(st.sampled_from([[], ["chow"], ["nope"], ["chow", "nope"], ["gp", "gp"]]))
+    argv = list(words)
+    for name, value in draw(st.permutations(items)):
+        if name is None:
+            argv.append(value)
+        elif value is None:
+            argv.append(name)
+        elif draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]
+    return argv
+
+
+@settings(max_examples=1000)
+@given(_argv())
+def test_the_reader_agrees_with_argparse_or_leaves_the_query_to_it(argv):
+    args = _read_argv(argv)
+    if args is not None:
+        assert vars(args) == _parsed(argv)
+
+
+_RING_ARGV = ["chow", "canonical", "--base", "P2", "--rank", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["roofs", "--max", "8"],  # argparse reads it as --max-rank
+        ["roofs", "--max-rank", "8", "--max-rank", "9"],  # argparse keeps the last
+        ["classify", "--symplectic", "--symplectic"],
+        [*_RING_ARGV, "--cherns", ""],
+        [*_RING_ARGV, "--cherns=--"],
+        [*_RING_ARGV, "--cherns", "-1,1"],
+        [*_RING_ARGV, "--cherns=-1,1"],
+        ["classify", "--dim-x", "-5"],  # argparse reads it as a negative number
+        ["roofs", "--max-rank", "1" + "0" * 5000],
+        ["classify", "--symplectic=yes"],
+        [*_RING_ARGV],
+        ["gp"],
+        ["gp", "F4:2", "F4:3"],
+        ["gp", "--", "F4:2"],
+        ["gp", ""],
+        ["chow"],
+        ["chow", "--format", "json", "discrepancy", "--codim", "3"],
+    ],
+)
+def test_the_reader_leaves_help_and_doubtful_input_to_argparse(argv):
+    assert _read_argv(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["roofs", "--max-rank", "x"], "argument --max-rank: invalid int value: 'x'"),
+        (["gp", "F4:2", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
+    ],
+)
+def test_input_the_reader_refuses_gets_argparse_text(argv, text):
+    assert _read_argv(argv) is None
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: roofscope ") and text in err
+
+
+@pytest.mark.parametrize("words", [[]] + [list(words) for words in GRAMMAR] + [["chow"]])
+def test_help_comes_from_argparse(words):
+    assert _read_argv([*words, "-h"]) is None
+    code, out, err = run(*words, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: roofscope", *words]))
+
+
 # --- public API and production paths ------------------------------------------------
 
 PUBLIC_API = """
@@ -638,7 +818,9 @@ def test_roofs_max_rank_96_csv_is_pinned():
 
 
 # what each command may not load: the chow layer (and fractions, which
-# imports decimal) stays out of the roof queries, and so on
+# imports decimal) stays out of the roof queries, and so on; no well-formed
+# query builds the argparse parser (nor loads gettext and locale with it)
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 LAYERS_LEFT_OUT = [
     (["roofs", "--max-rank", "8"], "roofscope.roofs",
      {"roofscope.chow", "fractions", "decimal"}),
@@ -650,7 +832,7 @@ LAYERS_LEFT_OUT = [
      {"roofscope.roofs", "roofscope.chow"}),
     (["chow", "degree", "--base", "P2", "--rank", "2", "--cherns", "3,3",
       "--element", "(2*xi)^3"], "roofscope.chow",
-     {"roofscope.roofs", "roofscope.dynkin", "roofscope.homog"}),
+     {"roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "roofscope.root_system"}),
 ]
 
 
@@ -674,7 +856,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     bare = loaded("")
     added = loaded("import roofscope.cli; ") - bare
     assert "roofscope.cli" in added
-    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    assert not added & (NEVER_LOADED | {"fractions", "decimal"})
     assert {m for m in added if m.startswith("roofscope")} == {
         "roofscope", "roofscope.cli", "roofscope.render",
     }
@@ -685,7 +867,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
             f"code = main({argv!r}); sys.stdout = out; assert code == 0; "
         ) - bare
         assert layer in added, argv
-        assert not added & (left_out | {"dataclasses", "inspect"}), (argv, added & left_out)
+        assert not added & (left_out | NEVER_LOADED), (argv, added & (left_out | NEVER_LOADED))
 
 
 # --- determinism ---------------------------------------------------------------------
