@@ -17,18 +17,15 @@ _EXPORTS = {
     for module, names in {
         "root_system": "SimpleType positive_root_count",
         "dynkin": """
-            ComponentShape Diagram Edge MarkedDiagram ParseError
-            classify_components diagram_of parse remove_node serialize
+            ComponentShape Diagram MarkedDiagram ParseError classify_components
+            diagram_of parse serialize
         """,
-        "homog": """
-            VarietyInvariants fibration_fiber gp_invariants is_projective_space
-            projective_space_charts
-        """,
+        "homog": "VarietyInvariants gp_invariants",
         "roofs": """
             ClassEntry ClassificationQuery ClassificationResult Family
             G2_DAGGER_RECORD NON_HOMOGENEOUS RoofRecord TableReport TableRow
-            classify_simple_kequiv enumerate_roofs family_diagram is_roof
-            name_family verify_paper_table
+            classify_simple_kequiv enumerate_roofs family_diagram name_family
+            verify_paper_table
         """,
         "chow": """
             BundleChowRing ChowElement CodimVerdict CyclicBase H MukaiVerdict

@@ -444,14 +444,14 @@ _RING = (
         "--cherns",
         required=True,
         help="comma-separated H-multiples of c_1..c_r, e.g. 3,3 or 2,2,1; "
-        "a list that starts with '-' needs '=', as in --cherns=-1,1",
+        "a list that would read as an option needs '=', as in --cherns=-1,1",
     ),
 )
 _ELEMENT = _Flag(
     "--element",
     required=True,
-    help="a polynomial in xi and H, e.g. (2*xi)^3; an element that starts "
-    "with '-' needs '=', as in --element=-xi+H",
+    help="a polynomial in xi and H, e.g. (2*xi)^3; an element that would "
+    "read as an option needs '=', as in --element=-xi+H",
 )
 
 _DESCRIPTION = (
@@ -570,10 +570,12 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     ``GRAMMAR``; None for anything else.
 
     Only exact flag names are read, each at most once, as ``--flag value``
-    or ``--flag=value`` (split at the first '=').  A value or positional
-    that is empty or starts with '-' is left to argparse, as are a failing
-    ``int``, a choice outside the list, a value given to a switch, a
-    missing required flag and a wrong number of positionals."""
+    or ``--flag=value`` (split at the first '=').  argparse takes an
+    '='-joined value as given unless it is exactly '--', and so does the
+    reader.  A spaced value or a positional that is empty or starts with
+    '-' is left to argparse, as are '--', a failing ``int``, a choice
+    outside the list, a value given to a switch, a missing required flag
+    and a wrong number of positionals."""
     words = tuple(argv[:1])
     if words not in GRAMMAR:
         words = tuple(argv[:2])
@@ -603,7 +605,9 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             continue
         if not eq:
             value = next(tokens, "")
-        if not value or value[0] == "-":
+            if not value or value[0] == "-":
+                return None
+        elif value == "--":
             return None
         if flag.kind is int:
             try:

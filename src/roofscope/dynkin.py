@@ -1,4 +1,4 @@
-"""Marked Dynkin diagrams: text grammar, node surgery, classification.
+"""Marked Dynkin diagrams: text grammar, bonds, component classification.
 
 Grammar (whitespace forbidden)::
 
@@ -20,19 +20,26 @@ Arrows on multiple bonds point from the long root to the short root
 (B_n: n-1 -> n, C_n: n -> n-1, F4: 2 -> 3, G2: 1 -> 2); see
 :mod:`roofscope.root_system` for the numbering.
 
-Components are read factor by factor, with any set of nodes removed at
-once (``classify_components``).  Each factor, of any of the seven
-letters, is read in closed form off its Bourbaki spine, pendant node and
-multiple bond (``chain_components``); no graph is searched.
+A ``Diagram`` is its factors plus its removed nodes; no edge or node
+list is stored, so a diagram of any rank costs only what its text costs
+to parse.  A factor's bonds are read off its Bourbaki spine, pendant
+node and multiple bond: ``neighbours`` gives a node's at most three
+neighbours with their Cartan entries.  Components are read factor by
+factor, with any set of nodes removed at once (``classify_components``).
+Each factor, of any of the seven letters, is read in closed form
+(``chain_components``), and ``component_at`` reads the one component
+that holds a given node, with its Bourbaki position there, in
+O(log #removed) for A, B, C and D; no graph is searched.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _make_checked
-from .root_system import SimpleType, _bonds
+from .root_system import SimpleType
 
 
 class ParseError(ValueError):
@@ -43,77 +50,35 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _EdgeFields(NamedTuple):
-    a: int
-    b: int
-    mult: int
-    source: int | None
-
-
-class Edge(_EdgeFields):
-    """An edge between global nodes a < b.
-
-    ``source`` is the long-root end for bond multiplicity >= 2 and None
-    for simple bonds.
-    """
-
-    __slots__ = ()
-    _make = classmethod(_make_checked)
-
-    def __new__(cls, a: int, b: int, mult: int, source: int | None) -> Edge:
-        if a >= b:
-            raise ValueError("edge endpoints must satisfy a < b")
-        if mult not in (1, 2, 3):
-            raise ValueError("bond multiplicity is 1, 2 or 3")
-        if mult == 1 and source is not None:
-            raise ValueError("simple bonds carry no arrow")
-        if mult > 1 and source not in (a, b):
-            raise ValueError("arrow source must be an endpoint")
-        return tuple.__new__(cls, (a, b, mult, source))
-
-    @property
-    def target(self) -> int | None:
-        if self.source is None:
-            return None
-        return self.b if self.source == self.a else self.a
-
-
 class _DiagramFields(NamedTuple):
     factors: tuple[SimpleType, ...]
-    nodes: tuple[int, ...]
-    edges: frozenset[Edge]
+    removed: tuple[int, ...] = ()
 
 
 class Diagram(_DiagramFields):
-    """A Dynkin graph on (a subset of) the global nodes of 1 or 2 factors.
+    """A Dynkin graph: 1 or 2 factors minus the global nodes ``removed``.
 
-    ``factors`` always records the full ambient diagram; ``nodes`` lists
-    the surviving global indices, so a freshly built diagram has nodes
-    1..N while node removal keeps the original numbering.
+    ``factors`` always records the full ambient diagram and ``removed``
+    the deleted global indices, ascending, so a freshly built diagram
+    removes nothing and node removal keeps the original numbering.  The
+    bonds are those of the factors' Bourbaki diagrams among the surviving
+    nodes (``neighbours``); no edge or node list is stored.
     """
 
     __slots__ = ()
     _make = classmethod(_make_checked)
 
-    def __new__(
-        cls,
-        factors: tuple[SimpleType, ...],
-        nodes: tuple[int, ...],
-        edges: frozenset[Edge],
-    ) -> Diagram:
+    def __new__(cls, factors: tuple[SimpleType, ...], removed: tuple[int, ...] = ()) -> Diagram:
         if not 1 <= len(factors) <= 2:
             raise ValueError("a diagram has 1 or 2 factors")
+        removed = tuple(removed)
+        if any(a >= b for a, b in zip(removed, removed[1:])):
+            raise ValueError("removed nodes must be sorted ascending, each at most once")
         total = sum(f.rank for f in factors)
-        if tuple(sorted(set(nodes))) != nodes:
-            raise ValueError("nodes must be sorted ascending, each at most once")
-        for v in nodes:
+        for v in removed[:1] + removed[-1:]:
             if not 1 <= v <= total:
                 raise ValueError(f"node {v} out of range 1..{total}")
-        alive = set(nodes)
-        for e in edges:
-            if e.a not in alive or e.b not in alive:
-                raise ValueError("edge endpoints must be surviving nodes")
-        return tuple.__new__(cls, (factors, nodes, edges))
+        return tuple.__new__(cls, (factors, removed))
 
     @property
     def total_rank(self) -> int:
@@ -121,7 +86,18 @@ class Diagram(_DiagramFields):
 
     @property
     def is_full(self) -> bool:
-        return len(self.nodes) == self.total_rank
+        return not self.removed
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The surviving global nodes, ascending; O(total rank)."""
+        gone = set(self.removed)
+        return tuple(v for v in range(1, self.total_rank + 1) if v not in gone)
+
+    def has_node(self, v: int) -> bool:
+        """Whether the global node v survives, in O(log #removed)."""
+        i = bisect_left(self.removed, v)
+        return 1 <= v <= self.total_rank and (i == len(self.removed) or self.removed[i] != v)
 
     def __str__(self) -> str:
         body = "*".join(str(f) for f in self.factors)
@@ -142,9 +118,8 @@ class MarkedDiagram(_MarkedDiagramFields):
     def __new__(cls, diagram: Diagram, marks: frozenset[int]) -> MarkedDiagram:
         if not marks:
             raise ValueError("at least one mark is required")
-        alive = set(diagram.nodes)
         for m in marks:
-            if m not in alive:
+            if not diagram.has_node(m):
                 raise ValueError(f"mark {m} is not a node of the diagram")
         return tuple.__new__(cls, (diagram, marks))
 
@@ -156,22 +131,8 @@ class MarkedDiagram(_MarkedDiagramFields):
 
 @lru_cache(maxsize=None)
 def diagram_of(factors: tuple[SimpleType, ...]) -> Diagram:
-    """The full diagram of one or two factors, edges read off the Bourbaki bonds."""
-    edges = []
-    offset = 0
-    for f in factors:
-        for i, j, ij, ji in _bonds(f):
-            source = None
-            if ij * ji > 1:
-                # the long root's row holds the -1
-                source = offset + (i if ij == -1 else j) + 1
-            edges.append(Edge(offset + i + 1, offset + j + 1, ij * ji, source))
-        offset += f.rank
-    return Diagram(
-        factors=factors,
-        nodes=tuple(range(1, offset + 1)),
-        edges=frozenset(edges),
-    )
+    """The full diagram of one or two factors."""
+    return Diagram(factors)
 
 
 # --- grammar ---------------------------------------------------------------
@@ -271,19 +232,6 @@ def serialize(md: MarkedDiagram) -> str:
     return body + ":" + ",".join(str(m) for m in sorted(md.marks))
 
 
-# --- surgery ---------------------------------------------------------------
-
-def remove_node(d: Diagram, j: int) -> Diagram:
-    """Delete node j and its incident edges; surviving indices are preserved."""
-    if j not in d.nodes:
-        raise ValueError(f"node {j} is not in the diagram")
-    return Diagram(
-        factors=d.factors,
-        nodes=tuple(v for v in d.nodes if v != j),
-        edges=frozenset(e for e in d.edges if j not in (e.a, e.b)),
-    )
-
-
 # --- component classification ----------------------------------------------
 
 class ComponentShape(NamedTuple):
@@ -306,19 +254,18 @@ def classify_components(d: Diagram, removed: Iterable[int] = ()) -> list[Compone
 
     Rank-2 double-bond residuals come back as C2 and rank-1 residuals as
     A1, regardless of the factor they were cut from.  Each factor is read
-    on its own by ``chain_components`` from the nodes it lacks, so its
-    edges must be the ones ``diagram_of`` and ``remove_node`` leave.
+    on its own by ``chain_components`` from the nodes it lacks.  This
+    builds every component's embedding, so it costs O(total rank).
     """
-    alive = set(d.nodes)
     gone = set(removed)
-    if not gone <= alive:
+    if not all(d.has_node(v) for v in gone):
         raise ValueError(f"removed nodes must be nodes of {d}")
-    alive -= gone
+    gone.update(d.removed)
     shapes: list[ComponentShape] = []
     offset = 0
     for t in d.factors:
-        span = range(offset + 1, offset + t.rank + 1)
-        for s in chain_components(t, [v - offset for v in span if v not in alive]):
+        local = [v - offset for v in gone if offset < v <= offset + t.rank]
+        for s in chain_components(t, local):
             if offset:
                 s = ComponentShape(s.type, tuple(v + offset for v in s.embedding))
             shapes.append(s)
@@ -327,6 +274,103 @@ def classify_components(d: Diagram, removed: Iterable[int] = ()) -> list[Compone
 
 
 # --- closed form for one factor ----------------------------------------------
+
+def _layout(t: SimpleType) -> tuple[Sequence[int], int | None, int | None]:
+    """The Bourbaki spine of t, its pendant node and the pendant's anchor:
+    the spine is 1..n, but 1..n-1 in D_n, whose pendant n hangs off n-2,
+    and 1, 3, 4, ..., n in E_n, whose pendant 2 hangs off 4."""
+    letter, n = t
+    if letter == "D":
+        return range(1, n), n, n - 2
+    if letter == "E":
+        return (1, *range(3, n + 1)), 2, 4
+    return range(1, n + 1), None, None
+
+
+def _bond(t: SimpleType) -> tuple[int, int, int] | None:
+    """(short end, long end, multiplicity) of the multiple bond of t, if any."""
+    letter, n = t
+    if letter == "B":
+        return n, n - 1, 2
+    if letter == "C":
+        return n - 1, n, 2
+    if letter == "F":
+        return 3, 2, 2
+    if letter == "G":
+        return 2, 1, 3
+    return None
+
+
+def neighbours(t: SimpleType, v: int) -> list[tuple[int, int]]:
+    """The neighbours j of node v in the factor t, at most three, each with
+    -<alpha_j, alpha_v^vee>: the bond's multiplicity when v is its short
+    end, else 1."""
+    spine, pendant, anchor = _layout(t)
+    if v == pendant:
+        near = [anchor]
+    else:
+        i = spine.index(v)
+        near = [spine[k] for k in (i - 1, i + 1) if 0 <= k < len(spine)]
+        if v == anchor:
+            near.append(pendant)
+    bond = _bond(t)
+    return [(j, bond[2] if bond is not None and (v, j) == bond[:2] else 1) for j in near]
+
+
+def component_at(t: SimpleType, gone: Sequence[int], v: int) -> tuple[SimpleType, int, int]:
+    """The component of the factor t minus the ascending nodes ``gone``
+    that holds the surviving node v: its type, the Bourbaki position of v
+    in it, and its smallest node.
+
+    It agrees with ``chain_components``.  For A, B, C and D it is
+    arithmetic on the run of the spine that holds v, found by a bisect in
+    ``gone``, so it costs O(log #gone).  An E, F or G factor has rank at
+    most 8, and each of its residues is read by ``chain_components`` once.
+    """
+    letter, n = t
+    if letter in "EFG":
+        place = _exceptional_places(t, tuple(gone)).get(v)
+        if place is None:
+            raise ValueError(f"node {v} is not a node of {t} minus {list(gone)}")
+        return place
+    end = n - 1 if letter == "D" else n  # the last spine node
+    hi = bisect_right(gone, end)  # gone[:hi] lie on the spine
+    at = n - 2 if v > end else v  # the pendant n of D_n joins the run of n-2
+    i = bisect_left(gone, at, 0, hi)
+    if i < hi and gone[i] == at:
+        if at != v:  # the pendant without its anchor
+            return SimpleType("A", 1), 1, n
+        raise ValueError(f"node {v} is not a node of {t} minus {list(gone)}")
+    a = gone[i - 1] if i else 0  # the run is a+1..b-1
+    b = gone[i] if i < hi else end + 1
+    size = b - a - 1
+    if letter == "D" and hi == len(gone) and a < n - 2 < b:  # the pendant hangs on
+        if a == n - 3:  # the anchor starts the run: A2 (n-2, n) or A3 (n-1, n-2, n)
+            order = (n - 2, n) if b == n - 1 else (n - 1, n - 2, n)
+            return _type("A", len(order)), order.index(v) + 1, n - 2
+        if b == n - 1:  # the anchor ends the run: the chain a+1, ..., n-2, n
+            return _type("A", size + 1), size + 1 if v == n else v - a, a + 1
+        return _type("D", size + 1), v - a, a + 1  # the fork a+1..n-1 with n
+    if letter in "BC" and b == n + 1 and size >= 2:  # the run holds the bond
+        if letter == "B" and size == 2:  # C2 with the short node n first
+            return _type("C", 2), n + 1 - v, n - 1
+        return _type(letter, size), v - a, a + 1
+    return _type("A", size), v - a, a + 1
+
+
+# the types component_at names, each checked once
+_type = lru_cache(maxsize=1024)(SimpleType)
+
+
+@lru_cache(maxsize=None)
+def _exceptional_places(t: SimpleType, gone: tuple[int, ...]) -> dict:
+    # E, F and G have rank <= 8, so at most 468 residues: each read once
+    return {
+        v: (s.type, p, min(s.embedding))
+        for s in chain_components(t, gone)
+        for p, v in enumerate(s.embedding, 1)
+    }
+
 
 def _shape(letter: str, embedding: tuple[int, ...]) -> ComponentShape:
     return ComponentShape(SimpleType(letter, len(embedding)), embedding)
@@ -347,9 +391,8 @@ def chain_components(t: SimpleType, removed: Iterable[int]) -> list[ComponentSha
     closed form, ordered by smallest node.
 
     A Bourbaki diagram is a spine with at most one pendant node and one
-    multiple bond: the spine is 1..n, but 1..n-1 in D_n, whose pendant n
-    hangs off n-2, and 1, 3, 4, ..., n in E_n, whose pendant 2 hangs off
-    4; the bond is (n-1, n) in B_n and C_n, (2, 3) in F4, (1, 2) in G2.
+    multiple bond (``_layout``, ``_bond``): the bond is (n-1, n) in B_n
+    and C_n, (2, 3) in F4, (1, 2) in G2.
     The surviving spine nodes split into runs.  The run through the
     anchor of a surviving pendant is, pendant included, an A chain from
     its smaller end if the anchor ends it, and else a fork read as D or E.
@@ -361,11 +404,7 @@ def chain_components(t: SimpleType, removed: Iterable[int]) -> list[ComponentSha
     gone = set(removed)
     if any(not 1 <= v <= n for v in gone):
         raise ValueError(f"removed nodes must lie in 1..{n}")
-    spine, pendant, anchor = range(1, n + 1), None, None
-    if letter == "D":
-        spine, pendant, anchor = range(1, n), n, n - 2
-    elif letter == "E":
-        spine, pendant, anchor = (1, *range(3, n + 1)), 2, 4
+    spine, pendant, anchor = _layout(t)
     hangs = pendant is not None and pendant not in gone
     cuts = [-1, *sorted(spine.index(v) for v in gone if v != pendant), len(spine)]
     shapes = []

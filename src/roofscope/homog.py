@@ -15,24 +15,29 @@ the Bourbaki plates (``_two_rho``), the coefficient at m is
 with a_mj = <alpha_j, alpha_m^vee>: -mult when m is the short end of
 the bond, -1 otherwise.  No root system is ever built.
 
-Residual diagrams (after node removal) are handled the same way, one
-component at a time, since an induced subdiagram's root system is the
-product of its components' systems.  Unmarked components contribute a
-point and drop out of all fiber analysis.  The Levi components come
-from one ``classify_components`` call with every mark removed at once,
-for full and residual diagrams alike, so no Levi diagram is cut.  It
-reads a product factor by factor, each factor in closed form.
+Everything is read per mark, so ``gp_invariants`` costs O(k log k) for k
+marks, whatever the rank.  A mark has at most three neighbours
+(``dynkin.neighbours``).  The Levi component that holds a neighbour, and
+the neighbour's position in it, come from a bisect in the sorted marks
+(``dynkin.component_at``), and one ``_two_rho`` entry at that position
+gives (2rho_L)_j.  Every Levi component of a connected diagram touches a
+removed node, so the components around the marks are all the Levi
+components that differ from D: dim is the sum of ``positive_root_count``
+over the components of D that hold a mark, minus the sum over the Levi
+components next to a mark.
+
+Residual diagrams (after node removal) are handled the same way, with
+the removed nodes cut before the marks, since an induced subdiagram's
+root system is the product of its components' systems.  Unmarked
+components contribute a point and drop out.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import NamedTuple
 
-from .dynkin import MarkedDiagram, classify_components, remove_node
+from .dynkin import MarkedDiagram, component_at, neighbours
 from .root_system import SimpleType, _two_rho, positive_root_count
-
-if TYPE_CHECKING:  # annotations only: homog never builds a Diagram itself
-    from .dynkin import ComponentShape, Diagram
 
 
 class VarietyInvariants(NamedTuple):
@@ -70,23 +75,33 @@ def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     """Compute dim, Picard number and the anticanonical coefficient vector."""
     d = md.diagram
     marks = sorted(md.marks)
-    levi_shapes = classify_components(d, marks)
-    dim = sum(positive_root_count(s.type) for s in classify_components(d))
-    dim -= sum(positive_root_count(s.type) for s in levi_shapes)
-    levi_two_rho: dict[int, int] = {}
-    for shape in levi_shapes:
-        levi_two_rho.update(zip(shape.embedding, _two_rho(shape.type)))
-    coeff = {m: 2 for m in marks}
-    for e in d.edges:
-        for m, j in ((e.a, e.b), (e.b, e.a)):
-            if m in coeff and j in levi_two_rho:
-                a_mj = -e.mult if e.target == m else -1
-                coeff[m] -= a_mj * levi_two_rho[j]
-    vec = tuple((m, coeff[m]) for m in marks)
+    dim, vec, offset = 0, [], 0
+    for t in d.factors:
+        local = [m - offset for m in marks if offset < m <= offset + t.rank]
+        if local:
+            cut = [v - offset for v in d.removed if offset < v <= offset + t.rank]
+            gone = sorted(cut + local)
+            skip = set(gone)
+            # components by smallest node: those holding a mark, and the Levi ones
+            whole: dict[int, SimpleType] = {}
+            levi: dict[int, SimpleType] = {}
+            for m in local:
+                shape, _, first = component_at(t, cut, m) if cut else (t, m, 1)
+                whole[first] = shape
+                c = 2
+                for j, weight in neighbours(t, m):
+                    if j not in skip:
+                        shape, pos, first = component_at(t, gone, j)
+                        levi[first] = shape
+                        c += weight * _two_rho(shape, pos)
+                vec.append((m + offset, c))
+            dim += sum(map(positive_root_count, whole.values()))
+            dim -= sum(map(positive_root_count, levi.values()))
+        offset += t.rank
     for _, c in vec:
         if c <= 0:  # -K is ample on G/P; a failure here is a programming error
             raise RuntimeError(f"non-positive index coefficient for {md}")
-    return VarietyInvariants(dim=dim, picard=len(marks), index_vector=vec)
+    return VarietyInvariants(dim=dim, picard=len(marks), index_vector=tuple(vec))
 
 
 def _pspace_r(t: SimpleType, pos: int) -> int | None:
@@ -101,51 +116,3 @@ def _pspace_r(t: SimpleType, pos: int) -> int | None:
     if t.letter == "C" and pos == 1:
         return 2 * t.rank
     return None
-
-
-def is_projective_space(md: MarkedDiagram) -> int | None:
-    """Return r if the marked variety is the projective space P^{r-1}.
-
-    The diagram must carry exactly one mark; unmarked components are
-    points and are ignored.  The answer is the mark's entry in
-    ``projective_space_charts``.
-    """
-    if len(md.marks) != 1:
-        raise ValueError("projective-space detection expects exactly one mark")
-    (mark,) = md.marks
-    return projective_space_charts(md.diagram).get(mark)
-
-
-def projective_space_charts(d: Diagram) -> dict[int, int]:
-    """Every node m at which d marked at m alone is P^{r-1}, as {m: r}.
-
-    One classification of d answers ``is_projective_space`` for all of
-    its nodes.
-    """
-    return component_charts(classify_components(d))
-
-
-def component_charts(shapes: Iterable[ComponentShape]) -> dict[int, int]:
-    """The projective-space charts {m: r} of a diagram given by its components.
-
-    The recognized shapes are those of ``_pspace_r``; only chain ends can
-    qualify, so each component contributes at most two charts.
-    """
-    charts: dict[int, int] = {}
-    for shape in shapes:
-        for pos in (1, shape.type.rank):
-            r = _pspace_r(shape.type, pos)
-            if r is not None:
-                charts[shape.embedding[pos - 1]] = r
-    return charts
-
-
-def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedDiagram:
-    """The fiber of G/P({i,j}) -> G/P({keep}): the diagram minus ``keep``,
-    marked at the other node."""
-    if len(md.marks) != 2:
-        raise ValueError("fibration analysis expects exactly two marks")
-    if keep not in md.marks:
-        raise ValueError(f"{keep} is not a mark of {md}")
-    (other,) = md.marks - {keep}
-    return MarkedDiagram(remove_node(md.diagram, keep), frozenset({other}))

@@ -14,50 +14,36 @@ r; the anticanonical coefficient vector of such a diagram is always
     G2                the full G2 flag, r = 2
     G2^dagger         P(Ottaviani bundle) over Q^5, r = 3, not homogeneous
 
-Enumeration never tests a candidate diagram on its own.  Single factors
-come from a join of projective-space charts, the (diagram, node) pairs
-whose single-marked variety is P^{r-1}: the A-chain ends and the short
-end of each C-chain.  For a single factor G/P(i, j), the fiber over
-G/P(i) is the residue "type minus i" marked at j, and that residue is
-the same for every j.  So each (type, removed node) residue is
-read once into its charts, and i < j is a roof exactly when the
-residue without i is P^{r-1} at j and the residue without j is P^{r-1}
-at i.  An A, B, C or D residue is a few runs of the Bourbaki chain, so
-its charts, at most four, are O(1) arithmetic on (letter, n, k) and no
-diagram, type or component is built; an E, F or G residue is read by
-``chain_components`` and no diagram is cut.  Enumeration up to rank N is
-thus O(N^2).  A fiber filter drops the charts of every other r before
-the join.  A two-factor product with one mark per factor is a roof exactly
-when both single-marked factors are P^{r-1} for the same r, so it is
-P^{r-1} x P^{r-1}: the A_{r-1}xA_{r-1} row, emitted at every r whose
-row rank fits the bound.  ``is_roof`` tests one diagram directly and is
-the oracle for both: the tests compare the chart join with the full
-single-factor scan and the row with the full product scan.
-
-Records are deduplicated up to variety isomorphism: the automorphisms
-of a single factor (chain reversal, D-fork swap and D4 triality, E6
-reversal) are quotiented out, and a product is always reported in its
-A-form, since a C_m factor marked at its short end is the same variety
-as an end-marked A_{2m-1} chain.  A record is listed when its canonical
-diagram fits the rank bound.
+Enumeration tests no diagram and searches nothing.  For a single
+factor G/P(i, j), the fiber over G/P(i) is the residue "type minus i"
+marked at j, so i < j is a roof exactly when the residue without i is
+P^{r-1} at j and the residue without j is P^{r-1} at i: a join on the
+projective-space charts of the residues.  That join is solved once per
+letter in ``_candidates``, and its solutions are the single-factor rows
+of ``FAMILY_SPECS``, one diagram per r up to automorphism (chain
+reversal, D-fork swap and D4 triality, E6 reversal).  A two-factor
+product with one mark per factor is a roof exactly when both
+single-marked factors are P^{r-1} for the same r, so it is P^{r-1} x
+P^{r-1}: the A_{r-1}xA_{r-1} row, reported in that A-form, since a C_m
+factor marked at its short end is the same variety as an end-marked
+A_{2m-1} chain.  A record is listed when its canonical diagram fits the
+rank bound, and it is built from its row's factors and marks by three
+O(1) ``gp_invariants`` calls, so ``enumerate_roofs`` costs O(1) per
+record: O(N) up to rank N, and O(1) for one fiber parameter.  The tests
+keep the chart join and the direct roof test of every diagram as
+references and compare them with the rows.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import _make_checked
-from .dynkin import MarkedDiagram, chain_components, diagram_of, parse, serialize
-from .homog import (
-    component_charts,
-    fibration_fiber,
-    gp_invariants,
-    is_projective_space,
-    projective_space_charts,
-)
-from .root_system import SimpleType, simple_types
+from .dynkin import MarkedDiagram, diagram_of, parse, serialize
+from .homog import VarietyInvariants, _pspace_r, gp_invariants
+from .root_system import SimpleType
 
 
 class Family(enum.Enum):
@@ -82,17 +68,34 @@ class Family(enum.Enum):
 class FamilySpec(NamedTuple):
     """One roof family, each field a function of the fiber parameter r.
 
-    ``diagram`` and ``rank`` (its total rank) are None for G2^dagger,
-    which has no marked diagram.  ``triple`` is the closed-form
-    (dim V_1, index V_1, index V_2) that ``verify_paper_table`` checks.
+    ``factors`` and ``marks`` (the two marks, ascending) give the
+    canonical marked diagram; both are None for G2^dagger, which has
+    none.  ``triple`` is the closed-form (dim V_1, index V_1, index V_2)
+    that ``verify_paper_table`` checks.
     """
 
     label: Callable[[int], str]
     latex: Callable[[int], str]
-    diagram: Optional[Callable[[int], str]]
-    rank: Optional[Callable[[int], int]]
+    factors: Optional[Callable[[int], tuple[SimpleType, ...]]]
+    marks: Optional[Callable[[int], tuple[int, int]]]
     admits: Callable[[int], bool]
     triple: Callable[[int], tuple[int, int, int]]
+
+    def marked(self, r: int) -> MarkedDiagram:
+        """The canonical marked diagram at r."""
+        return MarkedDiagram(diagram_of(self.factors(r)), frozenset(self.marks(r)))
+
+    def diagram(self, r: int) -> str:
+        """The canonical marked diagram at r, as text."""
+        return serialize(self.marked(r))
+
+    def rank(self, r: int) -> int:
+        """The total rank of the canonical diagram at r."""
+        return sum(t.rank for t in self.factors(r))
+
+
+def _a(n: int) -> tuple[SimpleType, ...]:
+    return (SimpleType("A", n),)
 
 
 # The eight families, in table order; everything family-specific reads a row.
@@ -100,64 +103,64 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
     Family.A_PRODUCT: FamilySpec(
         label=lambda r: f"A{r - 1}xA{r - 1}",
         latex=lambda r: rf"$A_{{{r - 1}}}\times A_{{{r - 1}}}$",
-        diagram=lambda r: f"A{r - 1}*A{r - 1}:1,{r}",
-        rank=lambda r: 2 * r - 2,
+        factors=lambda r: _a(r - 1) * 2,
+        marks=lambda r: (1, r),
         admits=lambda r: r >= 2,
         triple=lambda r: (r - 1, r, r),
     ),
     Family.A_MUKAI: FamilySpec(
         label=lambda r: f"A{r}^M",
         latex=lambda r: rf"$A_{{{r}}}^{{M}}$",
-        diagram=lambda r: f"A{r}:1,{r}",
-        rank=lambda r: r,
+        factors=_a,
+        marks=lambda r: (1, r),
         admits=lambda r: r >= 2,
         triple=lambda r: (r, r + 1, r + 1),
     ),
     Family.A_GRASS: FamilySpec(
         label=lambda r: f"A{2 * r - 2}^G",
         latex=lambda r: rf"$A_{{{2 * r - 2}}}^{{G}}$",
-        diagram=lambda r: f"A{2 * r - 2}:{r - 1},{r}",
-        rank=lambda r: 2 * r - 2,
+        factors=lambda r: _a(2 * r - 2),
+        marks=lambda r: (r - 1, r),
         admits=lambda r: r >= 3,
         triple=lambda r: (r * (r - 1), 2 * r - 1, 2 * r - 1),
     ),
     Family.C_FLAG: FamilySpec(
         label=lambda r: f"C{3 * r // 2 - 1}",
         latex=lambda r: rf"$C_{{{3 * r // 2 - 1}}}$",
-        diagram=lambda r: f"C{3 * r // 2 - 1}:{r - 1},{r}",
-        rank=lambda r: 3 * r // 2 - 1,
+        factors=lambda r: (SimpleType("C", 3 * r // 2 - 1),),
+        marks=lambda r: (r - 1, r),
         admits=lambda r: r >= 2 and r % 2 == 0,
         triple=lambda r: (3 * r * (r - 1) // 2, 2 * r, 2 * r - 1),
     ),
     Family.D_SPINOR: FamilySpec(
         label=lambda r: f"D{r}",
         latex=lambda r: rf"$D_{{{r}}}$",
-        diagram=lambda r: f"D{r}:{r - 1},{r}",
-        rank=lambda r: r,
+        factors=lambda r: (SimpleType("D", r),),
+        marks=lambda r: (r - 1, r),
         admits=lambda r: r >= 4,
         triple=lambda r: (r * (r - 1) // 2, 2 * r - 2, 2 * r - 2),
     ),
     Family.F4: FamilySpec(
         label=lambda r: "F4",
         latex=lambda r: "$F_4$",
-        diagram=lambda r: "F4:2,3",
-        rank=lambda r: 4,
+        factors=lambda r: (SimpleType("F", 4),),
+        marks=lambda r: (2, 3),
         admits=lambda r: r == 3,
         triple=lambda r: (20, 5, 7),
     ),
     Family.G2: FamilySpec(
         label=lambda r: "G2",
         latex=lambda r: "$G_2$",
-        diagram=lambda r: "G2:1,2",
-        rank=lambda r: 2,
+        factors=lambda r: (SimpleType("G", 2),),
+        marks=lambda r: (1, 2),
         admits=lambda r: r == 2,
         triple=lambda r: (5, 3, 5),
     ),
     Family.G2_DAGGER: FamilySpec(
         label=lambda r: "G2^dagger",
         latex=lambda r: r"$G_2^{\dagger}$",
-        diagram=None,
-        rank=None,
+        factors=None,
+        marks=None,
         admits=lambda r: r == 3,
         triple=lambda r: (5, 5, 5),
     ),
@@ -242,27 +245,14 @@ def _g2_dagger_record() -> RoofRecord:
 G2_DAGGER_RECORD = _g2_dagger_record()
 
 
-def is_roof(md: MarkedDiagram) -> int | None:
-    """Return r when both fibration fibers of a two-marked diagram are P^{r-1}."""
-    if len(md.marks) != 2:
-        raise ValueError("a roof candidate carries exactly two marks")
-    i, j = sorted(md.marks)
-    r1 = is_projective_space(fibration_fiber(md, keep=i))
-    if r1 is None:
-        return None
-    r2 = is_projective_space(fibration_fiber(md, keep=j))
-    if r2 is None or r2 != r1:
-        return None
-    _check_index(md, r1)
-    return r1
-
-
-def _check_index(md: MarkedDiagram, r: int) -> None:
-    coeffs = gp_invariants(md).coefficients()
-    if coeffs != (r, r):  # forced for a roof; a failure is a programming error
+def _check_index(md: MarkedDiagram, r: int) -> VarietyInvariants:
+    """The invariants of the roof md, whose index vector must be (r, r)."""
+    w = gp_invariants(md)
+    if w.coefficients() != (r, r):  # forced for a roof; a failure is a programming error
         raise RuntimeError(
-            f"index vector {coeffs} disagrees with fiber parameter {r} on {md}"
+            f"index vector {w.coefficients()} disagrees with fiber parameter {r} on {md}"
         )
+    return w
 
 
 # --- family recognition ------------------------------------------------------
@@ -277,8 +267,8 @@ def _family_of(md: MarkedDiagram, r: int) -> Family:
         if len(in_first) == 1:
             # one mark per factor: the roof is a product of the two
             # single-marked factors, each of which must be P^{r-1}
-            charts = projective_space_charts(d)
-            if all(charts.get(m) == r for m in marks):
+            (t, u), (i, j) = d.factors, marks
+            if _pspace_r(t, i) == r == _pspace_r(u, j - split):
                 return Family.A_PRODUCT
             return Family.UNKNOWN
         # both marks in one factor: the other factor is a point
@@ -293,7 +283,7 @@ def _single_factor_family(md: MarkedDiagram, r: int) -> Family:
     """The family whose canonical diagram at r is md up to automorphism."""
     images = _mark_images(md)
     for family, spec in FAMILY_SPECS.items():
-        if spec.diagram is not None and spec.admits(r) and spec.diagram(r) in images:
+        if spec.factors is not None and spec.admits(r) and spec.diagram(r) in images:
             return family
     return Family.UNKNOWN
 
@@ -301,7 +291,7 @@ def _single_factor_family(md: MarkedDiagram, r: int) -> Family:
 def family_diagram(family: Family, r: int) -> str:
     """The canonical marked diagram of a family instance."""
     spec = FAMILY_SPECS.get(family)
-    if spec is None or spec.diagram is None:
+    if spec is None or spec.factors is None:
         raise ValueError(f"{family} has no canonical diagram")
     return spec.diagram(r)
 
@@ -345,60 +335,71 @@ def _mark_images(md: MarkedDiagram) -> set[str]:
     }
 
 
-def _dedup_key(md: MarkedDiagram) -> str:
-    return min(_mark_images(md))
-
-
 # --- enumeration --------------------------------------------------------------
 
 
-def _residue_charts(t: SimpleType, k: int) -> dict[int, int]:
-    """The projective-space charts {node: r} of the residue "t minus node k".
+def _fibers(max_rank: int, r_filter: Optional[int]) -> Iterable[int]:
+    """The fiber parameters to visit: r_filter alone, or every r at which
+    a row of rank <= max_rank can sit (each row's rank is at least r - 1)."""
+    return range(2, max_rank + 2) if r_filter is None else (r_filter,)
 
-    These are the charts (``homog.component_charts``) of the components
-    that ``dynkin.chain_components`` names.  For A, B, C and D they are
-    read off (letter, n, k): the run 1..k-1 is an A_(k-1) chain, P^(k-1)
-    at both ends, and the run beyond k is an A chain in A_n and holds the
-    special end otherwise.
-    """
-    letter, n = t
-    if letter not in "ABCD":
-        return component_charts(chain_components(t, (k,)))
-    if letter == "D" and k == n - 1:  # n continues the chain 1..n-2: A_(n-1)
-        return {1: n, n: n}
-    charts = {1: k, k - 1: k} if k > 1 else {}
-    m = n - k  # the nodes beyond k
-    if m == 0:
-        return charts
-    if letter == "A":  # an A_m chain
-        charts.update({k + 1: m + 1, n: m + 1})
-    elif letter == "C":  # A1, or C_m marked at its short end k+1 (C2 included)
-        charts[k + 1] = 2 * m
-    elif letter == "B":  # A1, or C2 with the short node n first; B_m has none
-        if m <= 2:
-            charts[n] = 2 * m
-    elif m <= 3:  # D: the fork nodes as two A1, or D3 = A3 with ends n-1, n
-        charts.update({n - 1: 2 * m - 2, n: 2 * m - 2})
-    return charts
+
+def _row_instances(
+    family: Family, max_rank: int, r_filter: Optional[int]
+) -> Iterator[tuple[MarkedDiagram, int, Family]]:
+    """The canonical diagrams of one row whose rank fits max_rank, with r."""
+    spec = FAMILY_SPECS[family]
+    for r in _fibers(max_rank, r_filter):
+        if spec.admits(r) and spec.rank(r) <= max_rank:
+            yield spec.marked(r), r, family
+
+
+# the rows that solve the single-factor chart join, by letter (see _candidates)
+_SOLVED_JOIN = (
+    Family.A_MUKAI, Family.A_GRASS, Family.C_FLAG, Family.D_SPINOR, Family.F4, Family.G2
+)
 
 
 def _candidates(
     max_rank: int, r_filter: Optional[int] = None
-) -> Iterator[tuple[MarkedDiagram, int]]:
-    """Every single-factor roof of rank <= max_rank with its r (only r_filter,
-    when given): the mark pairs whose two residue charts agree on r."""
-    for t in simple_types(max_rank):
-        nodes = range(1, t.rank + 1)
-        charts = {
-            k: {j: r for j, r in _residue_charts(t, k).items() if r_filter in (None, r)}
-            for k in nodes
-        }
-        for i in nodes:
-            for j, r in charts[i].items():
-                if j > i and charts[j].get(i) == r:
-                    md = MarkedDiagram(diagram_of((t,)), frozenset({i, j}))
-                    _check_index(md, r)
-                    yield md, r
+) -> Iterator[tuple[MarkedDiagram, int, Family]]:
+    """Every single-factor roof of rank <= max_rank (only r_filter, when
+    given), up to automorphism, as (diagram, r, family row).
+
+    A single factor G/P(i, j), i < j, is a roof exactly when the residue
+    "type minus i" marked at j and the residue "type minus j" marked at
+    i are both P^(r-1): a join on the projective-space charts of the
+    residues, the A-chain ends (P^m, r = m + 1 on A_m) and the short end
+    of each C-chain (P^(2m-1), r = 2m on C_m).  The join is solved here
+    once per letter.  Removing k from the Bourbaki chain leaves the run
+    1..k-1, an A_(k-1) with charts 1 and k-1 at r = k, and the nodes
+    beyond k.  So j > i is a chart of "minus i" only in the run beyond i,
+    and i < j is a chart of "minus j" only at 1 or j-1, with r = j:
+
+    * A_n: beyond i lies A_(n-i), charts i+1 and n at r = n-i+1.  So
+      r = j = n-i+1 with j in {i+1, n}: (1, n) at r = n (A_r^M), and
+      (n/2, n/2+1) at r = n/2+1 for even n (A_(2r-2)^G; at n = 2 the
+      same pair as A2^M).
+    * C_n: beyond i lies C_(n-i), chart i+1 at r = 2(n-i).  So j = i+1
+      and r = i+1 = 2(n-i): (r-1, r) at r = 2(n+1)/3 when n = 2 mod 3
+      (C_(3r/2-1), C2 included).
+    * B_n: beyond i lies B_(n-i), with the chart n only when n-i <= 2,
+      at r = 2(n-i), and "minus n" has charts 1 and n-1 at r = n.  No
+      n >= 3 solves both.
+    * D_n: beyond i <= n-3 lie the fork nodes n-1 and n, charts only when
+      n-i <= 3, at r = 2(n-i)-2, and "minus n-1" and "minus n" are
+      A_(n-1) with charts at r = n.  So (n-1, n) at r = n (D_r), and in
+      D4 also (1, 3) and (1, 4), its triality images.
+    * F4: (2, 3) at r = 3; G2: (1, 2) at r = 2; E_n: none (read off the
+      residues of these five types).
+
+    Each solution is a ``FAMILY_SPECS`` row (``_SOLVED_JOIN``), so the
+    hits are the row instances whose rank fits, one per row and r:
+    O(max_rank) hits, or O(1) with ``r_filter``.  The tests compare them
+    with the chart join itself on every type up to rank 512.
+    """
+    for family in _SOLVED_JOIN:
+        yield from _row_instances(family, max_rank, r_filter)
 
 
 def enumerate_roofs(
@@ -407,34 +408,25 @@ def enumerate_roofs(
 ) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank.
 
-    Single factors are a join on projective-space charts: each residue
-    "type minus node k" is read once into its charts, and a mark pair
-    i < j is a roof when the residue without i is P^{r-1} at j and the
-    residue without j is P^{r-1} at i, for the same r (``_candidates``).
-    With ``r_filter`` only the charts of that r enter the join.  Every
-    single-factor hit is checked to have index vector (r, r), then
-    deduplicated up to variety isomorphism and reported through its
-    canonical family diagram.  Products with one mark per factor are
-    P^{r-1} x P^{r-1}, read off the A_{r-1}xA_{r-1} row at every r whose
-    row rank fits the bound; the tests check this against the full
-    ``is_roof`` scan of the products.  The non-homogeneous G2^dagger
-    record is appended whenever the fiber filter admits r = 3.
+    Single factors are the solved chart join of ``_candidates``, one
+    record per automorphism class.  Products with one mark per factor
+    are P^{r-1} x P^{r-1}, read off the A_{r-1}xA_{r-1} row at every r
+    whose row rank fits the bound, and reported in that A-form; the tests
+    check this against the full scan of the products.  Each record is
+    built from its row's factors and marks, with its index vector checked
+    to be (r, r).  With ``r_filter`` only that r is visited, and the
+    non-homogeneous G2^dagger record is appended whenever the filter
+    admits r = 3.  The cost is O(1) per record.
     """
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
-    instances: dict[str, tuple[Family, int]] = {}
-    for md, r in _candidates(max_total_rank, r_filter):
-        family = _family_of(md, r)
-        key = _dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
-        instances[key] = (family, r)
-    product = FAMILY_SPECS[Family.A_PRODUCT]
-    for r in filter(product.admits, range(max_total_rank + 2)):
-        if product.rank(r) <= max_total_rank and r_filter in (None, r):
-            instances[product.diagram(r)] = (Family.A_PRODUCT, r)
-    ranked = []  # (total rank, record); G2^dagger has no diagram and ranks 0
-    for diagram, (family, r) in instances.items():
-        md = parse(diagram)
-        ranked.append((md.diagram.total_rank, _record_for(md, family, r)))
+    hits = itertools.chain(
+        _candidates(max_total_rank, r_filter),
+        _row_instances(Family.A_PRODUCT, max_total_rank, r_filter),
+    )
+    ranked = [  # (total rank, record); G2^dagger has no diagram and ranks 0
+        (md.diagram.total_rank, _record_for(md, family, r)) for md, r, family in hits
+    ]
     if r_filter in (None, G2_DAGGER_RECORD.r):
         ranked.append((0, G2_DAGGER_RECORD))
     ranked.sort(key=lambda item: (item[1].r, item[1].family, item[0], item[1].diagram))
@@ -442,16 +434,17 @@ def enumerate_roofs(
 
 
 def _record_for(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
-    i, j = sorted(md.marks)
+    """The record of the roof md: W from its own invariants, V_1 and V_2
+    from md marked at the smaller and at the larger mark alone."""
+    w = _check_index(md, r)
+    (i, _), (j, _) = w.index_vector
     v1 = gp_invariants(MarkedDiagram(md.diagram, frozenset({i})))
     v2 = gp_invariants(MarkedDiagram(md.diagram, frozenset({j})))
-    if v1.dim != v2.dim:  # both contractions of a roof have equal fiber dimension
-        raise RuntimeError(f"unequal base dimensions for {md}")
     return RoofRecord(
         family=family.label(r),
         r=r,
         diagram=serialize(md),
-        dim_W=v1.dim + r - 1,
+        dim_W=w.dim,
         dim_V1=v1.dim,
         dim_V2=v2.dim,
         index_V1=v1.index,
@@ -500,7 +493,7 @@ def _computed_triple(family: Family, r: int) -> tuple[int, int, int]:
         if q5.index != _OTTAVIANI_C1 + _OTTAVIANI_RANK:
             return (q5.dim, -1, -1)
         return (q5.dim, q5.index, q5.index)
-    rec = _record_for(parse(family_diagram(family, r)), family, r)
+    rec = _record_for(FAMILY_SPECS[family].marked(r), family, r)
     return (rec.dim_V1, rec.index_V1, rec.index_V2)
 
 

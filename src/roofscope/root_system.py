@@ -27,15 +27,17 @@ conventions are fixed here once and for all:
 * A product of two factors concatenates the node numbering and has a
   block-diagonal Cartan matrix.
 
-No production path generates positive roots: diagrams take their edges
-from ``_bonds``, and G/P invariants use the closed forms
-``positive_root_count`` and ``_two_rho``.  The tests check both against
-a reflection-orbit root generator in ``tests/oracles.py``.
+No production path generates positive roots or stores a bond: G/P
+invariants use the closed forms ``positive_root_count`` and ``_two_rho``
+(one entry per Bourbaki position), and ``dynkin`` reads each factor's
+bonds off its Bourbaki spine.  The tests check both closed forms against
+a reflection-orbit root generator in ``tests/oracles.py``, which also
+holds the bond table ``_bonds``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import _make_checked
 
@@ -125,32 +127,6 @@ def positive_root_count(t: SimpleType) -> int:
     return 6  # G2
 
 
-def _bonds(t: SimpleType) -> Iterator[tuple[int, int, int, int]]:
-    """Yield ``(i, j, cartan[i][j], cartan[j][i])`` for each bond, 0-based, i < j."""
-    n = t.rank
-    if t.letter in "ABCD":
-        chain = n - 1 if t.letter == "A" else n - 2
-        for i in range(chain):
-            yield i, i + 1, -1, -1
-        if t.letter == "B":
-            yield n - 2, n - 1, -1, -2  # alpha_n short: its row holds the -2
-        elif t.letter == "C":
-            yield n - 2, n - 1, -2, -1  # alpha_n long
-        elif t.letter == "D":
-            yield n - 3, n - 1, -1, -1
-    elif t.letter == "E":
-        yield 0, 2, -1, -1
-        yield 1, 3, -1, -1
-        for i in range(2, n - 1):
-            yield i, i + 1, -1, -1
-    elif t.letter == "F":
-        yield 0, 1, -1, -1
-        yield 1, 2, -1, -2
-        yield 2, 3, -1, -1
-    else:  # G2
-        yield 0, 1, -1, -3
-
-
 _EXCEPTIONAL_TWO_RHO = {
     ("E", 6): (16, 22, 30, 42, 30, 16),
     ("E", 7): (34, 49, 66, 96, 75, 52, 27),
@@ -160,16 +136,16 @@ _EXCEPTIONAL_TWO_RHO = {
 }
 
 
-def _two_rho(t: SimpleType) -> tuple[int, ...]:
-    """2rho, the sum of the positive roots, in the simple-root basis (Bourbaki plates)."""
-    n = t.rank
-    if t.letter == "A":
-        return tuple(p * (n + 1 - p) for p in range(1, n + 1))
-    if t.letter == "B":
-        return tuple(p * (2 * n - p) for p in range(1, n + 1))
-    if t.letter == "C":
-        return tuple(p * (2 * n - p + 1) for p in range(1, n)) + (n * (n + 1) // 2,)
-    if t.letter == "D":
-        fork = n * (n - 1) // 2
-        return tuple(p * (2 * n - p - 1) for p in range(1, n - 1)) + (fork, fork)
-    return _EXCEPTIONAL_TWO_RHO[(t.letter, n)]
+def _two_rho(t: SimpleType, p: int) -> int:
+    """The entry at Bourbaki position p of 2rho, the sum of the positive
+    roots, in the simple-root basis (Bourbaki plates)."""
+    letter, n = t
+    if letter == "A":
+        return p * (n + 1 - p)
+    if letter == "B":
+        return p * (2 * n - p)
+    if letter == "C":
+        return p * (2 * n - p + 1) if p < n else n * (n + 1) // 2
+    if letter == "D":
+        return p * (2 * n - p - 1) if p < n - 1 else n * (n - 1) // 2
+    return _EXCEPTIONAL_TWO_RHO[t][p - 1]

@@ -3,8 +3,8 @@
 The positive roots of a factor tuple are the orbit of the simple roots
 under the simple reflections s_i(v) = v - <v, alpha_i^vee> alpha_i, kept
 where no coefficient is negative.  The Cartan matrix is rebuilt from the
-edges of ``diagram_of``, so the oracle shares only the Bourbaki bonds
-with the library.
+bond table ``_bonds`` through ``edges_of``, so the oracle shares only the
+Bourbaki bonds with the library.
 
 The graph classifier (``_classify_graph``) is the reference for
 ``dynkin.chain_components``: it finds the connected components of any
@@ -16,20 +16,140 @@ and G factors until the closed form covered all seven letters.
 The Levi reference cuts one node at a time with ``remove_node`` and
 classifies what is left as one graph, products included: the way
 ``gp_invariants`` read its Levi factors before ``classify_components``
-read them factor by factor.
+read them factor by factor, and before it read them per mark.
+
+The roof references are the ones enumeration used before it read the
+family rows: the one-diagram test ``is_roof``, through the fibration
+fibers and the projective-space test, and the O(N^2) chart join
+(``join_candidates``) over the residue charts ``_residue_charts``, with
+the automorphism dedup of its hits (``join_enumerate_roofs``).
+
+``Edge`` and the edge set of a diagram (``edges_of``) live here too: the
+library stores a diagram as its factors and removed nodes, and reads a
+node's bonds off its factor's Bourbaki spine.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from roofscope import VarietyInvariants, diagram_of, remove_node
-from roofscope.dynkin import ComponentShape, Edge
+from roofscope import (
+    Diagram,
+    MarkedDiagram,
+    VarietyInvariants,
+    _make_checked,
+    classify_components,
+    diagram_of,
+    parse,
+)
+from roofscope.dynkin import ComponentShape, chain_components
+from roofscope.homog import _pspace_r, gp_invariants
+from roofscope.roofs import (
+    FAMILY_SPECS,
+    G2_DAGGER_RECORD,
+    Family,
+    RoofRecord,
+    _check_index,
+    _family_of,
+    _mark_images,
+    family_diagram,
+)
 from roofscope.root_system import SimpleType, _two_rho, positive_root_count, simple_types
 
 ALL_SIMPLE = simple_types(8)
 
+
+# --- edges ---------------------------------------------------------------------
+
+def _bonds(t: SimpleType) -> Iterator[tuple[int, int, int, int]]:
+    """Yield ``(i, j, cartan[i][j], cartan[j][i])`` for each bond, 0-based, i < j."""
+    n = t.rank
+    if t.letter in "ABCD":
+        chain = n - 1 if t.letter == "A" else n - 2
+        for i in range(chain):
+            yield i, i + 1, -1, -1
+        if t.letter == "B":
+            yield n - 2, n - 1, -1, -2  # alpha_n short: its row holds the -2
+        elif t.letter == "C":
+            yield n - 2, n - 1, -2, -1  # alpha_n long
+        elif t.letter == "D":
+            yield n - 3, n - 1, -1, -1
+    elif t.letter == "E":
+        yield 0, 2, -1, -1
+        yield 1, 3, -1, -1
+        for i in range(2, n - 1):
+            yield i, i + 1, -1, -1
+    elif t.letter == "F":
+        yield 0, 1, -1, -1
+        yield 1, 2, -1, -2
+        yield 2, 3, -1, -1
+    else:  # G2
+        yield 0, 1, -1, -3
+
+
+class _EdgeFields(NamedTuple):
+    a: int
+    b: int
+    mult: int
+    source: int | None
+
+
+class Edge(_EdgeFields):
+    """An edge between global nodes a < b.
+
+    ``source`` is the long-root end for bond multiplicity >= 2 and None
+    for simple bonds.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_make_checked)
+
+    def __new__(cls, a: int, b: int, mult: int, source: int | None) -> Edge:
+        if a >= b:
+            raise ValueError("edge endpoints must satisfy a < b")
+        if mult not in (1, 2, 3):
+            raise ValueError("bond multiplicity is 1, 2 or 3")
+        if mult == 1 and source is not None:
+            raise ValueError("simple bonds carry no arrow")
+        if mult > 1 and source not in (a, b):
+            raise ValueError("arrow source must be an endpoint")
+        return tuple.__new__(cls, (a, b, mult, source))
+
+    @property
+    def target(self) -> int | None:
+        if self.source is None:
+            return None
+        return self.b if self.source == self.a else self.a
+
+
+def edges_of(d: Diagram) -> frozenset[Edge]:
+    """The edges of d: the Bourbaki bonds of its factors between surviving nodes."""
+    out = []
+    offset = 0
+    gone = set(d.removed)
+    for f in d.factors:
+        for i, j, ij, ji in _bonds(f):
+            a, b = offset + i + 1, offset + j + 1
+            if a in gone or b in gone:
+                continue
+            source = None
+            if ij * ji > 1:
+                # the long root's row holds the -1
+                source = offset + (i if ij == -1 else j) + 1
+            out.append(Edge(a, b, ij * ji, source))
+        offset += f.rank
+    return frozenset(out)
+
+
+def remove_node(d: Diagram, j: int) -> Diagram:
+    """Delete node j and its incident edges; surviving indices are preserved."""
+    if not d.has_node(j):
+        raise ValueError(f"node {j} is not in the diagram")
+    return Diagram(d.factors, tuple(sorted((*d.removed, j))))
+
+
+# --- roots ---------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def cartan(factors):
@@ -37,7 +157,7 @@ def cartan(factors):
     d = diagram_of(factors)
     n = d.total_rank
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for e in d.edges:
+    for e in edges_of(d):
         if e.mult == 1:
             m[e.a - 1][e.b - 1] = m[e.b - 1][e.a - 1] = -1
         else:
@@ -168,7 +288,6 @@ def _identify(nodes: list[int], edges: list[Edge]) -> ComponentShape:
 
 def _verify(shape: ComponentShape, edges: list[Edge], nodes: list[int]) -> None:
     # the embedding must be a graph isomorphism preserving mult and arrows
-    model = diagram_of((shape.type,))
     emb = shape.embedding
 
     def translate(e: Edge) -> Edge:
@@ -178,8 +297,13 @@ def _verify(shape: ComponentShape, edges: list[Edge], nodes: list[int]) -> None:
             u, v = v, u
         return Edge(u, v, e.mult, src)
 
-    if {translate(e) for e in model.edges} != set(edges):
+    if {translate(e) for e in _model_edges(shape.type)} != set(edges):
         raise _corrupt(nodes)
+
+
+@lru_cache(maxsize=None)
+def _model_edges(t: SimpleType) -> frozenset[Edge]:
+    return edges_of(diagram_of((t,)))
 
 
 def _classify_graph(nodes: list[int], edges: Iterable[Edge]) -> list[ComponentShape]:
@@ -216,9 +340,16 @@ def _classify_graph(nodes: list[int], edges: Iterable[Edge]) -> list[ComponentSh
 def surgery_components(d, removed=()):
     """The components of d minus ``removed``: one ``remove_node`` per node,
     then the graph classifier on the whole cut diagram."""
+    if not removed:
+        return list(_uncut_components(d))
     for j in sorted(removed):
         d = remove_node(d, j)
-    return _classify_graph(list(d.nodes), d.edges)
+    return _classify_graph(list(d.nodes), edges_of(d))
+
+
+@lru_cache(maxsize=None)
+def _uncut_components(d):
+    return tuple(_classify_graph(list(d.nodes), edges_of(d)))
 
 
 def surgery_gp_invariants(md):
@@ -230,11 +361,164 @@ def surgery_gp_invariants(md):
     dim -= sum(positive_root_count(s.type) for s in levi_shapes)
     levi_two_rho = {}
     for shape in levi_shapes:
-        levi_two_rho.update(zip(shape.embedding, _two_rho(shape.type)))
+        levi_two_rho.update(
+            (v, _two_rho(shape.type, p)) for p, v in enumerate(shape.embedding, 1)
+        )
     coeff = {m: 2 for m in marks}
-    for e in d.edges:
+    for e in edges_of(d):
         for m, j in ((e.a, e.b), (e.b, e.a)):
             if m in coeff and j in levi_two_rho:
                 coeff[m] += (e.mult if e.target == m else 1) * levi_two_rho[j]
     vec = tuple((m, coeff[m]) for m in marks)
     return VarietyInvariants(dim=dim, picard=len(marks), index_vector=vec)
+
+
+# --- roofs -----------------------------------------------------------------------
+
+def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedDiagram:
+    """The fiber of G/P({i,j}) -> G/P({keep}): the diagram minus ``keep``,
+    marked at the other node."""
+    if len(md.marks) != 2:
+        raise ValueError("fibration analysis expects exactly two marks")
+    if keep not in md.marks:
+        raise ValueError(f"{keep} is not a mark of {md}")
+    (other,) = md.marks - {keep}
+    return MarkedDiagram(remove_node(md.diagram, keep), frozenset({other}))
+
+
+def component_charts(shapes: Iterable[ComponentShape]) -> dict[int, int]:
+    """The projective-space charts {m: r} of a diagram given by its components:
+    the nodes m at which one component marked at m alone is P^{r-1}.  Only
+    chain ends can qualify, so each component contributes at most two."""
+    charts: dict[int, int] = {}
+    for shape in shapes:
+        for pos in (1, shape.type.rank):
+            r = _pspace_r(shape.type, pos)
+            if r is not None:
+                charts[shape.embedding[pos - 1]] = r
+    return charts
+
+
+def projective_space_charts(d: Diagram) -> dict[int, int]:
+    """Every node m at which d marked at m alone is P^{r-1}, as {m: r}."""
+    return component_charts(classify_components(d))
+
+
+def is_projective_space(md: MarkedDiagram) -> int | None:
+    """Return r if the one-marked variety is the projective space P^{r-1};
+    unmarked components are points and are ignored."""
+    if len(md.marks) != 1:
+        raise ValueError("projective-space detection expects exactly one mark")
+    (mark,) = md.marks
+    return projective_space_charts(md.diagram).get(mark)
+
+
+def is_roof(md: MarkedDiagram) -> int | None:
+    """Return r when both fibration fibers of a two-marked diagram are P^{r-1}."""
+    if len(md.marks) != 2:
+        raise ValueError("a roof candidate carries exactly two marks")
+    i, j = sorted(md.marks)
+    r1 = is_projective_space(fibration_fiber(md, keep=i))
+    if r1 is None:
+        return None
+    r2 = is_projective_space(fibration_fiber(md, keep=j))
+    if r2 is None or r2 != r1:
+        return None
+    _check_index(md, r1)
+    return r1
+
+
+def _residue_charts(t: SimpleType, k: int) -> dict[int, int]:
+    """The projective-space charts {node: r} of the residue "t minus node k".
+
+    These are the charts (``component_charts``) of the components that
+    ``dynkin.chain_components`` names.  For A, B, C and D they are read
+    off (letter, n, k): the run 1..k-1 is an A_(k-1) chain, P^(k-1) at
+    both ends, and the run beyond k is an A chain in A_n and holds the
+    special end otherwise.
+    """
+    letter, n = t
+    if letter not in "ABCD":
+        return component_charts(chain_components(t, (k,)))
+    if letter == "D" and k == n - 1:  # n continues the chain 1..n-2: A_(n-1)
+        return {1: n, n: n}
+    charts = {1: k, k - 1: k} if k > 1 else {}
+    m = n - k  # the nodes beyond k
+    if m == 0:
+        return charts
+    if letter == "A":  # an A_m chain
+        charts.update({k + 1: m + 1, n: m + 1})
+    elif letter == "C":  # A1, or C_m marked at its short end k+1 (C2 included)
+        charts[k + 1] = 2 * m
+    elif letter == "B":  # A1, or C2 with the short node n first; B_m has none
+        if m <= 2:
+            charts[n] = 2 * m
+    elif m <= 3:  # D: the fork nodes as two A1, or D3 = A3 with ends n-1, n
+        charts.update({n - 1: 2 * m - 2, n: 2 * m - 2})
+    return charts
+
+
+def join_candidates(
+    max_rank: int, r_filter: Optional[int] = None
+) -> Iterator[tuple[MarkedDiagram, int]]:
+    """Every single-factor roof of rank <= max_rank with its r (only r_filter,
+    when given): the mark pairs whose two residue charts agree on r."""
+    for t in simple_types(max_rank):
+        nodes = range(1, t.rank + 1)
+        charts = {
+            k: {j: r for j, r in _residue_charts(t, k).items() if r_filter in (None, r)}
+            for k in nodes
+        }
+        for i in nodes:
+            for j, r in charts[i].items():
+                if j > i and charts[j].get(i) == r:
+                    yield MarkedDiagram(diagram_of((t,)), frozenset({i, j})), r
+
+
+def dedup_key(md: MarkedDiagram) -> str:
+    """The smallest serialization of a single-factor md under its automorphisms."""
+    return min(_mark_images(md))
+
+
+def join_enumerate_roofs(
+    max_total_rank: int, r_filter: Optional[int] = None
+) -> list[RoofRecord]:
+    """``enumerate_roofs`` as it was before it read the family rows: the
+    chart join, each hit named by ``_family_of`` and keyed by its family
+    diagram (or its automorphism class), products from the A_PRODUCT
+    row, and every record built through a parse of its diagram."""
+    instances: dict[str, tuple[Family, int]] = {}
+    for md, r in join_candidates(max_total_rank, r_filter):
+        _check_index(md, r)
+        family = _family_of(md, r)
+        key = dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
+        instances[key] = (family, r)
+    product = FAMILY_SPECS[Family.A_PRODUCT]
+    for r in filter(product.admits, range(max_total_rank + 2)):
+        if product.rank(r) <= max_total_rank and r_filter in (None, r):
+            instances[product.diagram(r)] = (Family.A_PRODUCT, r)
+    ranked = []
+    for diagram, (family, r) in instances.items():
+        md = parse(diagram)
+        ranked.append((md.diagram.total_rank, _parsed_record(md, family, r)))
+    if r_filter in (None, G2_DAGGER_RECORD.r):
+        ranked.append((0, G2_DAGGER_RECORD))
+    ranked.sort(key=lambda item: (item[1].r, item[1].family, item[0], item[1].diagram))
+    return [rec for _, rec in ranked]
+
+
+def _parsed_record(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
+    i, j = sorted(md.marks)
+    v1 = gp_invariants(MarkedDiagram(md.diagram, frozenset({i})))
+    v2 = gp_invariants(MarkedDiagram(md.diagram, frozenset({j})))
+    return RoofRecord(
+        family=family.label(r),
+        r=r,
+        diagram=str(md),
+        dim_W=v1.dim + r - 1,
+        dim_V1=v1.dim,
+        dim_V2=v2.dim,
+        index_V1=v1.index,
+        index_V2=v2.index,
+        homogeneous=True,
+    )

@@ -23,7 +23,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
-from oracles import ALL_SIMPLE, pairing, positive_roots
+from oracles import ALL_SIMPLE, is_roof, pairing, positive_roots
 from roofscope import (
     BundleChowRing,
     ClassificationQuery,
@@ -35,7 +35,6 @@ from roofscope import (
     classify_simple_kequiv,
     enumerate_roofs,
     gp_invariants,
-    is_roof,
     kequiv_forces_equal_codim,
     parse,
     projective_space,

@@ -1,22 +1,24 @@
-"""Grammar, surgery and component classification of marked diagrams."""
+"""Grammar, surgery, bonds and component classification of marked diagrams."""
 
 from __future__ import annotations
 
 import pytest
 
-from oracles import ALL_SIMPLE, _classify_graph, cartan
+from itertools import combinations
+
+from oracles import ALL_SIMPLE, _bonds, _classify_graph, cartan, edges_of, remove_node
 from roofscope import (
+    Diagram,
     MarkedDiagram,
     ParseError,
     SimpleType,
     classify_components,
     diagram_of,
     parse,
-    remove_node,
     serialize,
 )
-from roofscope.dynkin import chain_components
-from roofscope.root_system import _bonds, simple_types
+from roofscope.dynkin import chain_components, component_at, neighbours
+from roofscope.root_system import simple_types
 
 
 # --- grammar -----------------------------------------------------------------
@@ -127,7 +129,7 @@ def test_edges_and_cartan_determine_each_other():
 
 def test_arrow_conventions():
     def edge(d, a, b):
-        return next(e for e in d.edges if (e.a, e.b) == (a, b))
+        return next(e for e in edges_of(d) if (e.a, e.b) == (a, b))
 
     b4 = diagram_of((SimpleType("B", 4),))
     assert edge(b4, 3, 4).mult == 2 and edge(b4, 3, 4).source == 3
@@ -142,7 +144,7 @@ def test_arrow_conventions():
 def test_remove_node_a3_middle():
     d = remove_node(diagram_of((SimpleType("A", 3),)), 2)
     assert d.nodes == (1, 3)
-    assert d.edges == frozenset()
+    assert edges_of(d) == frozenset()
     shapes = classify_components(d)
     assert [(s.type.letter, s.type.rank) for s in shapes] == [("A", 1), ("A", 1)]
     assert [s.embedding for s in shapes] == [(1,), (3,)]
@@ -169,8 +171,8 @@ def test_remove_node_preserves_surviving_edges():
         full = diagram_of((SimpleType(letter, rank),))
         for j in full.nodes:
             cut = remove_node(full, j)
-            kept = {e for e in full.edges if j not in (e.a, e.b)}
-            assert cut.edges == kept
+            kept = {e for e in edges_of(full) if j not in (e.a, e.b)}
+            assert edges_of(cut) == kept
             assert cut.nodes == tuple(v for v in full.nodes if v != j)
 
 
@@ -259,8 +261,6 @@ def test_every_induced_subdiagram_classifies():
     # any subset of nodes of a valid diagram induces a disjoint union of
     # simple Dynkin graphs, so classification must always succeed and the
     # component ranks must partition the surviving nodes
-    from itertools import combinations
-
     for letter, rank in ALL_SIMPLE:
         full = diagram_of((SimpleType(letter, rank),))
         for k in range(rank):
@@ -278,15 +278,13 @@ def _assert_closed_form_matches_the_graph_classifier(t, removed):
     d = diagram_of((t,))
     for j in removed:
         d = remove_node(d, j)
-    expected = _classify_graph(list(d.nodes), d.edges)  # _identify, then _verify
+    expected = _classify_graph(list(d.nodes), edges_of(d))  # _identify, then _verify
     assert chain_components(t, removed) == expected, (str(t), removed)
     assert classify_components(d) == expected, (str(t), removed)
 
 
 def test_chain_components_match_the_graph_classifier_on_one_and_two_node_residues():
     # same types, embeddings and component order
-    from itertools import combinations
-
     checked = 0
     for t in simple_types(24):
         for k in (1, 2):
@@ -298,12 +296,63 @@ def test_chain_components_match_the_graph_classifier_on_one_and_two_node_residue
 
 
 def test_chain_components_match_the_graph_classifier_on_every_node_subset():
-    from itertools import combinations
-
     for t in simple_types(10):
         for k in range(t.rank + 1):
             for removed in combinations(range(1, t.rank + 1), k):
                 _assert_closed_form_matches_the_graph_classifier(t, removed)
+
+
+def _assert_component_at_matches_chain_components(t, gone):
+    for s in chain_components(t, gone):
+        for pos, v in enumerate(s.embedding, 1):
+            assert component_at(t, gone, v) == (s.type, pos, min(s.embedding)), (str(t), gone, v)
+
+
+def test_component_at_matches_chain_components_on_every_node_subset():
+    # the per-node reader against the whole-factor reader, every node of
+    # every residue of every type of rank <= 10
+    checked = 0
+    for t in simple_types(10):
+        for k in range(t.rank + 1):
+            for gone in combinations(range(1, t.rank + 1), k):
+                _assert_component_at_matches_chain_components(t, gone)
+                checked += 1
+    assert checked == sum(2**t.rank for t in simple_types(10))
+
+
+def test_component_at_matches_chain_components_on_three_node_residues_up_to_rank_16():
+    for t in simple_types(16):
+        if t.letter in "ABCD":
+            for gone in combinations(range(1, t.rank + 1), min(3, t.rank)):
+                _assert_component_at_matches_chain_components(t, gone)
+
+
+def test_component_at_refuses_a_removed_node():
+    with pytest.raises(ValueError, match="not a node"):
+        component_at(SimpleType("A", 5), (2, 4), 4)
+    with pytest.raises(ValueError, match="not a node"):
+        component_at(SimpleType("E", 6), (2,), 2)
+
+
+def test_neighbours_read_the_bonds_and_their_cartan_entries():
+    # each neighbour j of v carries -<alpha_j, alpha_v^vee>, the negated
+    # Cartan entry of the oracle's bond table
+    for t in simple_types(12):
+        c = cartan((t,))
+        for v in range(1, t.rank + 1):
+            expected = sorted((j + 1, -c[v - 1][j]) for j in range(t.rank) if j != v - 1 and c[v - 1][j])
+            assert sorted(neighbours(t, v)) == expected, (str(t), v)
+
+
+def test_a_diagram_stores_its_removed_nodes_and_no_edges():
+    d = Diagram((SimpleType("D", 5), SimpleType("A", 2)), (2, 6))
+    assert d.nodes == (1, 3, 4, 5, 7) and not d.is_full
+    assert [d.has_node(v) for v in range(0, 9)] == [False, True, False, True, True, True, False, True, False]
+    assert diagram_of((SimpleType("A", 10**9),)).removed == ()
+    with pytest.raises(TypeError):
+        Diagram((SimpleType("A", 3),), (), frozenset())  # no edge set to disagree with
+    with pytest.raises(ValueError, match="out of range"):
+        Diagram((SimpleType("A", 3),), (4,))
 
 
 def test_chain_components_special_runs():

@@ -9,23 +9,24 @@ import pytest
 
 from oracles import (
     ALL_SIMPLE,
+    fibration_fiber,
+    is_projective_space,
     pairing,
     positive_roots,
+    projective_space_charts,
+    remove_node,
     surgery_components,
     surgery_gp_invariants,
 )
 from roofscope import (
+    Diagram,
     MarkedDiagram,
     SimpleType,
     VarietyInvariants,
     classify_components,
     diagram_of,
-    fibration_fiber,
     gp_invariants,
-    is_projective_space,
     parse,
-    projective_space_charts,
-    remove_node,
     serialize,
 )
 from roofscope.root_system import simple_types
@@ -367,3 +368,61 @@ def test_classify_components_rejects_foreign_removed_nodes():
         classify_components(d, (2,))
     with pytest.raises(ValueError, match="removed nodes"):
         classify_components(d, (5,))
+
+
+# --- G/P invariants per mark ----------------------------------------------------------
+
+
+def test_gp_invariants_match_surgery_on_three_marks_up_to_rank_10():
+    # every three-mark diagram of rank <= 10, single factors and products
+    types = simple_types(10)
+    specs = [(t,) for t in types] + [
+        (t, u) for a, t in enumerate(types) for u in types[a:] if t.rank + u.rank <= 10
+    ]
+    checked = 0
+    for factors in specs:
+        d = diagram_of(factors)
+        for marks in combinations(d.nodes, 3):
+            md = MarkedDiagram(d, frozenset(marks))
+            assert gp_invariants(md) == surgery_gp_invariants(md), str(md)
+            checked += 1
+    assert checked == 18_765
+
+
+def test_gp_invariants_match_surgery_on_residues_with_up_to_three_marks():
+    # every one- and two-node residue of every type of rank <= 8, cut by
+    # the oracle, with one to three marks
+    checked = 0
+    for t in ALL_SIMPLE:
+        full = diagram_of((t,))
+        for cut in (1, 2):
+            for removed in combinations(full.nodes, cut):
+                residue = full
+                for j in removed:
+                    residue = remove_node(residue, j)
+                for k in (1, 2, 3):
+                    for marks in combinations(residue.nodes, k):
+                        md = MarkedDiagram(residue, frozenset(marks))
+                        assert gp_invariants(md) == surgery_gp_invariants(md), str(md)
+                        checked += 1
+    assert checked > 0
+
+
+def test_gp_invariants_read_a_huge_diagram_per_mark():
+    # O(#marks): no node list, edge set or Levi embedding of rank 10^8
+    inv = gp_invariants(parse("A100000000:50000000"))
+    assert (inv.dim, inv.index) == (2_500_000_050_000_000, 100_000_001)
+    # D_n / P(1, n-1, n) has Levi A_(n-3), read at its ends: every coefficient is n-1
+    n = 100_000_000
+    inv = gp_invariants(parse(f"D{n}:1,{n - 1},{n}"))
+    assert inv.index_vector == ((1, n - 1), (n - 1, n - 1), (n, n - 1))
+    assert inv.dim == n * (n - 1) - (n - 3) * (n - 2) // 2
+
+
+def test_a_diagram_cannot_carry_an_edge_set_that_disagrees_with_its_factors():
+    # a Diagram is its factors and removed nodes, so P^3 reads as P^3
+    a3 = SimpleType("A", 3)
+    with pytest.raises(TypeError):
+        Diagram((a3,), (), frozenset())
+    inv = gp_invariants(MarkedDiagram(Diagram((a3,)), frozenset({1})))
+    assert (inv.dim, inv.index) == (3, 4)

@@ -6,6 +6,14 @@ from __future__ import annotations
 import pytest
 
 import roofscope.roofs
+from oracles import (
+    _residue_charts,
+    component_charts,
+    dedup_key,
+    is_roof,
+    join_candidates,
+    join_enumerate_roofs,
+)
 from roofscope import (
     ClassificationQuery,
     Family,
@@ -17,21 +25,17 @@ from roofscope import (
     enumerate_roofs,
     family_diagram,
     gp_invariants,
-    is_roof,
     name_family,
     parse,
-    remove_node,
     serialize,
     verify_paper_table,
 )
 from roofscope.dynkin import chain_components
-from roofscope.homog import component_charts
 from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
     _family_of,
     _record_for,
-    _residue_charts,
 )
 from roofscope.root_system import simple_types
 
@@ -212,6 +216,7 @@ def test_record_invariants_hold_exhaustively():
         md = rec.marked_diagram()
         inv = gp_invariants(md)
         assert inv.coefficients() == (rec.r, rec.r)
+        assert rec.dim_W == inv.dim  # W's own dimension, not dim V_1 + r - 1
         i, j = sorted(md.marks)
         assert gp_invariants(MarkedDiagram(md.diagram, frozenset({i}))).index == rec.index_V1
         assert gp_invariants(MarkedDiagram(md.diagram, frozenset({j}))).index == rec.index_V2
@@ -223,32 +228,48 @@ def test_enumeration_is_deterministic():
 
 
 def test_residue_join_matches_is_roof_on_every_single_factor():
-    # every single-factor two-marked diagram of rank <= 12, through is_roof
+    # the chart join of the tests, against is_roof on every single-factor
+    # two-marked diagram of rank <= 24
     expected = {
         (serialize(md), r)
-        for md in every_single_factor_two_marked_diagram(12)
+        for md in every_single_factor_two_marked_diagram(24)
         if (r := is_roof(md)) is not None
     }
-    joined = {(serialize(md), r) for md, r in roofscope.roofs._candidates(12)}
+    joined = {(serialize(md), r) for md, r in join_candidates(24)}
     assert joined == expected
     assert ("A12:6,7", 7) in joined and ("C8:5,6", 6) in joined
 
 
+# the D4 triality images of D4:3,4, which the join finds and the rows leave out
+D4_TRIALITY = {("D4:1,3", 4), ("D4:1,4", 4)}
+
+
+def test_solved_join_is_the_chart_join_up_to_rank_512():
+    # the rows that solve the join per letter, against the join itself
+    solved = [(serialize(md), r) for md, r, _ in roofscope.roofs._candidates(512)]
+    assert len(solved) == len(set(solved))
+    assert set(solved) == {(serialize(md), r) for md, r in join_candidates(512)} - D4_TRIALITY
+    for r in (2, 3, 4, 5, 17, 342):
+        assert {(serialize(md), s) for md, s, _ in roofscope.roofs._candidates(512, r)} == {
+            hit for hit in solved if hit[1] == r
+        }
+
+
 def test_candidates_cut_no_classical_diagram(monkeypatch):
-    # every residue, E, F and G included, is read off its type in closed form
-    cut = []
+    # the hits come off the family rows: no residue is read, and each hit
+    # is one row instance carrying its family
+    components = []
 
-    def counting_remove_node(d, j):
-        cut.append(d.factors)
-        return remove_node(d, j)
+    def counting_chain_components(t, removed):
+        components.append(t)
+        return chain_components(t, removed)
 
-    assert not hasattr(roofscope.roofs, "remove_node")
-    for module in (roofscope.dynkin, roofscope.homog):
-        monkeypatch.setattr(module, "remove_node", counting_remove_node)
+    monkeypatch.setattr(roofscope.dynkin, "chain_components", counting_chain_components)
     hits = list(roofscope.roofs._candidates(48))
-    assert ("D48:47,48", 48) in {(serialize(md), r) for md, r in hits}
-    assert ("F4:2,3", 3) in {(serialize(md), r) for md, r in hits}
-    assert cut == []
+    assert ("D48:47,48", 48, Family.D_SPINOR) in {(serialize(md), r, f) for md, r, f in hits}
+    assert ("F4:2,3", 3, Family.F4) in {(serialize(md), r, f) for md, r, f in hits}
+    assert all(serialize(md) == FAMILY_SPECS[f].diagram(r) for md, r, f in hits)
+    assert components == []
 
 
 def test_residue_charts_match_the_chain_components_up_to_rank_96():
@@ -265,36 +286,25 @@ def test_residue_charts_match_the_chain_components_up_to_rank_96():
 
 
 def test_candidates_read_classical_residues_without_surgery(monkeypatch):
-    # an A-D residue is arithmetic: no chain_components, no remove_node;
-    # an E, F or G residue is one chain_components call with one node
-    # removed; each hit's index check reads the full factor and its Levi
-    # factor, the latter with both marks removed
-    components, cut = [], []
+    # building the records reads A-D factors in closed form: the only
+    # chain_components calls are the F4 and G2 records' Levi reads (once
+    # per residue, so none when an earlier test read them), each with at
+    # most both marks removed
+    components = []
 
     def counting_chain_components(t, removed):
-        removed = tuple(removed)
-        components.append((t, removed))
+        components.append((t, tuple(removed)))
         return chain_components(t, removed)
 
-    def counting_remove_node(d, j):
-        cut.append(d.factors)
-        return remove_node(d, j)
-
     monkeypatch.setattr(roofscope.dynkin, "chain_components", counting_chain_components)
-    monkeypatch.setattr(roofscope.roofs, "chain_components", counting_chain_components)
-    for module in (roofscope.dynkin, roofscope.homog):
-        monkeypatch.setattr(module, "remove_node", counting_remove_node)
-    hits = list(roofscope.roofs._candidates(64))
-    assert ("D64:63,64", 64) in {(serialize(md), r) for md, r in hits}
-    assert cut == []
-    checks = {(md.diagram.factors[0], tuple(sorted(md.marks))) for md, _ in hits}
-    assert {(t, removed) for t, removed in components if len(removed) == 2} == checks
-    assert {(t, removed) for t, removed in components if len(removed) == 1} == {
-        (t, (k,)) for t in simple_types(64) if t.letter in "EFG" for k in range(1, t.rank + 1)
-    }
+    records = enumerate_roofs(64)
+    assert ("D64", 64, "D64:63,64") in {(rec.family, rec.r, rec.diagram) for rec in records}
+    assert {str(t) for t, _ in components} <= {"F4", "G2"}
+    assert all(len(removed) <= 2 for _, removed in components)
 
 
-def test_enumeration_parses_each_record_once(monkeypatch):
+def test_enumeration_parses_no_diagram(monkeypatch):
+    # every record is built from its row's factors and marks
     parsed = []
 
     def counting_parse(text):
@@ -302,8 +312,9 @@ def test_enumeration_parses_each_record_once(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(roofscope.roofs, "parse", counting_parse)
-    records = enumerate_roofs(24)
-    assert sorted(parsed) == sorted(rec.diagram for rec in records if rec.homogeneous)
+    monkeypatch.setattr(roofscope.dynkin, "parse", counting_parse)
+    assert len(enumerate_roofs(24)) == 78 and verify_paper_table(24).all_pass
+    assert parsed == ["B3:1"]  # the G2^dagger row's Q^5
 
 
 def test_fiber_filter_matches_the_filtered_enumeration():
@@ -314,6 +325,19 @@ def test_fiber_filter_matches_the_filtered_enumeration():
             assert enumerate_roofs(max_rank, r_filter=r) == [
                 rec for rec in full if rec.r == r
             ], (max_rank, r)
+
+
+def test_enumeration_matches_the_join_based_reference_up_to_rank_128():
+    # the row records against the chart join with its dedup and parse
+    # round trip, at every rank bound and fiber filter
+    for r_filter in (None, 2, 3, 4, 5, 6):
+        reference = [
+            (rec.homogeneous and rec.marked_diagram().diagram.total_rank, rec)
+            for rec in join_enumerate_roofs(128, r_filter)
+        ]
+        for max_rank in range(1, 129):
+            expected = [rec for rank, rec in reference if rank <= max_rank]
+            assert enumerate_roofs(max_rank, r_filter) == expected, (max_rank, r_filter)
 
 
 def _scanned_product_instances(max_rank, r_filter, hits):
@@ -371,7 +395,7 @@ def test_enumeration_is_every_row_instance_that_fits_the_rank_bound(max_rank):
     expected = {
         (spec.label(r), r, spec.diagram(r))
         for spec in FAMILY_SPECS.values()
-        if spec.diagram is not None
+        if spec.factors is not None
         for r in filter(spec.admits, range(2, max_rank + 2))
         if spec.rank(r) <= max_rank
     }
@@ -430,13 +454,11 @@ def _reverse_a_chain(diagram: str) -> str:
 
 
 def test_automorphism_dedup_key_identifies_isomorphic_markings():
-    from roofscope.roofs import _dedup_key
-
-    assert _dedup_key(parse("A4:1,2")) == _dedup_key(parse("A4:3,4"))  # chain reversal
-    assert _dedup_key(parse("D4:1,4")) == _dedup_key(parse("D4:3,4"))  # triality
-    assert _dedup_key(parse("D5:4,5")) == _dedup_key(parse("D5:4,5"))  # fork swap fixes
-    assert _dedup_key(parse("E6:1,3")) == _dedup_key(parse("E6:5,6"))  # E6 reversal
-    assert _dedup_key(parse("A4:1,2")) != _dedup_key(parse("A4:1,3"))
+    assert dedup_key(parse("A4:1,2")) == dedup_key(parse("A4:3,4"))  # chain reversal
+    assert dedup_key(parse("D4:1,4")) == dedup_key(parse("D4:3,4"))  # triality
+    assert dedup_key(parse("D5:4,5")) == dedup_key(parse("D5:4,5"))  # fork swap fixes
+    assert dedup_key(parse("E6:1,3")) == dedup_key(parse("E6:5,6"))  # E6 reversal
+    assert dedup_key(parse("A4:1,2")) != dedup_key(parse("A4:1,3"))
 
 
 def test_product_records_with_c_charts_are_named_as_products():
@@ -446,7 +468,7 @@ def test_product_records_with_c_charts_are_named_as_products():
 
 
 @pytest.mark.parametrize(
-    "family", [f for f, spec in FAMILY_SPECS.items() if spec.diagram is not None]
+    "family", [f for f, spec in FAMILY_SPECS.items() if spec.factors is not None]
 )
 def test_each_family_row_agrees_with_its_diagram_up_to_r_16(family):
     spec = FAMILY_SPECS[family]

@@ -121,7 +121,8 @@ def test_two_rho_closed_form_matches_the_root_sum():
     types = simple_types(12)
     assert len(types) == 12 + 10 + 11 + 9 + 3 + 1 + 1
     for t in types:
-        assert _two_rho(t) == _root_sum((t,)), str(t)
+        two_rho = tuple(_two_rho(t, p) for p in range(1, t.rank + 1))
+        assert two_rho == _root_sum((t,)), str(t)
         assert positive_root_count(t) == len(positive_roots((t,))), str(t)
 
 

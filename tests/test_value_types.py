@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import Edge
 from roofscope import (
     G2_DAGGER_RECORD,
     BundleChowRing,
     ClassificationQuery,
     CyclicBase,
     Diagram,
-    Edge,
     MarkedDiagram,
     RoofRecord,
     SimpleType,
@@ -34,7 +34,8 @@ A3 = SimpleType("A", 3)
 
 
 def one_of_each():
-    """An instance of each of the 16 value types, keyed by type name."""
+    """An instance of each of the 15 value types of the package and of the
+    oracle's Edge, keyed by type name."""
     table = verify_paper_table(2)
     classes = classify_simple_kequiv(ClassificationQuery(dim_x=8))
     values = [
@@ -132,13 +133,13 @@ BAD_CONSTRUCTIONS = [
     ),
     pytest.param(lambda: Edge(1, 2, 2, 3), "arrow source must be an endpoint", id="Edge"),
     pytest.param(
-        lambda: Diagram((A2,), (2, 1), frozenset()),
-        "nodes must be sorted ascending",
+        lambda: Diagram((A2,), (2, 1)),
+        "removed nodes must be sorted ascending",
         id="Diagram",
     ),
     pytest.param(
-        lambda: Diagram((A3,), (1, 1, 2), frozenset()),
-        "nodes must be sorted ascending, each at most once",
+        lambda: Diagram((A3,), (1, 1, 2)),
+        "removed nodes must be sorted ascending, each at most once",
         id="Diagram-duplicate",
     ),
     pytest.param(
@@ -171,7 +172,7 @@ def test_each_checked_constructor_names_its_problem(build, message):
 BAD_REPLACEMENTS = [
     pytest.param(SimpleType("E", 6), {"rank": 5}, "use D5", id="SimpleType"),
     pytest.param(Edge(1, 2, 1, None), {"a": 5}, "a < b", id="Edge"),
-    pytest.param(diagram_of((A2,)), {"nodes": (2, 1)}, "sorted ascending", id="Diagram"),
+    pytest.param(diagram_of((A2,)), {"removed": (2, 1)}, "sorted ascending", id="Diagram"),
     pytest.param(parse("A2:1"), {"marks": frozenset()}, "at least one mark", id="MarkedDiagram"),
     pytest.param(projective_space(2), {"dim": 0}, "must be positive", id="CyclicBase"),
     pytest.param(
