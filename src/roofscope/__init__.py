@@ -41,10 +41,11 @@ __all__ = sorted(_EXPORTS)
 
 
 def _make_checked(cls, iterable):
-    """``_make`` for the checked value types: NamedTuple's own builds the
-    tuple without calling ``__new__`` (and ``_replace`` goes through it), so
-    it would skip the validation.  It lives here, where every layer finds
-    it without loading another."""
+    """``_make`` for the checked value types: ``collections.namedtuple``'s
+    own builds the tuple with ``tuple.__new__``, not the class's checked
+    ``__new__`` (and ``_replace`` goes through it), so it would skip the
+    validation.  It lives here, where every layer finds it without loading
+    another."""
     return cls(*iterable)
 
 

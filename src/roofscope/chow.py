@@ -23,13 +23,14 @@ fractions (integral inputs give integral degrees).
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import _make_checked
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ChowElement:
@@ -180,13 +181,7 @@ H = ChowElement({(1, 0): 1})
 XI = ChowElement({(0, 1): 1})
 
 
-class _CyclicBaseFields(NamedTuple):
-    dim: int
-    degree: int
-    index: int
-
-
-class CyclicBase(_CyclicBaseFields):
+class CyclicBase(namedtuple("CyclicBase", "dim degree index")):
     """A base variety with H-power cohomology.
 
     ``degree`` is the degree of H^dim and ``index`` the coefficient of
@@ -241,13 +236,7 @@ OTTAVIANI_CHERNS_CYCLIC = (2, 2, 2)
 OTTAVIANI_CHERNS_H = (Fraction(2), Fraction(2), Fraction(1))
 
 
-class _BundleChowRingFields(NamedTuple):
-    base: CyclicBase
-    rank: int
-    cherns: tuple[Fraction, ...]
-
-
-class BundleChowRing(_BundleChowRingFields):
+class BundleChowRing(namedtuple("BundleChowRing", "base rank cherns")):
     """The divisor ring of P(E) for a rank-r bundle E over a cyclic base.
 
     ``cherns[i-1]`` is the H-multiple of c_i(E).  Normal forms have
@@ -338,14 +327,10 @@ def twist_cherns(cherns: Iterable[Scalar], rank: int, t: int) -> tuple[Fraction,
     )
 
 
-class MukaiVerdict(NamedTuple):
-    passed: bool
-    index_of_v: int
-    c1_of_e: Fraction
-    rank: int
-    dim: int
-    minus_k: str
-    suggested_twist: int | None
+class MukaiVerdict(
+    namedtuple("MukaiVerdict", "passed index_of_v c1_of_e rank dim minus_k suggested_twist")
+):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         out = [
@@ -401,11 +386,8 @@ def blowup_discrepancy(r: int) -> int:
     return r - 1
 
 
-class CodimVerdict(NamedTuple):
-    consistent: bool
-    r1: int
-    r2: int
-    report: tuple[str, ...]
+class CodimVerdict(namedtuple("CodimVerdict", "consistent r1 r2 report")):
+    __slots__ = ()
 
     def lines(self) -> list[str]:
         return list(self.report)

@@ -21,11 +21,13 @@ input only.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import render
 
+TYPE_CHECKING = False  # type checkers read it as True
 if TYPE_CHECKING:  # annotations only
     import argparse
     from fractions import Fraction
@@ -212,7 +214,7 @@ def _ring_from_args(args) -> chow.BundleChowRing:
 # --- command bodies ------------------------------------------------------------
 
 
-def _emit(fmt: str, headers, rows, json_payload, raw_latex_columns=()) -> None:
+def _emit(fmt: str, headers, rows, json_payload) -> None:
     if fmt == "table":
         sys.stdout.write(render.render_table(headers, rows))
     elif fmt == "csv":
@@ -220,7 +222,7 @@ def _emit(fmt: str, headers, rows, json_payload, raw_latex_columns=()) -> None:
     elif fmt == "json":
         sys.stdout.write(render.render_json(json_payload))
     else:
-        sys.stdout.write(render.render_latex(headers, rows, raw_latex_columns))
+        sys.stdout.write(render.render_latex(headers, rows))
 
 
 def cmd_gp(args) -> int:
@@ -412,23 +414,19 @@ def cmd_chow_discrepancy(args) -> int:
 # --- the grammar ----------------------------------------------------------------
 
 
-class _Flag(NamedTuple):
+class _Flag(
+    namedtuple(
+        "_Flag", "name kind required default choices help", defaults=(str, False, None, None, None)
+    )
+):
     """An option of one command: ``kind`` is int, str, or bool for a
     store-true switch; the namespace attribute is argparse's dest."""
 
-    name: str
-    kind: type = str
-    required: bool = False
-    default: object = None
-    choices: Optional[tuple] = None
-    help: Optional[str] = None
+    __slots__ = ()
 
 
-class _Command(NamedTuple):
-    help: str
-    run: Callable
-    positionals: tuple = ()  # (dest, help) pairs
-    flags: tuple = ()
+# positionals are (dest, help) pairs
+_Command = namedtuple("_Command", "help run positionals flags", defaults=((), ()))
 
 
 _FORMAT = _Flag(
@@ -565,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace argparse builds from a well-formed query, read off
     ``GRAMMAR``; None for anything else.
 
@@ -631,7 +629,7 @@ def _read_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)

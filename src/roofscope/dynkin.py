@@ -35,8 +35,9 @@ O(log #removed) for A, B, C and D; no graph is searched.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
 
 from . import _make_checked
 from .root_system import SimpleType
@@ -50,12 +51,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _DiagramFields(NamedTuple):
-    factors: tuple[SimpleType, ...]
-    removed: tuple[int, ...] = ()
-
-
-class Diagram(_DiagramFields):
+class Diagram(namedtuple("Diagram", "factors removed", defaults=((),))):
     """A Dynkin graph: 1 or 2 factors minus the global nodes ``removed``.
 
     ``factors`` always records the full ambient diagram and ``removed``
@@ -106,12 +102,7 @@ class Diagram(_DiagramFields):
         return f"{body} on nodes {','.join(map(str, self.nodes))}"
 
 
-class _MarkedDiagramFields(NamedTuple):
-    diagram: Diagram
-    marks: frozenset[int]
-
-
-class MarkedDiagram(_MarkedDiagramFields):
+class MarkedDiagram(namedtuple("MarkedDiagram", "diagram marks")):
     __slots__ = ()
     _make = classmethod(_make_checked)
 
@@ -234,14 +225,13 @@ def serialize(md: MarkedDiagram) -> str:
 
 # --- component classification ----------------------------------------------
 
-class ComponentShape(NamedTuple):
+class ComponentShape(namedtuple("ComponentShape", "type embedding")):
     """A connected component identified as a simple type.
 
     ``embedding[p-1]`` is the global node sitting at Bourbaki position p.
     """
 
-    type: SimpleType
-    embedding: tuple[int, ...]
+    __slots__ = ()
 
     def position_of(self, node: int) -> int:
         """Bourbaki position (1-based) of a global node."""
@@ -309,8 +299,9 @@ def neighbours(t: SimpleType, v: int) -> list[tuple[int, int]]:
     if v == pendant:
         near = [anchor]
     else:
+        # a slice, not len(): a range longer than sys.maxsize has no len
         i = spine.index(v)
-        near = [spine[k] for k in (i - 1, i + 1) if 0 <= k < len(spine)]
+        near = [j for j in spine[max(i - 1, 0) : i + 2] if j != v]
         if v == anchor:
             near.append(pendant)
     bond = _bond(t)

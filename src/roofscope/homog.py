@@ -34,22 +34,20 @@ components contribute a point and drop out.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dynkin import MarkedDiagram, component_at, neighbours
 from .root_system import SimpleType, _two_rho, positive_root_count
 
 
-class VarietyInvariants(NamedTuple):
+class VarietyInvariants(namedtuple("VarietyInvariants", "dim picard index_vector")):
     """Dimension, Picard number and anticanonical coefficients of G/P(I).
 
     ``index_vector`` lists (mark, coefficient) pairs with marks ascending;
     each coefficient is the pairing of -K against the coroot at that mark.
     """
 
-    dim: int
-    picard: int
-    index_vector: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def index(self) -> int:

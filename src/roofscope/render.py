@@ -9,7 +9,7 @@ loads only the format it prints.
 from __future__ import annotations
 
 import io
-from typing import Sequence
+from collections.abc import Sequence
 
 FORMATS = ("table", "json", "csv", "latex")
 

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
 from . import _make_checked
 from .dynkin import MarkedDiagram, diagram_of, parse, serialize
@@ -65,7 +66,7 @@ class Family(enum.Enum):
         return self.value if spec is None else spec.label(r)
 
 
-class FamilySpec(NamedTuple):
+class FamilySpec(namedtuple("FamilySpec", "label latex factors marks admits triple")):
     """One roof family, each field a function of the fiber parameter r.
 
     ``factors`` and ``marks`` (the two marks, ascending) give the
@@ -74,12 +75,7 @@ class FamilySpec(NamedTuple):
     that ``verify_paper_table`` checks.
     """
 
-    label: Callable[[int], str]
-    latex: Callable[[int], str]
-    factors: Optional[Callable[[int], tuple[SimpleType, ...]]]
-    marks: Optional[Callable[[int], tuple[int, int]]]
-    admits: Callable[[int], bool]
-    triple: Callable[[int], tuple[int, int, int]]
+    __slots__ = ()
 
     def marked(self, r: int) -> MarkedDiagram:
         """The canonical marked diagram at r."""
@@ -170,20 +166,13 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
 NON_HOMOGENEOUS = "non-homogeneous"
 
 
-class _RoofRecordFields(NamedTuple):
-    family: str
-    r: int
-    diagram: str
-    dim_W: int
-    dim_V1: int
-    dim_V2: int
-    index_V1: int
-    index_V2: int
-    homogeneous: bool
-    notes: str
-
-
-class RoofRecord(_RoofRecordFields):
+class RoofRecord(
+    namedtuple(
+        "RoofRecord",
+        "family r diagram dim_W dim_V1 dim_V2 index_V1 index_V2 homogeneous notes",
+        defaults=("",),
+    )
+):
     """One recognized roof, with the invariants of its two contractions.
 
     V_1 and V_2 are the images of the projections keeping the smaller
@@ -338,14 +327,14 @@ def _mark_images(md: MarkedDiagram) -> set[str]:
 # --- enumeration --------------------------------------------------------------
 
 
-def _fibers(max_rank: int, r_filter: Optional[int]) -> Iterable[int]:
+def _fibers(max_rank: int, r_filter: int | None) -> Iterable[int]:
     """The fiber parameters to visit: r_filter alone, or every r at which
     a row of rank <= max_rank can sit (each row's rank is at least r - 1)."""
     return range(2, max_rank + 2) if r_filter is None else (r_filter,)
 
 
 def _row_instances(
-    family: Family, max_rank: int, r_filter: Optional[int]
+    family: Family, max_rank: int, r_filter: int | None
 ) -> Iterator[tuple[MarkedDiagram, int, Family]]:
     """The canonical diagrams of one row whose rank fits max_rank, with r."""
     spec = FAMILY_SPECS[family]
@@ -361,7 +350,7 @@ _SOLVED_JOIN = (
 
 
 def _candidates(
-    max_rank: int, r_filter: Optional[int] = None
+    max_rank: int, r_filter: int | None = None
 ) -> Iterator[tuple[MarkedDiagram, int, Family]]:
     """Every single-factor roof of rank <= max_rank (only r_filter, when
     given), up to automorphism, as (diagram, r, family row).
@@ -404,7 +393,7 @@ def _candidates(
 
 def enumerate_roofs(
     max_total_rank: int,
-    r_filter: Optional[int] = None,
+    r_filter: int | None = None,
 ) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank.
 
@@ -456,19 +445,16 @@ def _record_for(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
 # --- reference table -----------------------------------------------------------
 
 
-class TableRow(NamedTuple):
-    family: str
-    r: int
-    computed: tuple[int, int, int]
-    expected: tuple[int, int, int]
+class TableRow(namedtuple("TableRow", "family r computed expected")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.computed == self.expected
 
 
-class TableReport(NamedTuple):
-    rows: tuple[TableRow, ...]
+class TableReport(namedtuple("TableReport", "rows")):
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -522,7 +508,11 @@ def verify_paper_table(r_max: int) -> TableReport:
 # --- classification of simple K-equivalent maps --------------------------------
 
 
-class ClassificationQuery(NamedTuple):
+class ClassificationQuery(
+    namedtuple(
+        "ClassificationQuery", "dim_x r fiber_gap symplectic", defaults=(None, None, None, False)
+    )
+):
     """Constraints on a simple K-equivalent map.
 
     ``r`` is the codimension of the two centers, ``fiber_gap`` is
@@ -530,10 +520,7 @@ class ClassificationQuery(NamedTuple):
     ``dim_x`` bounds the ambient dimension.
     """
 
-    dim_x: Optional[int] = None
-    r: Optional[int] = None
-    fiber_gap: Optional[int] = None
-    symplectic: bool = False
+    __slots__ = ()
 
 
 # Each case bounds r per family by an interval (lo, hi); hi None is unbounded.
@@ -566,16 +553,11 @@ _BELOW_DIM_3 = (
 )
 
 
-class ClassEntry(NamedTuple):
-    family: Family
-    label: str
-    rules: tuple[str, ...]
+ClassEntry = namedtuple("ClassEntry", "family label rules")
 
 
-class ClassificationResult(NamedTuple):
-    available: bool
-    entries: tuple[ClassEntry, ...]
-    applied_rules: tuple[str, ...]
+class ClassificationResult(namedtuple("ClassificationResult", "available entries applied_rules")):
+    __slots__ = ()
 
     def labels(self) -> list[str]:
         return [e.label for e in self.entries]

@@ -37,7 +37,7 @@ holds the bond table ``_bonds``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import _make_checked
 
@@ -58,12 +58,7 @@ _CANONICAL_HINTS = {
 _LETTERS = tuple("ABCDEFG")
 
 
-class _SimpleTypeFields(NamedTuple):
-    letter: str
-    rank: int
-
-
-class SimpleType(_SimpleTypeFields):
+class SimpleType(namedtuple("SimpleType", "letter rank")):
     """One simple Dynkin factor in canonical form, e.g. A7 or F4."""
 
     __slots__ = ()

@@ -31,8 +31,9 @@ node's bonds off its factor's Bourbaki spine.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
 
 from roofscope import (
     Diagram,
@@ -88,14 +89,7 @@ def _bonds(t: SimpleType) -> Iterator[tuple[int, int, int, int]]:
         yield 0, 1, -1, -3
 
 
-class _EdgeFields(NamedTuple):
-    a: int
-    b: int
-    mult: int
-    source: int | None
-
-
-class Edge(_EdgeFields):
+class Edge(namedtuple("Edge", "a b mult source")):
     """An edge between global nodes a < b.
 
     ``source`` is the long-root end for bond multiplicity >= 2 and None
@@ -459,7 +453,7 @@ def _residue_charts(t: SimpleType, k: int) -> dict[int, int]:
 
 
 def join_candidates(
-    max_rank: int, r_filter: Optional[int] = None
+    max_rank: int, r_filter: int | None = None
 ) -> Iterator[tuple[MarkedDiagram, int]]:
     """Every single-factor roof of rank <= max_rank with its r (only r_filter,
     when given): the mark pairs whose two residue charts agree on r."""
@@ -481,7 +475,7 @@ def dedup_key(md: MarkedDiagram) -> str:
 
 
 def join_enumerate_roofs(
-    max_total_rank: int, r_filter: Optional[int] = None
+    max_total_rank: int, r_filter: int | None = None
 ) -> list[RoofRecord]:
     """``enumerate_roofs`` as it was before it read the family rows: the
     chart join, each hit named by ``_family_of`` and keyed by its family

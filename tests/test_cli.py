@@ -789,6 +789,36 @@ def test_gp_on_a_huge_diagram_is_fast():
     assert elapsed < 2.0, f"gp A3000:1500 took {elapsed:.2f}s"
 
 
+@pytest.mark.parametrize("n", [2**63, 10**30])
+def test_gp_answers_beyond_the_largest_range_length(n):
+    # a range longer than sys.maxsize has no len(); the spine is read by slicing
+    k = n // 2
+    closed_forms = {
+        f"A{n}:1": (n, n + 1),
+        f"B{n}:1": (2 * n - 1, 2 * n - 1),
+        f"C{n}:1": (2 * n - 1, 2 * n),
+        f"D{n}:1": (2 * n - 2, 2 * n - 2),
+        f"A{n}:{k}": (k * (n + 1 - k), n + 1),
+    }
+    for diagram, (dim, index) in closed_forms.items():
+        code, out, err = run("gp", diagram, "--format", "json")
+        assert (code, err) == (0, ""), diagram
+        mark = diagram.split(":")[1]
+        assert json.loads(out) == {
+            "diagram": diagram, "dim": dim, "picard": 1, "index": {mark: index}
+        }
+
+
+def test_roofs_at_one_fiber_beyond_the_largest_range_length():
+    n = 2**63  # A_n^M and D_n fit rank n; every other row is larger
+    code, out, err = run("roofs", "--max-rank", str(n), "--fiber", str(n), "--format", "json")
+    assert (code, err) == (0, "")
+    assert [
+        (rec["family"], rec["dim_V1"], rec["index_V1"], rec["index_V2"])
+        for rec in json.loads(out)
+    ] == [(f"A{n}^M", n, n + 1, n + 1), (f"D{n}", n * (n - 1) // 2, 2 * n - 2, 2 * n - 2)]
+
+
 def test_roofs_max_rank_24_is_fast():
     start = time.perf_counter()
     code, out, _ = run("roofs", "--max-rank", "24", "--format", "csv")
@@ -828,15 +858,16 @@ def test_roofs_max_rank_96_csv_is_pinned():
 
 # what each command may not load: the chow layer (and fractions, which
 # imports decimal) stays out of the roof queries, and so on; no well-formed
-# query builds the argparse parser (nor loads gettext and locale with it)
-NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+# query builds the argparse parser (nor loads gettext and locale with it),
+# no value type loads typing, and a table needs no regular expression
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
 LAYERS_LEFT_OUT = [
     (["roofs", "--max-rank", "8"], "roofscope.roofs",
-     {"roofscope.chow", "fractions", "decimal"}),
+     {"roofscope.chow", "fractions", "decimal", "re"}),
     (["verify-table", "--r-max", "10"], "roofscope.roofs",
-     {"roofscope.chow", "fractions", "decimal"}),
+     {"roofscope.chow", "fractions", "decimal", "re"}),
     (["classify", "--dim-x", "8"], "roofscope.roofs",
-     {"roofscope.chow", "fractions", "decimal"}),
+     {"roofscope.chow", "fractions", "decimal", "re"}),
     (["gp", "F4:2,3", "--format", "json"], "roofscope.homog",
      {"roofscope.roofs", "roofscope.chow"}),
     (["chow", "degree", "--base", "P2", "--rank", "2", "--cherns", "3,3",
@@ -852,8 +883,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     show = "import sys; print(' '.join(sorted(sys.modules)))"
 
     def loaded(prelude: str) -> set[str]:
+        # -S: no site or .pth file may preload a module and hide it
         out = subprocess.run(
-            [sys.executable, "-c", prelude + show],
+            [sys.executable, "-S", "-c", prelude + show],
             env=env,
             capture_output=True,
             text=True,
