@@ -17,20 +17,45 @@ of an odd quadric differ from H-multiples in degrees above the middle
 (H^k is twice the generator there); ``chern_units_to_h`` converts, and
 the Ottaviani data (2,2,2) on Q^5 is bundled both ways.
 
-Everything is exact: coefficients are fractions, degree pairings return
-fractions (integral inputs give integral degrees).
+Everything is exact, under one rule applied wherever a value enters
+(``rational``): an ``int`` stays an ``int``, and any other value becomes
+``Fraction(value)``, demoted to ``int`` when its denominator is 1.  So
+integral data computes in machine integers, and ``fractions`` (with
+``decimal`` and ``numbers``) loads only when a non-integral value
+appears; integral inputs give integral coefficients and degrees.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from math import comb
 
 from . import _make_checked
 
-Scalar = int | Fraction
+TYPE_CHECKING = False  # type checkers read it as True
+if TYPE_CHECKING:  # annotations only
+    from fractions import Fraction
+
+    Scalar = int | Fraction
+
+
+def rational(value, denominator=None) -> Scalar:
+    """The layer's one normalisation of a value, or of the ratio
+    value/denominator.
+
+    An ``int`` stays an ``int`` (an ``int`` ratio that divides exactly is
+    its quotient); anything else goes through ``Fraction`` as given and is
+    demoted to ``int`` when its denominator is 1."""
+    if type(value) is int:
+        if denominator is None:
+            return value
+        if type(denominator) is int and denominator and value % denominator == 0:
+            return value // denominator
+    from fractions import Fraction
+
+    value = Fraction(value) if denominator is None else Fraction(value, denominator)
+    return value.numerator if value.denominator == 1 else value
 
 
 class ChowElement:
@@ -43,28 +68,27 @@ class ChowElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Scalar] = {}
         for (h, x), c in (terms or {}).items():
             if h < 0 or x < 0:
                 raise ValueError("exponents must be nonnegative")
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 clean[(h, x)] = c
         object.__setattr__(self, "_terms", clean)
 
     @property
-    def terms(self) -> dict[tuple[int, int], Fraction]:
+    def terms(self) -> dict[tuple[int, int], Scalar]:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ChowElement):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == ChowElement({(0, 0): other})
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -75,7 +99,7 @@ class ChowElement:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return ChowElement(out)
 
     __radd__ = __add__
@@ -99,11 +123,11 @@ class ChowElement:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], Scalar] = {}
         for (h1, x1), c1 in self._terms.items():
             for (h2, x2), c2 in other._terms.items():
                 k = (h1 + h2, x1 + x2)
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
+                out[k] = out.get(k, 0) + c1 * c2
         return ChowElement(out)
 
     __rmul__ = __mul__
@@ -123,7 +147,7 @@ class ChowElement:
     def shift_xi(self, t: Scalar) -> "ChowElement":
         """Substitute xi -> xi + t*H (the tautological class of a twist)."""
         out = ChowElement()
-        sub = XI + Fraction(t) * H
+        sub = XI + rational(t) * H
         for (h, x), c in self._terms.items():
             out = out + c * ChowElement({(h, 0): 1}) * sub**x
         return out
@@ -139,11 +163,16 @@ class ChowElement:
 
 
 def _coerce(value) -> ChowElement | None:
+    """An element, or an int or Fraction as a constant element; None for
+    anything else."""
     if isinstance(value, ChowElement):
         return value
-    if isinstance(value, (int, Fraction)):
-        return ChowElement({(0, 0): value})
-    return None
+    if not isinstance(value, int):
+        from fractions import Fraction  # only a non-int loads fractions
+
+        if not isinstance(value, Fraction):
+            return None
+    return ChowElement({(0, 0): value})
 
 
 def _monomial_str(h: int, x: int) -> str:
@@ -158,7 +187,7 @@ def _monomial_str(h: int, x: int) -> str:
 def format_element(el: ChowElement) -> str:
     if not el:
         return "0"
-    items = sorted(el.terms.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
+    items = sorted(el._terms.items(), key=lambda kv: (-kv[0][1], -kv[0][0]))
     chunks = []
     for (h, x), c in items:
         mono = _monomial_str(h, x)
@@ -212,7 +241,7 @@ def quadric(n: int) -> CyclicBase:
     return CyclicBase(dim=n, degree=2, index=n)
 
 
-def chern_units_to_h(base: CyclicBase, values: Sequence[Scalar]) -> tuple[Fraction, ...]:
+def chern_units_to_h(base: CyclicBase, values: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Convert Chern data quoted in Z-generator units to H-multiples.
 
     On a projective space this is the identity; on an odd quadric the
@@ -220,11 +249,11 @@ def chern_units_to_h(base: CyclicBase, values: Sequence[Scalar]) -> tuple[Fracti
     so the quoted integers are halved there.
     """
     if base.degree == 1:
-        return tuple(Fraction(v) for v in values)
+        return tuple(rational(v) for v in values)
     if base.degree == 2 and base.dim % 2 == 1:
         half = base.dim // 2
         return tuple(
-            Fraction(v) if k + 1 <= half else Fraction(v, 2)
+            rational(v) if k + 1 <= half else rational(v, 2)
             for k, v in enumerate(values)
         )
     raise ValueError("no generator-unit convention for this base")
@@ -233,7 +262,7 @@ def chern_units_to_h(base: CyclicBase, values: Sequence[Scalar]) -> tuple[Fracti
 # Ottaviani bundle on Q^5: stable of rank 3 with Chern classes (2, 2, 2)
 # in the integral Chow units; the degree-3 unit is H^3/2.
 OTTAVIANI_CHERNS_CYCLIC = (2, 2, 2)
-OTTAVIANI_CHERNS_H = (Fraction(2), Fraction(2), Fraction(1))
+OTTAVIANI_CHERNS_H = (2, 2, 1)
 
 
 class BundleChowRing(namedtuple("BundleChowRing", "base rank cherns")):
@@ -254,7 +283,7 @@ class BundleChowRing(namedtuple("BundleChowRing", "base rank cherns")):
             raise ValueError("rank must be positive")
         if len(cherns) != rank:
             raise ValueError(f"expected {rank} Chern coefficients")
-        return tuple.__new__(cls, (base, rank, tuple(Fraction(c) for c in cherns)))
+        return tuple.__new__(cls, (base, rank, tuple(rational(c) for c in cherns)))
 
     @property
     def top_degree(self) -> int:
@@ -273,8 +302,8 @@ class BundleChowRing(namedtuple("BundleChowRing", "base rank cherns")):
         if el is None:
             raise TypeError(f"cannot reduce {element!r}")
         n, r, top = self.base.dim, self.rank, self.top_degree
-        rows: dict[int, dict[int, Fraction]] = {}  # x -> h -> coefficient
-        for (h, x), c in el.terms.items():
+        rows: dict[int, dict[int, Scalar]] = {}  # x -> h -> coefficient
+        for (h, x), c in el._terms.items():
             if h <= n and h + x <= top:
                 rows.setdefault(x, {})[h] = c
         # xi^r = c_1 H xi^{r-1} - c_2 H^2 xi^{r-2} + ... -(-1)^r c_r H^r
@@ -288,7 +317,7 @@ class BundleChowRing(namedtuple("BundleChowRing", "base rank cherns")):
                     row[h + i] = row.get(h + i, 0) + c * coeff
         return ChowElement({(h, x): c for x, row in rows.items() for h, c in row.items()})
 
-    def degree(self, element: ChowElement | Scalar) -> Fraction:
+    def degree(self, element: ChowElement | Scalar) -> Scalar:
         """Pair a homogeneous class of top degree n + r - 1 against the point."""
         el = _coerce(element)
         if el is None:
@@ -300,29 +329,27 @@ class BundleChowRing(namedtuple("BundleChowRing", "base rank cherns")):
                 f"{self.top_degree}, got degrees {sorted(degs)}"
             )
         nf = self.reduce(el)
-        coeff = nf.terms.get((self.base.dim, self.rank - 1), Fraction(0))
-        return coeff * self.base.degree
+        coeff = nf._terms.get((self.base.dim, self.rank - 1), 0)
+        return rational(coeff * self.base.degree)
 
     def canonical_class(self) -> ChowElement:
         """-K of P(E): r*xi + (index - c_1)*H in normal form."""
-        raw = self.rank * XI + (Fraction(self.base.index) - self.cherns[0]) * H
+        raw = self.rank * XI + (rational(self.base.index) - self.cherns[0]) * H
         return self.reduce(raw)
 
 
-def twist_cherns(cherns: Iterable[Scalar], rank: int, t: int) -> tuple[Fraction, ...]:
+def twist_cherns(cherns: Iterable[Scalar], rank: int, t: int) -> tuple[Scalar, ...]:
     """Chern coefficients of E tensor O(tH) from those of E.
 
     c_k(E(t)) = sum_i binom(r-i, k-i) c_i(E) (tH)^{k-i}, applied to the
     H-multiples degree by degree.
     """
-    a = [Fraction(1)] + [Fraction(c) for c in cherns]
+    a = [1] + [rational(c) for c in cherns]
     if len(a) != rank + 1:
         raise ValueError(f"expected {rank} Chern coefficients")
+    t = rational(t)
     return tuple(
-        sum(
-            comb(rank - i, k - i) * a[i] * Fraction(t) ** (k - i)
-            for i in range(k + 1)
-        )
+        rational(sum(comb(rank - i, k - i) * a[i] * t ** (k - i) for i in range(k + 1)))
         for k in range(1, rank + 1)
     )
 
@@ -356,10 +383,10 @@ def mukai_pair_check(
     """Check the pairing condition c_1(V) = c_1(E) in the H-generated model."""
     if index_of_v < 1 or rank < 1 or dim < 1:
         raise ValueError("inputs must be positive")
-    c1 = Fraction(c1_of_e)
+    c1 = rational(c1_of_e)
     if c1 <= 0:
         raise ValueError("an ample bundle has positive c1")
-    gap = Fraction(index_of_v) - c1
+    gap = rational(index_of_v) - c1
     passed = gap == 0
     if passed:
         minus_k = f"{rank}*xi"

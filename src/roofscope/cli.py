@@ -76,9 +76,7 @@ class _ElementParser:
         return int(self.text[start : self.pos])
 
     def atom(self) -> chow.ChowElement:
-        from fractions import Fraction
-
-        from .chow import H, XI, ChowElement
+        from .chow import H, XI, ChowElement, rational
 
         ch = self.peek()
         if ch == "(":
@@ -97,7 +95,7 @@ class _ElementParser:
                 if den == 0:
                     self.pos = start
                     self.fail("zero denominator")
-                return ChowElement({(0, 0): Fraction(num, den)})
+                return ChowElement({(0, 0): rational(num, den)})
             return ChowElement({(0, 0): num})
         if self.text.startswith("xi", self.pos):
             self.pos += 2
@@ -109,7 +107,7 @@ class _ElementParser:
 
     def product(self, a: chow.ChowElement, b: chow.ChowElement) -> chow.ChowElement:
         out = self.ring.reduce(a * b)
-        for c in out.terms.values():
+        for c in out._terms.values():
             if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
                 self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
         return out
@@ -167,13 +165,20 @@ def parse_element(text: str, ring: chow.BundleChowRing) -> chow.ChowElement:
         raise ValueError("bad element: parentheses nested too deeply") from None
 
 
-def _fraction(text: str) -> Fraction:
-    from fractions import Fraction
-
+def _fraction(text: str) -> int | Fraction:
+    """A number as ``Fraction(text)`` reads it, as an ``int`` when the text
+    is a plain ASCII integer ([+-]digits, whitespace around), so integral
+    input loads no ``fractions``."""
     # Fraction("1e3000000") builds the integer before anything can check
     # its size, so exponent notation is refused outright
     if "e" in text.lower():
         raise ValueError(f"bad number {text!r}: exponent notation is not accepted")
+    stripped = text.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if digits.isascii() and digits.isdigit():
+        return int(stripped)
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -36,7 +36,7 @@ from roofscope import (
     quadric,
     twist_cherns,
 )
-from roofscope.cli import parse_element
+from roofscope.cli import _fraction, parse_element
 
 
 def tangent_bundle_ring(r: int) -> BundleChowRing:
@@ -144,6 +144,47 @@ def _combine(children):
 _texts_and_free_elements = st.recursive(_leaves, _combine, max_leaves=10)
 
 
+@st.composite
+def _integral_ring_and_elements(draw):
+    base = draw(
+        st.one_of(
+            st.integers(1, 7).map(projective_space),
+            st.sampled_from([3, 5, 7]).map(quadric),
+        )
+    )
+    rank = draw(st.integers(1, 6))
+    cherns = draw(st.lists(st.integers(-4, 4), min_size=rank, max_size=rank))
+    ring = BundleChowRing(base, rank, cherns)
+    monomials = st.tuples(st.integers(0, base.dim + 1), st.integers(0, ring.top_degree + 2))
+    elements = st.dictionaries(monomials, st.integers(-9, 9), max_size=6).map(ChowElement)
+    top = st.lists(st.integers(-9, 9), min_size=ring.top_degree + 1, max_size=ring.top_degree + 1)
+    point = ChowElement({(ring.top_degree - x, x): c for x, c in enumerate(draw(top))})
+    return ring, draw(elements), draw(elements), point
+
+
+def _in_half_h(ring: BundleChowRing) -> BundleChowRing:
+    """The same ring written in the class H' = 2H: c_i becomes c_i/2^i, the
+    index halves and deg H'^n = 2^n deg H^n.  Wrapping integral inputs in
+    Fraction would only see them demoted back to int, so this is how the
+    rational path gets fed the same computation."""
+    n, d, k = ring.base
+    base = CyclicBase(dim=n, degree=d * 2**n, index=Fraction(k, 2))
+    cherns = [Fraction(c, 2**i) for i, c in enumerate(ring.cherns, 1)]
+    return BundleChowRing(base, ring.rank, cherns)
+
+
+def _to_half_h(element: ChowElement) -> ChowElement:
+    return ChowElement({(h, x): Fraction(c, 2**h) for (h, x), c in element.terms.items()})
+
+
+def _from_half_h(element: ChowElement) -> ChowElement:
+    return ChowElement({(h, x): c * 2**h for (h, x), c in element.terms.items()})
+
+
+def _all_int(element: ChowElement) -> bool:
+    return all(type(c) is int for c in element.terms.values())
+
+
 # --- reduce ------------------------------------------------------------------
 
 
@@ -195,6 +236,41 @@ def test_reduce_is_an_idempotent_ring_homomorphism_on_random_rings(case):
     assert ring.reduce(a + b) == ra + rb
     assert ring.reduce(a * b) == ring.reduce(ra * rb)
     assert ring.reduce(3 * a - b) == ring.reduce(3 * ra - rb)
+
+
+@given(_integral_ring_and_elements())
+def test_integral_arithmetic_stays_in_ints_and_matches_the_rational_path(case):
+    ring, a, b, point = case
+    half = _in_half_h(ring)
+    for el in (a, a * b, a + point):
+        nf = ring.reduce(el)
+        assert _all_int(nf)
+        assert nf == _from_half_h(half.reduce(_to_half_h(el)))
+    degree = ring.degree(point)
+    assert type(degree) is int
+    assert degree == half.degree(_to_half_h(point))
+    canonical = ring.canonical_class()
+    assert _all_int(canonical)
+    assert canonical == _from_half_h(half.canonical_class())
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        (" 3 ", int),
+        ("+3", int),
+        ("-0", int),
+        ("03", int),
+        ("3_000", Fraction),
+        ("\u0663", Fraction),  # ARABIC-INDIC DIGIT THREE
+        ("1.5", Fraction),
+        ("2/4", Fraction),
+    ],
+)
+def test_cli_numbers_read_as_fraction_reads_them(text, kind):
+    value = _fraction(text)
+    assert value == Fraction(text)
+    assert type(value) is kind
 
 
 def test_reduce_is_polynomial_in_the_xi_excess():

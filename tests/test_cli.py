@@ -324,6 +324,33 @@ def test_chow_mukai_check_accepts_plain_decimals():
     )
 
 
+# recorded while every coefficient was a Fraction: a non-integral value
+# is still one, and prints the same
+RATIONAL_QUERIES = [
+    (("mukai-check", "--index", "5", "--c1", "3/2", "--rank", "3", "--dim", "5",
+      "--format", "json"), 1,
+     '{\n  "passed": false,\n  "index_of_v": 5,\n  "c1_of_e": "3/2",\n'
+     '  "minus_k": "3*xi + 7/2*H",\n  "suggested_twist": null\n}\n'),
+    (("canonical", "--base", "P2", "--rank", "2", "--cherns=1/2,3"), 0,
+     "anticanonical\n-------------\n2*xi + 5/2*H\n"),
+    (("reduce", "--base", "P2", "--rank", "2", "--cherns=1/2,3", "--element", "1/2*H+xi^2",
+      "--format", "csv"), 0,
+     "normal_form\n1/2*H*xi - 3*H^2 + 1/2*H\n"),
+    (("degree", "--base", "P2", "--rank", "2", "--cherns=1/2,3", "--element", "(1/2*H+xi)^3",
+      "--format", "json"), 0,
+     '{\n  "degree": "-5/4"\n}\n'),
+    (("reduce", "--base", "P3", "--rank", "2", "--cherns", "3,3", "--element", "1/2*H*xi^2"), 0,
+     "normal_form\n--------------------\n3/2*H^2*xi - 3/2*H^3\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", RATIONAL_QUERIES, ids=[argv[0] for argv, _, _ in RATIONAL_QUERIES]
+)
+def test_rational_chow_queries_answer_as_before(argv, code, out):
+    assert run("chow", *argv) == (code, out, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -857,10 +884,15 @@ def test_roofs_max_rank_96_csv_is_pinned():
 
 
 # what each command may not load: the chow layer (and fractions, which
-# imports decimal) stays out of the roof queries, and so on; no well-formed
+# imports decimal and numbers) stays out of the roof queries, fractions
+# stays out of chow queries on integral data, and so on; no well-formed
 # query builds the argparse parser (nor loads gettext and locale with it),
 # no value type loads typing, and a table needs no regular expression
 NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
+_CHOW_LEFT_OUT = {
+    "roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "roofscope.root_system",
+    "fractions", "decimal", "numbers",
+}
 LAYERS_LEFT_OUT = [
     (["roofs", "--max-rank", "8"], "roofscope.roofs",
      {"roofscope.chow", "fractions", "decimal", "re"}),
@@ -871,8 +903,16 @@ LAYERS_LEFT_OUT = [
     (["gp", "F4:2,3", "--format", "json"], "roofscope.homog",
      {"roofscope.roofs", "roofscope.chow"}),
     (["chow", "degree", "--base", "P2", "--rank", "2", "--cherns", "3,3",
-      "--element", "(2*xi)^3"], "roofscope.chow",
-     {"roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "roofscope.root_system"}),
+      "--element", "(2*xi)^3"], "roofscope.chow", _CHOW_LEFT_OUT),
+    (["chow", "reduce", "--base", "P10", "--rank", "10", "--cherns", "1,2,3,4,5,6,7,8,9,10",
+      "--element", "(1+xi-2*H)^20 + 4/2*xi^3"], "roofscope.chow", _CHOW_LEFT_OUT),
+    (["chow", "canonical", "--base", "P6", "--rank", "2", "--cherns=-1,1"],
+     "roofscope.chow", _CHOW_LEFT_OUT),
+    (["chow", "canonical", "--base", "Q5", "--rank", "3", "--cherns", "2,2,1"],
+     "roofscope.chow", _CHOW_LEFT_OUT),
+    (["chow", "mukai-check", "--index", "2", "--c1", "2", "--rank", "2", "--dim", "1",
+      "--format", "json"], "roofscope.chow", _CHOW_LEFT_OUT),
+    (["chow", "discrepancy", "--codim", "3", "--codim2", "3"], "roofscope.chow", _CHOW_LEFT_OUT),
 ]
 
 

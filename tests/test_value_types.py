@@ -114,10 +114,22 @@ def test_keyword_construction_fills_the_defaults():
         BundleChowRing(base=projective_space(2), rank=2, cherns=[3, 3]),
     ],
 )
-def test_bundle_ring_stores_its_cherns_as_a_tuple_of_fractions(ring):
+def test_bundle_ring_stores_integral_cherns_as_ints(ring):
     assert type(ring.cherns) is tuple
-    assert all(type(c) is Fraction for c in ring.cherns)
+    assert all(type(c) is int for c in ring.cherns)
     assert ring.cherns == (3, 3)
+
+
+def test_bundle_ring_keeps_a_fraction_only_where_a_chern_needs_one():
+    ring = BundleChowRing(projective_space(3), 3, (Fraction(6, 2), Fraction(1, 2), 4))
+    assert ring.cherns == (3, Fraction(1, 2), 4)
+    assert [type(c) for c in ring.cherns] == [int, Fraction, int]
+    made = BundleChowRing._make((ring.base, 2, [Fraction(4, 2), Fraction(5, 3)]))
+    assert made.cherns == (2, Fraction(5, 3))
+    assert [type(c) for c in made.cherns] == [int, Fraction]
+    replaced = ring._replace(cherns=(Fraction(9, 3), 2.5, True))
+    assert replaced.cherns == (3, Fraction(5, 2), 1)
+    assert [type(c) for c in replaced.cherns] == [int, Fraction, int]
 
 
 BAD_CONSTRUCTIONS = [
