@@ -16,10 +16,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "root_system": "SimpleType positive_root_count",
-        "dynkin": """
-            ComponentShape Diagram MarkedDiagram ParseError classify_components
-            diagram_of parse serialize
-        """,
+        "dynkin": "Diagram MarkedDiagram ParseError diagram_of parse serialize",
         "homog": "VarietyInvariants gp_invariants",
         "roofs": """
             ClassEntry ClassificationQuery ClassificationResult Family

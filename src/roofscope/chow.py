@@ -140,8 +140,9 @@ class ChowElement:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def shift_xi(self, t: Scalar) -> "ChowElement":

@@ -69,7 +69,7 @@ class _ElementParser:
 
     def take_int(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         if start == self.pos:
             self.fail("expected a number")
@@ -86,7 +86,7 @@ class _ElementParser:
                 self.fail("expected ')'")
             self.pos += 1
             return inner
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self.take_int()
             if self.peek() == "/":
                 self.pos += 1
@@ -192,9 +192,10 @@ def _base_from_args(args) -> chow.CyclicBase:
         if args.base_dim is not None or args.base_degree is not None:
             raise ValueError("give either --base or the explicit --base-* flags")
         preset = args.base.strip().upper()
-        if len(preset) < 2 or preset[0] not in "PQ" or not preset[1:].isdigit():
+        digits = preset[1:]
+        if preset[:1] not in ("P", "Q") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"unknown base preset {args.base!r}; use P<n> or Q<n>")
-        n = int(preset[1:])
+        n = int(digits)
         base = chow.projective_space(n) if preset[0] == "P" else chow.quadric(n)
         if args.base_index is not None:
             base = chow.CyclicBase(dim=base.dim, degree=base.degree, index=args.base_index)

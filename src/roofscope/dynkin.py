@@ -1,4 +1,4 @@
-"""Marked Dynkin diagrams: text grammar, bonds, component classification.
+"""Marked Dynkin diagrams: text grammar, bonds, components.
 
 Grammar (whitespace forbidden)::
 
@@ -24,19 +24,17 @@ A ``Diagram`` is its factors plus its removed nodes; no edge or node
 list is stored, so a diagram of any rank costs only what its text costs
 to parse.  A factor's bonds are read off its Bourbaki spine, pendant
 node and multiple bond: ``neighbours`` gives a node's at most three
-neighbours with their Cartan entries.  Components are read factor by
-factor, with any set of nodes removed at once (``classify_components``).
-Each factor, of any of the seven letters, is read in closed form
-(``chain_components``), and ``component_at`` reads the one component
-that holds a given node, with its Bourbaki position there, in
-O(log #removed) for A, B, C and D; no graph is searched.
+neighbours with their Cartan entries, and ``component_at`` reads the
+component of a factor minus a node set that holds a given node, with
+its type and the node's Bourbaki position there, for any of the seven
+letters in O(log #removed); no graph is searched.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import lru_cache
 
 from . import _make_checked
@@ -146,7 +144,7 @@ def parse(text: str) -> MarkedDiagram:
         start = pos
         pos += 1
         digits = ""
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             digits += text[pos]
             pos += 1
         if not digits:
@@ -179,7 +177,7 @@ def parse(text: str) -> MarkedDiagram:
         while True:
             start = pos
             digits = ""
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 digits += text[pos]
                 pos += 1
             if not digits:
@@ -221,46 +219,6 @@ def serialize(md: MarkedDiagram) -> str:
         raise ValueError("a diagram with removed nodes has no grammar form")
     body = "*".join(str(f) for f in d.factors)
     return body + ":" + ",".join(str(m) for m in sorted(md.marks))
-
-
-# --- component classification ----------------------------------------------
-
-class ComponentShape(namedtuple("ComponentShape", "type embedding")):
-    """A connected component identified as a simple type.
-
-    ``embedding[p-1]`` is the global node sitting at Bourbaki position p.
-    """
-
-    __slots__ = ()
-
-    def position_of(self, node: int) -> int:
-        """Bourbaki position (1-based) of a global node."""
-        return self.embedding.index(node) + 1
-
-
-def classify_components(d: Diagram, removed: Iterable[int] = ()) -> list[ComponentShape]:
-    """Identify every connected component of d minus the nodes ``removed``,
-    ordered by smallest global node.
-
-    Rank-2 double-bond residuals come back as C2 and rank-1 residuals as
-    A1, regardless of the factor they were cut from.  Each factor is read
-    on its own by ``chain_components`` from the nodes it lacks.  This
-    builds every component's embedding, so it costs O(total rank).
-    """
-    gone = set(removed)
-    if not all(d.has_node(v) for v in gone):
-        raise ValueError(f"removed nodes must be nodes of {d}")
-    gone.update(d.removed)
-    shapes: list[ComponentShape] = []
-    offset = 0
-    for t in d.factors:
-        local = [v - offset for v in gone if offset < v <= offset + t.rank]
-        for s in chain_components(t, local):
-            if offset:
-                s = ComponentShape(s.type, tuple(v + offset for v in s.embedding))
-            shapes.append(s)
-        offset += t.rank
-    return shapes
 
 
 # --- closed form for one factor ----------------------------------------------
@@ -313,127 +271,82 @@ def component_at(t: SimpleType, gone: Sequence[int], v: int) -> tuple[SimpleType
     that holds the surviving node v: its type, the Bourbaki position of v
     in it, and its smallest node.
 
-    It agrees with ``chain_components``.  For A, B, C and D it is
-    arithmetic on the run of the spine that holds v, found by a bisect in
-    ``gone``, so it costs O(log #gone).  An E, F or G factor has rank at
-    most 8, and each of its residues is read by ``chain_components`` once.
+    The component is the run of the spine that holds v (for the pendant,
+    the run of its anchor), found by a bisect in ``gone``, so it costs
+    O(log #gone) and lists no nodes.  The run through the anchor of a
+    surviving pendant is, pendant included, an A chain or a fork
+    (``_pendant_component``).  The run that holds the multiple bond is
+    the whole G2, or the whole F4 when the bond lies inside it; else it
+    is read towards the bond, and is C_m when the bond's long node ends
+    it, and B_m, or C2 with the short node first, when its short node
+    does.  Every other run is A_m, ascending, and a pendant without its
+    anchor is A1.
     """
-    letter, n = t
-    if letter in "EFG":
-        place = _exceptional_places(t, tuple(gone)).get(v)
-        if place is None:
-            raise ValueError(f"node {v} is not a node of {t} minus {list(gone)}")
-        return place
-    end = n - 1 if letter == "D" else n  # the last spine node
-    hi = bisect_right(gone, end)  # gone[:hi] lie on the spine
-    at = n - 2 if v > end else v  # the pendant n of D_n joins the run of n-2
-    i = bisect_left(gone, at, 0, hi)
-    if i < hi and gone[i] == at:
-        if at != v:  # the pendant without its anchor
-            return SimpleType("A", 1), 1, n
+    spine, pendant, anchor = _layout(t)
+    if _holds(gone, v):
         raise ValueError(f"node {v} is not a node of {t} minus {list(gone)}")
-    a = gone[i - 1] if i else 0  # the run is a+1..b-1
-    b = gone[i] if i < hi else end + 1
-    size = b - a - 1
-    if letter == "D" and hi == len(gone) and a < n - 2 < b:  # the pendant hangs on
-        if a == n - 3:  # the anchor starts the run: A2 (n-2, n) or A3 (n-1, n-2, n)
-            order = (n - 2, n) if b == n - 1 else (n - 1, n - 2, n)
-            return _type("A", len(order)), order.index(v) + 1, n - 2
-        if b == n - 1:  # the anchor ends the run: the chain a+1, ..., n-2, n
-            return _type("A", size + 1), size + 1 if v == n else v - a, a + 1
-        return _type("D", size + 1), v - a, a + 1  # the fork a+1..n-1 with n
-    if letter in "BC" and b == n + 1 and size >= 2:  # the run holds the bond
-        if letter == "B" and size == 2:  # C2 with the short node n first
-            return _type("C", 2), n + 1 - v, n - 1
-        return _type(letter, size), v - a, a + 1
-    return _type("A", size), v - a, a + 1
+    at = anchor if v == pendant else v
+    if at != v and _holds(gone, at):  # the pendant without its anchor
+        return _type("A", 1), 1, v
+    # the removed spine nodes next to `at` bound its run; the pendant is skipped
+    i = bisect_left(gone, at)
+    lo = i - 1 - (i > 0 and gone[i - 1] == pendant)
+    hi = i + (i < len(gone) and gone[i] == pendant)
+    a = spine.index(gone[lo]) if lo >= 0 else -1
+    b = spine.index(gone[hi]) if hi < len(gone) else t.rank - (pendant is not None)
+    # a slice, and its size by arithmetic: a range longer than sys.maxsize has no len
+    run, size = spine[a + 1 : b], b - a - 1
+    if pendant is not None and anchor in run and not _holds(gone, pendant):
+        return _pendant_component(run, size, anchor, pendant, v)
+    k = run.index(v)
+    bond = _bond(t)
+    if bond is None or bond[0] not in run or bond[1] not in run:
+        return _type("A", size), k + 1, run[0]
+    ends = bond[:2]
+    if bond[2] == 3 or (run[0] not in ends and run[-1] not in ends):
+        return t, k + 1, run[0]  # the whole G2, or F4 around its inner bond
+    towards = run[-1] in ends  # the bond ends the run ascending
+    pos = k + 1 if towards else size - k
+    if (run[-1] if towards else run[0]) == bond[1]:  # the long node ends the run
+        return _type("C", size), pos, run[0]
+    if size == 2:  # C2 with the short node first
+        return _type("C", 2), 3 - pos, run[0]
+    return _type("B", size), pos, run[0]
+
+
+def _pendant_component(
+    run: Sequence[int], size: int, anchor: int, pendant: int, v: int
+) -> tuple[SimpleType, int, int]:
+    # the spine run through the anchor, with the pendant hanging off it
+    c = run.index(anchor)
+    first = min(run[0], pendant)
+    if c in (0, size - 1):  # an A chain, read from its smaller end
+        head = c == 0  # the pendant comes before the run, else after it
+        # j: the index of v along the path, pendant included
+        j = (0 if head else size) if v == pendant else run.index(v) + head
+        ends = (pendant, run[-1]) if head else (run[0], pendant)
+        pos = j + 1 if ends[0] < ends[1] else size + 1 - j
+        return _type("A", size + 1), pos, first
+    # a fork: its arms walked away from the anchor, by (length, far node)
+    arms = [(1, pendant, (pendant,)), (c, run[0], run[c - 1 :: -1])]
+    arms.append((size - 1 - c, run[-1], run[c + 1 :]))
+    (_, _, short), (mid_size, _, mid), (long_size, _, long_) = sorted(arms)
+    if mid_size == 2:  # arms (1, 2, 2..4); for E6 the sort fixes mid vs long
+        embedding = (mid[1], short[0], mid[0], anchor, *long_)
+        return _type("E", len(embedding)), embedding.index(v) + 1, first
+    if long_size == 1:  # D4: the leaves ascending around the centre
+        short, mid, long_ = mid, long_, short
+    # D_m: the long arm from its far end, then anchor, short and mid
+    m = size + 1
+    if v in long_:
+        return _type("D", m), m - 3 - long_.index(v), first
+    return _type("D", m), m - 2 + (anchor, short[0], mid[0]).index(v), first
+
+
+def _holds(gone: Sequence[int], v: int) -> bool:
+    i = bisect_left(gone, v)
+    return i < len(gone) and gone[i] == v
 
 
 # the types component_at names, each checked once
 _type = lru_cache(maxsize=1024)(SimpleType)
-
-
-@lru_cache(maxsize=None)
-def _exceptional_places(t: SimpleType, gone: tuple[int, ...]) -> dict:
-    # E, F and G have rank <= 8, so at most 468 residues: each read once
-    return {
-        v: (s.type, p, min(s.embedding))
-        for s in chain_components(t, gone)
-        for p, v in enumerate(s.embedding, 1)
-    }
-
-
-def _shape(letter: str, embedding: tuple[int, ...]) -> ComponentShape:
-    return ComponentShape(SimpleType(letter, len(embedding)), embedding)
-
-
-# the spine runs of F4 and G2 that hold the multiple bond, by letter and ends
-_BOND_RUNS = {
-    ("F", 2, 3): _shape("C", (3, 2)),
-    ("F", 1, 3): _shape("B", (1, 2, 3)),
-    ("F", 2, 4): _shape("C", (4, 3, 2)),
-    ("F", 1, 4): _shape("F", (1, 2, 3, 4)),
-    ("G", 1, 2): _shape("G", (1, 2)),
-}
-
-
-def chain_components(t: SimpleType, removed: Iterable[int]) -> list[ComponentShape]:
-    """The components of the factor t minus the nodes ``removed``, in
-    closed form, ordered by smallest node.
-
-    A Bourbaki diagram is a spine with at most one pendant node and one
-    multiple bond (``_layout``, ``_bond``): the bond is (n-1, n) in B_n
-    and C_n, (2, 3) in F4, (1, 2) in G2.
-    The surviving spine nodes split into runs.  The run through the
-    anchor of a surviving pendant is, pendant included, an A chain from
-    its smaller end if the anchor ends it, and else a fork read as D or E.
-    The run holding the bond is B_m or C_m for m >= 3 and C2, short node
-    first, for m = 2, or a ``_BOND_RUNS`` entry in F4 and G2.  Every other
-    run is an A chain, ascending, and a pendant without its anchor is A1.
-    """
-    letter, n = t
-    gone = set(removed)
-    if any(not 1 <= v <= n for v in gone):
-        raise ValueError(f"removed nodes must lie in 1..{n}")
-    spine, pendant, anchor = _layout(t)
-    hangs = pendant is not None and pendant not in gone
-    cuts = [-1, *sorted(spine.index(v) for v in gone if v != pendant), len(spine)]
-    shapes = []
-    for a, b in zip(cuts, cuts[1:]):
-        run = tuple(spine[a + 1 : b])
-        if not run:
-            continue
-        if hangs and anchor in run:
-            shapes.append(_pendant_run(run, anchor, pendant))
-        elif (letter, run[0], run[-1]) in _BOND_RUNS:
-            shapes.append(_BOND_RUNS[letter, run[0], run[-1]])
-        elif letter in "BC" and run[-1] == n and len(run) >= 3:
-            shapes.append(_shape(letter, run))
-        elif letter in "BC" and run[-1] == n and len(run) == 2:
-            # C2 with the short node first: n in B_n, n-1 in C_n
-            shapes.append(_shape("C", run[::-1] if letter == "B" else run))
-        else:
-            shapes.append(_shape("A", run))
-    if hangs and anchor in gone:
-        # the runs came in spine order, which is node order except for a
-        # lone pendant: n of D_n comes last, 2 of E_n after the run of 1
-        at = len(shapes) if letter == "D" else int(1 not in gone)
-        shapes.insert(at, _shape("A", (pendant,)))
-    return shapes
-
-
-def _pendant_run(run: tuple[int, ...], anchor: int, pendant: int) -> ComponentShape:
-    # the spine run through the anchor, with the pendant hanging off it
-    i = run.index(anchor)
-    if i in (0, len(run) - 1):  # an A chain, read from its smaller end
-        path = (pendant, *run) if i == 0 else (*run, pendant)
-        return _shape("A", min(path, path[::-1]))
-    # a fork: its arms walked away from the anchor, by (length, last node)
-    short, mid, long_ = sorted(
-        ((pendant,), run[i - 1 :: -1], run[i + 1 :]), key=lambda arm: (len(arm), arm[-1])
-    )
-    if len(mid) == 2:  # arms (1, 2, 2..4); for E6 the sort fixes mid vs long
-        return _shape("E", (mid[1], short[0], mid[0], anchor, *long_))
-    if len(long_) == 1:  # D4: the leaves ascending around the centre
-        return _shape("D", (short[0], anchor, mid[0], long_[0]))
-    return _shape("D", (*long_[::-1], anchor, short[0], mid[0]))

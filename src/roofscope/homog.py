@@ -19,8 +19,8 @@ Everything is read per mark, so ``gp_invariants`` costs O(k log k) for k
 marks, whatever the rank.  A mark has at most three neighbours
 (``dynkin.neighbours``).  The Levi component that holds a neighbour, and
 the neighbour's position in it, come from a bisect in the sorted marks
-(``dynkin.component_at``), and one ``_two_rho`` entry at that position
-gives (2rho_L)_j.  Every Levi component of a connected diagram touches a
+(``dynkin.component_at``, the one component reader, for every letter),
+and one ``_two_rho`` entry at that position gives (2rho_L)_j.  Every Levi component of a connected diagram touches a
 removed node, so the components around the marks are all the Levi
 components that differ from D: dim is the sum of ``positive_root_count``
 over the components of D that hold a mark, minus the sum over the Levi

@@ -7,22 +7,24 @@ bond table ``_bonds`` through ``edges_of``, so the oracle shares only the
 Bourbaki bonds with the library.
 
 The graph classifier (``_classify_graph``) is the reference for
-``dynkin.chain_components``: it finds the connected components of any
+``dynkin.component_at``: it finds the connected components of any
 Dynkin graph, names each one from its degrees, bonds and arms
 (``_identify``), and checks the embedding it names against the model
-diagram of that type (``_verify``).  It was the production path for E, F
-and G factors until the closed form covered all seven letters.
+diagram of that type (``_verify``).  Its output type, ``ComponentShape``,
+lives here with it.
 
 The Levi reference cuts one node at a time with ``remove_node`` and
-classifies what is left as one graph, products included: the way
-``gp_invariants`` read its Levi factors before ``classify_components``
-read them factor by factor, and before it read them per mark.
+classifies what is left as one graph, products included
+(``surgery_components``): the way ``gp_invariants`` read its Levi
+factors before it read them per mark.
 
 The roof references are the ones enumeration used before it read the
 family rows: the one-diagram test ``is_roof``, through the fibration
 fibers and the projective-space test, and the O(N^2) chart join
 (``join_candidates``) over the residue charts ``_residue_charts``, with
-the automorphism dedup of its hits (``join_enumerate_roofs``).
+the automorphism dedup of its hits (``join_enumerate_roofs``).  Their
+components come from the surgery above, so no oracle shares a component
+reader with the library.
 
 ``Edge`` and the edge set of a diagram (``edges_of``) live here too: the
 library stores a diagram as its factors and removed nodes, and reads a
@@ -40,11 +42,9 @@ from roofscope import (
     MarkedDiagram,
     VarietyInvariants,
     _make_checked,
-    classify_components,
     diagram_of,
     parse,
 )
-from roofscope.dynkin import ComponentShape, chain_components
 from roofscope.homog import _pspace_r, gp_invariants
 from roofscope.roofs import (
     FAMILY_SPECS,
@@ -184,6 +184,15 @@ def positive_roots(factors):
 
 
 # --- the graph classifier ------------------------------------------------------
+
+class ComponentShape(namedtuple("ComponentShape", "type embedding")):
+    """A connected component identified as a simple type.
+
+    ``embedding[p-1]`` is the global node sitting at Bourbaki position p.
+    """
+
+    __slots__ = ()
+
 
 def _corrupt(nodes: Iterable[int]) -> ValueError:
     listed = ",".join(map(str, sorted(nodes)))
@@ -395,7 +404,7 @@ def component_charts(shapes: Iterable[ComponentShape]) -> dict[int, int]:
 
 def projective_space_charts(d: Diagram) -> dict[int, int]:
     """Every node m at which d marked at m alone is P^{r-1}, as {m: r}."""
-    return component_charts(classify_components(d))
+    return component_charts(surgery_components(d))
 
 
 def is_projective_space(md: MarkedDiagram) -> int | None:
@@ -425,15 +434,15 @@ def is_roof(md: MarkedDiagram) -> int | None:
 def _residue_charts(t: SimpleType, k: int) -> dict[int, int]:
     """The projective-space charts {node: r} of the residue "t minus node k".
 
-    These are the charts (``component_charts``) of the components that
-    ``dynkin.chain_components`` names.  For A, B, C and D they are read
-    off (letter, n, k): the run 1..k-1 is an A_(k-1) chain, P^(k-1) at
-    both ends, and the run beyond k is an A chain in A_n and holds the
-    special end otherwise.
+    These are the charts (``component_charts``) of the residue's
+    components.  For E, F and G they come from ``surgery_components``;
+    for A, B, C and D they are read off (letter, n, k): the run 1..k-1
+    is an A_(k-1) chain, P^(k-1) at both ends, and the run beyond k is
+    an A chain in A_n and holds the special end otherwise.
     """
     letter, n = t
     if letter not in "ABCD":
-        return component_charts(chain_components(t, (k,)))
+        return component_charts(surgery_components(diagram_of((t,)), (k,)))
     if letter == "D" and k == n - 1:  # n continues the chain 1..n-2: A_(n-1)
         return {1: n, n: n}
     charts = {1: k, k - 1: k} if k > 1 else {}

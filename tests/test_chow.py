@@ -476,3 +476,24 @@ def test_element_rejects_negative_exponents_and_bad_powers():
         ChowElement({(-1, 0): 1})
     with pytest.raises(ValueError):
         XI ** -1
+
+
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply: bit_length - 1 squarings and one product per set bit
+    x = 1 + XI + 2 * H
+    products = [ChowElement({(0, 0): 1})]
+    for _ in range(20):
+        products.append(products[-1] * x)
+    assert [x**k for k in range(21)] == products
+    calls = []
+    multiply = ChowElement.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(ChowElement, "__mul__", counting_mul)
+    for k in range(1, 65):
+        calls.clear()
+        (XI + H) ** k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 1, k

@@ -366,6 +366,27 @@ def test_chow_zero_denominators_exit_2(argv):
     assert "zero denominator" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        ("xi^²", "bad element: expected a number (at position 4)"),
+        ("xi^٣", "bad element: expected a number (at position 4)"),
+        ("٣*xi", "bad element: unexpected '٣' (at position 1)"),
+    ],
+)
+def test_element_parser_reads_ascii_digits_only(element, message):
+    # str.isdigit() also holds for digits that int() refuses (²) or reads (٣)
+    argv = ("reduce", "--base", "P2", "--rank", "2", "--cherns", "3,3", "--element", element)
+    assert run("chow", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("base", ["P²", "P٣"])
+def test_base_preset_reads_ascii_digits_only(base):
+    code, out, err = run("chow", "canonical", "--base", base, "--rank", "2", "--cherns", "3,3")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown base preset {base!r}; use P<n> or Q<n>\n"
+
+
 _P2_RANK_2 = BundleChowRing(projective_space(2), 2, (3, 3))
 
 
@@ -732,10 +753,10 @@ def test_help_comes_from_argparse(words):
 
 PUBLIC_API = """
     BundleChowRing ChowElement ClassEntry ClassificationQuery ClassificationResult
-    CodimVerdict ComponentShape CyclicBase Diagram Family G2_DAGGER_RECORD H
+    CodimVerdict CyclicBase Diagram Family G2_DAGGER_RECORD H
     MarkedDiagram MukaiVerdict NON_HOMOGENEOUS OTTAVIANI_CHERNS_CYCLIC
     OTTAVIANI_CHERNS_H ParseError RoofRecord SimpleType TableReport TableRow
-    VarietyInvariants XI blowup_discrepancy chern_units_to_h classify_components
+    VarietyInvariants XI blowup_discrepancy chern_units_to_h
     classify_simple_kequiv diagram_of enumerate_roofs family_diagram
     gp_invariants kequiv_forces_equal_codim mukai_pair_check name_family parse
     positive_root_count projective_space quadric serialize twist_cherns
@@ -744,7 +765,9 @@ PUBLIC_API = """
 
 # the root-string closure and the API that only it served; then the edge
 # set, node surgery, the P^(r-1) tests and the chart join, which the tests
-# keep in oracles.py
+# keep in oracles.py; then the whole-factor component readers, which
+# component_at replaced (ComponentShape, the graph classifier's output,
+# moved to oracles.py)
 DELETED = {
     "_positive_roots", "_simple_cartan", "_construct", "RootSystem", "construct",
     "pairing", "sum_positive_roots", "Weight", "weight_of", "cartan_from_edges",
@@ -752,6 +775,8 @@ DELETED = {
     "Edge", "_bonds", "remove_node", "fibration_fiber", "is_projective_space",
     "projective_space_charts", "component_charts", "is_roof", "_residue_charts",
     "_dedup_key",
+    "ComponentShape", "classify_components", "chain_components", "_pendant_run",
+    "_BOND_RUNS", "_shape", "_exceptional_places",
 }
 
 

@@ -12,12 +12,11 @@ from roofscope import (
     MarkedDiagram,
     ParseError,
     SimpleType,
-    classify_components,
     diagram_of,
     parse,
     serialize,
 )
-from roofscope.dynkin import chain_components, component_at, neighbours
+from roofscope.dynkin import component_at, neighbours
 from roofscope.root_system import simple_types
 
 
@@ -96,6 +95,14 @@ def test_parse_error_reports_position():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("text, position", [("A²:1", 0), ("A٣:١", 0), ("A3:١", 3)])
+def test_parse_reads_ascii_digits_only(text, position):
+    # str.isdigit() also holds for digits that int() refuses (²) or reads (٣)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_whitespace_is_forbidden_everywhere():
     with pytest.raises(ParseError):
         parse("A4: 1")
@@ -141,29 +148,36 @@ def test_arrow_conventions():
     assert edge(g2, 1, 2).mult == 3 and edge(g2, 1, 2).source == 1
 
 
+def _components(t, gone):
+    """The components of t minus gone as component_at reads them, node by
+    node: [(type, embedding)] ordered by smallest node.  The nodes that
+    name one smallest node must agree on the type and fill its positions."""
+    shapes: dict[int, tuple[str, dict[int, int]]] = {}
+    for v in range(1, t.rank + 1):
+        if v not in gone:
+            shape, pos, first = component_at(t, gone, v)
+            name, places = shapes.setdefault(first, (str(shape), {}))
+            assert name == str(shape) and pos not in places, (str(t), gone, v)
+            places[pos] = v
+    return [
+        (name, tuple(places[p] for p in range(1, len(places) + 1)))
+        for _, (name, places) in sorted(shapes.items())
+    ]
+
+
 def test_remove_node_a3_middle():
     d = remove_node(diagram_of((SimpleType("A", 3),)), 2)
     assert d.nodes == (1, 3)
     assert edges_of(d) == frozenset()
-    shapes = classify_components(d)
-    assert [(s.type.letter, s.type.rank) for s in shapes] == [("A", 1), ("A", 1)]
-    assert [s.embedding for s in shapes] == [(1,), (3,)]
+    assert _components(SimpleType("A", 3), (2,)) == [("A1", (1,)), ("A1", (3,))]
 
 
 def test_remove_node_f4_node2():
-    d = remove_node(diagram_of((SimpleType("F", 4),)), 2)
-    shapes = classify_components(d)
-    assert [(s.type.letter, s.type.rank, s.embedding) for s in shapes] == [
-        ("A", 1, (1,)),
-        ("A", 2, (3, 4)),
-    ]
+    assert _components(SimpleType("F", 4), (2,)) == [("A1", (1,)), ("A2", (3, 4))]
 
 
 def test_remove_node_d4_center():
-    d = remove_node(diagram_of((SimpleType("D", 4),)), 2)
-    shapes = classify_components(d)
-    assert [(s.type.letter, s.type.rank) for s in shapes] == [("A", 1)] * 3
-    assert [s.embedding for s in shapes] == [(1,), (3,), (4,)]
+    assert _components(SimpleType("D", 4), (2,)) == [("A1", (1,)), ("A1", (3,)), ("A1", (4,))]
 
 
 def test_remove_node_preserves_surviving_edges():
@@ -189,142 +203,140 @@ def test_remove_node_rejects_missing_node():
 
 @pytest.mark.parametrize("letter,rank", ALL_SIMPLE)
 def test_classify_full_diagram_is_identity(letter, rank):
-    d = diagram_of((SimpleType(letter, rank),))
-    shapes = classify_components(d)
-    assert len(shapes) == 1
-    assert shapes[0].type == SimpleType(letter, rank)
-    assert shapes[0].embedding == tuple(range(1, rank + 1))
+    t = SimpleType(letter, rank)
+    for v in range(1, rank + 1):
+        assert component_at(t, (), v) == (t, v, 1)
 
 
 def test_classify_c4_minus_long_end_is_a3():
-    d = remove_node(diagram_of((SimpleType("C", 4),)), 4)
-    shapes = classify_components(d)
-    assert [(s.type.letter, s.type.rank) for s in shapes] == [("A", 3)]
+    assert _components(SimpleType("C", 4), (4,)) == [("A3", (1, 2, 3))]
 
 
 def test_classify_f4_minus_1_is_c3_oriented_by_the_retained_arrow():
-    d = remove_node(diagram_of((SimpleType("F", 4),)), 1)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("C", 3)
     # the long end of the residual is global node 2, so position 1 is node 4
-    assert shape.embedding == (4, 3, 2)
-    assert shape.position_of(4) == 1
+    assert _components(SimpleType("F", 4), (1,)) == [("C3", (4, 3, 2))]
+    assert component_at(SimpleType("F", 4), (1,), 4) == (SimpleType("C", 3), 1, 2)
 
 
 def test_classify_f4_minus_4_is_b3():
-    d = remove_node(diagram_of((SimpleType("F", 4),)), 4)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("B", 3)
-    assert shape.embedding == (1, 2, 3)
+    assert _components(SimpleType("F", 4), (4,)) == [("B3", (1, 2, 3))]
 
 
 def test_classify_c3_residual_rank2_is_c2():
     # removing node 1 of C3 leaves the double bond: canonically C2 with
     # the short root first
-    d = remove_node(diagram_of((SimpleType("C", 3),)), 1)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("C", 2)
-    assert shape.embedding == (2, 3)
+    assert _components(SimpleType("C", 3), (1,)) == [("C2", (2, 3))]
 
 
 def test_classify_b4_residual_rank2_is_c2_reversed():
     # B4 minus nodes 1,2 leaves nodes {3,4} with arrow 3 -> 4: node 4 is
     # short, so it sits at position 1 of the canonical C2 shape
-    d = remove_node(remove_node(diagram_of((SimpleType("B", 4),)), 1), 2)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("C", 2)
-    assert shape.embedding == (4, 3)
+    assert _components(SimpleType("B", 4), (1, 2)) == [("C2", (4, 3))]
 
 
 def test_classify_e7_minus_1_is_d6():
-    d = remove_node(diagram_of((SimpleType("E", 7),)), 1)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("D", 6)
-    assert shape.embedding == (7, 6, 5, 4, 2, 3)
+    assert _components(SimpleType("E", 7), (1,)) == [("D6", (7, 6, 5, 4, 2, 3))]
 
 
 def test_classify_e8_minus_2_is_a7():
-    d = remove_node(diagram_of((SimpleType("E", 8),)), 2)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("A", 7)
-    assert shape.embedding == (1, 3, 4, 5, 6, 7, 8)
+    assert _components(SimpleType("E", 8), (2,)) == [("A7", (1, 3, 4, 5, 6, 7, 8))]
 
 
 def test_classify_d5_residual_fork():
-    d = remove_node(diagram_of((SimpleType("D", 5),)), 1)
-    (shape,) = classify_components(d)
-    assert shape.type == SimpleType("D", 4)
-    assert shape.embedding == (2, 3, 4, 5)
+    assert _components(SimpleType("D", 5), (1,)) == [("D4", (2, 3, 4, 5))]
 
 
 def test_every_induced_subdiagram_classifies():
     # any subset of nodes of a valid diagram induces a disjoint union of
-    # simple Dynkin graphs, so classification must always succeed and the
-    # component ranks must partition the surviving nodes
-    for letter, rank in ALL_SIMPLE:
-        full = diagram_of((SimpleType(letter, rank),))
-        for k in range(rank):
-            for removed in combinations(range(1, rank + 1), k):
-                d = full
-                for j in removed:
-                    d = remove_node(d, j)
-                shapes = classify_components(d)
-                assert sum(s.type.rank for s in shapes) == rank - k
-                covered = sorted(v for s in shapes for v in s.embedding)
-                assert covered == list(d.nodes)
+    # simple Dynkin graphs, so every surviving node has a component, and
+    # the components' ranks partition the surviving nodes, each node at
+    # its own position
+    for t in ALL_SIMPLE:
+        for k in range(t.rank):
+            for removed in combinations(range(1, t.rank + 1), k):
+                shapes = _components(t, removed)
+                assert all(len(emb) == int(name[1:]) for name, emb in shapes)
+                covered = sorted(v for _, emb in shapes for v in emb)
+                assert covered == [v for v in range(1, t.rank + 1) if v not in removed]
 
 
-def _assert_closed_form_matches_the_graph_classifier(t, removed):
+def _assert_component_at_matches_the_graph_classifier(t, gone):
+    # same types, positions and smallest nodes at every surviving node
     d = diagram_of((t,))
-    for j in removed:
+    for j in gone:
         d = remove_node(d, j)
-    expected = _classify_graph(list(d.nodes), edges_of(d))  # _identify, then _verify
-    assert chain_components(t, removed) == expected, (str(t), removed)
-    assert classify_components(d) == expected, (str(t), removed)
+    placed = 0
+    for s in _classify_graph(list(d.nodes), edges_of(d)):  # _identify, then _verify
+        for pos, v in enumerate(s.embedding, 1):
+            assert component_at(t, gone, v) == (s.type, pos, min(s.embedding)), (str(t), gone, v)
+            placed += 1
+    return placed
 
 
-def test_chain_components_match_the_graph_classifier_on_one_and_two_node_residues():
-    # same types, embeddings and component order
-    checked = 0
+def test_component_at_matches_the_graph_classifier_on_one_and_two_node_residues():
+    residues = placed = 0
     for t in simple_types(24):
         for k in (1, 2):
-            for removed in combinations(range(1, t.rank + 1), k):
-                _assert_closed_form_matches_the_graph_classifier(t, removed)
-                checked += 1
+            for gone in combinations(range(1, t.rank + 1), k):
+                placed += _assert_component_at_matches_the_graph_classifier(t, gone)
+                residues += 1
     # E6-E8, F4 and G2 add 21 + 28 + 36 + 10 + 3 to the 10 385 classical cases
-    assert checked == 10_483  # four of them (A1, A2, C2, G2 emptied) have no component
+    assert residues == 10_483  # four of them (A1, A2, C2, G2 emptied) have no component
+    assert placed == 170_674
 
 
 def test_chain_components_match_the_graph_classifier_on_every_node_subset():
+    # whole components: the runs that component_at reads node by node,
+    # gathered by smallest node, are the classifier's types and embeddings
+    # on every residue of every type of rank <= 10
+    residues = 0
     for t in simple_types(10):
+        d = diagram_of((t,))
         for k in range(t.rank + 1):
-            for removed in combinations(range(1, t.rank + 1), k):
-                _assert_closed_form_matches_the_graph_classifier(t, removed)
-
-
-def _assert_component_at_matches_chain_components(t, gone):
-    for s in chain_components(t, gone):
-        for pos, v in enumerate(s.embedding, 1):
-            assert component_at(t, gone, v) == (s.type, pos, min(s.embedding)), (str(t), gone, v)
+            for gone in combinations(range(1, t.rank + 1), k):
+                r = d
+                for j in gone:
+                    r = remove_node(r, j)
+                shapes = _classify_graph(list(r.nodes), edges_of(r))
+                expected = sorted(((str(s.type), s.embedding) for s in shapes), key=lambda s: min(s[1]))
+                assert _components(t, gone) == expected, (str(t), gone)
+                residues += 1
+    assert residues == sum(2**t.rank for t in simple_types(10))
 
 
 def test_component_at_matches_chain_components_on_every_node_subset():
-    # the per-node reader against the whole-factor reader, every node of
-    # every residue of every type of rank <= 10
-    checked = 0
+    # every node of every residue of every type of rank <= 10: the type,
+    # position and smallest node of the classifier's component through it
+    residues = placed = 0
     for t in simple_types(10):
         for k in range(t.rank + 1):
             for gone in combinations(range(1, t.rank + 1), k):
-                _assert_component_at_matches_chain_components(t, gone)
-                checked += 1
-    assert checked == sum(2**t.rank for t in simple_types(10))
+                placed += _assert_component_at_matches_the_graph_classifier(t, gone)
+                residues += 1
+    assert residues == sum(2**t.rank for t in simple_types(10))
+    assert placed == 38_545
 
 
-def test_component_at_matches_chain_components_on_three_node_residues_up_to_rank_16():
+def test_component_at_matches_the_graph_classifier_on_three_node_residues_up_to_rank_16():
     for t in simple_types(16):
-        if t.letter in "ABCD":
-            for gone in combinations(range(1, t.rank + 1), min(3, t.rank)):
-                _assert_component_at_matches_chain_components(t, gone)
+        for gone in combinations(range(1, t.rank + 1), min(3, t.rank)):
+            _assert_component_at_matches_the_graph_classifier(t, gone)
+
+
+def test_component_at_reads_a_huge_factor_without_a_node_list():
+    # runs are range slices, so a rank beyond sys.maxsize costs O(log #gone)
+    n = 2**70
+    a, b, c, d = (SimpleType(letter, n) for letter in "ABCD")
+    assert component_at(a, (5, n - 1), 7) == (SimpleType("A", n - 7), 2, 6)
+    assert component_at(a, (5, n - 1), n) == (SimpleType("A", 1), 1, n)
+    assert component_at(b, (3,), n) == (SimpleType("B", n - 3), n - 3, 4)
+    assert component_at(b, (n - 2,), n) == (SimpleType("C", 2), 1, n - 1)  # short node first
+    assert component_at(c, (3,), 4) == (SimpleType("C", n - 3), 1, 4)
+    assert component_at(d, (5,), n) == (SimpleType("D", n - 5), n - 5, 6)
+    assert component_at(d, (5,), n - 2) == (SimpleType("D", n - 5), n - 7, 6)
+    assert component_at(d, (n - 1,), n) == (SimpleType("A", n - 1), n - 1, 1)
+    assert component_at(d, (n - 3,), n - 1) == (SimpleType("A", 3), 1, n - 2)
+    assert component_at(d, (n - 2,), n) == (SimpleType("A", 1), 1, n)
 
 
 def test_component_at_refuses_a_removed_node():
@@ -332,6 +344,8 @@ def test_component_at_refuses_a_removed_node():
         component_at(SimpleType("A", 5), (2, 4), 4)
     with pytest.raises(ValueError, match="not a node"):
         component_at(SimpleType("E", 6), (2,), 2)
+    with pytest.raises(ValueError, match="not a node"):
+        component_at(SimpleType("D", 5), (5,), 5)  # the pendant
 
 
 def test_neighbours_read_the_bonds_and_their_cartan_entries():
@@ -355,10 +369,10 @@ def test_a_diagram_stores_its_removed_nodes_and_no_edges():
         Diagram((SimpleType("A", 3),), (4,))
 
 
-def test_chain_components_special_runs():
+def test_component_at_special_runs():
     def shapes(text, removed):
         (t,) = parse(text + ":1").diagram.factors
-        return [(str(s.type), s.embedding) for s in chain_components(t, removed)]
+        return _components(t, removed)
 
     assert shapes("B6", (3,)) == [("A2", (1, 2)), ("B3", (4, 5, 6))]
     assert shapes("B6", (4,)) == [("A3", (1, 2, 3)), ("C2", (6, 5))]
@@ -373,13 +387,6 @@ def test_chain_components_special_runs():
     assert shapes("E8", (3,)) == [("A1", (1,)), ("A6", (2, 4, 5, 6, 7, 8))]
     assert shapes("E6", (4,)) == [("A2", (1, 3)), ("A1", (2,)), ("A2", (5, 6))]
     assert shapes("F4", (2,)) == [("A1", (1,)), ("A2", (3, 4))]
-
-
-def test_chain_components_reject_other_types_and_foreign_nodes():
-    with pytest.raises(ValueError, match="1..4"):
-        chain_components(SimpleType("D", 4), (5,))
-    with pytest.raises(ValueError, match="1..4"):
-        chain_components(SimpleType("A", 4), (0,))
 
 
 def test_marked_diagram_validation():

@@ -15,7 +15,6 @@ from oracles import (
     positive_roots,
     projective_space_charts,
     remove_node,
-    surgery_components,
     surgery_gp_invariants,
 )
 from roofscope import (
@@ -23,7 +22,6 @@ from roofscope import (
     MarkedDiagram,
     SimpleType,
     VarietyInvariants,
-    classify_components,
     diagram_of,
     gp_invariants,
     parse,
@@ -302,13 +300,10 @@ def test_residual_invariants_live_in_the_ambient_system():
     assert (inv.dim, inv.picard, inv.index) == (2, 1, 3)
 
 
-# --- Levi factors read factor by factor ---------------------------------------------
+# --- Levi factors against surgery ---------------------------------------------------
 
 
 def _assert_levi_path_matches_surgery(md):
-    d = md.diagram
-    assert classify_components(d) == surgery_components(d), str(md)
-    assert classify_components(d, md.marks) == surgery_components(d, md.marks), str(md)
     assert gp_invariants(md) == surgery_gp_invariants(md), str(md)
 
 
@@ -360,14 +355,6 @@ def test_levi_factors_match_surgery_on_the_residues_of_these_tests():
                 checked += 1
     _assert_levi_path_matches_surgery(fibration_fiber(parse("F4:2,3"), keep=3))
     assert checked == 7_390
-
-
-def test_classify_components_rejects_foreign_removed_nodes():
-    d = remove_node(diagram_of((SimpleType("A", 4),)), 2)
-    with pytest.raises(ValueError, match="removed nodes"):
-        classify_components(d, (2,))
-    with pytest.raises(ValueError, match="removed nodes"):
-        classify_components(d, (5,))
 
 
 # --- G/P invariants per mark ----------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+import roofscope.dynkin
+import roofscope.homog
 import roofscope.roofs
 from oracles import (
     _residue_charts,
@@ -13,6 +15,8 @@ from oracles import (
     is_roof,
     join_candidates,
     join_enumerate_roofs,
+    remove_node,
+    surgery_components,
 )
 from roofscope import (
     ClassificationQuery,
@@ -22,6 +26,7 @@ from roofscope import (
     NON_HOMOGENEOUS,
     RoofRecord,
     classify_simple_kequiv,
+    diagram_of,
     enumerate_roofs,
     family_diagram,
     gp_invariants,
@@ -30,7 +35,8 @@ from roofscope import (
     serialize,
     verify_paper_table,
 )
-from roofscope.dynkin import chain_components
+from roofscope.dynkin import component_at
+from roofscope.homog import _pspace_r
 from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
@@ -255,16 +261,23 @@ def test_solved_join_is_the_chart_join_up_to_rank_512():
         }
 
 
+def _count_component_at(monkeypatch):
+    # component_at as both the library's modules see it, recording (t, gone)
+    calls = []
+
+    def counting_component_at(t, gone, v):
+        calls.append((t, tuple(gone)))
+        return component_at(t, gone, v)
+
+    for module in (roofscope.dynkin, roofscope.homog):
+        monkeypatch.setattr(module, "component_at", counting_component_at)
+    return calls
+
+
 def test_candidates_cut_no_classical_diagram(monkeypatch):
     # the hits come off the family rows: no residue is read, and each hit
     # is one row instance carrying its family
-    components = []
-
-    def counting_chain_components(t, removed):
-        components.append(t)
-        return chain_components(t, removed)
-
-    monkeypatch.setattr(roofscope.dynkin, "chain_components", counting_chain_components)
+    components = _count_component_at(monkeypatch)
     hits = list(roofscope.roofs._candidates(48))
     assert ("D48:47,48", 48, Family.D_SPINOR) in {(serialize(md), r, f) for md, r, f in hits}
     assert ("F4:2,3", 3, Family.F4) in {(serialize(md), r, f) for md, r, f in hits}
@@ -272,35 +285,44 @@ def test_candidates_cut_no_classical_diagram(monkeypatch):
     assert components == []
 
 
-def test_residue_charts_match_the_chain_components_up_to_rank_96():
-    # the O(1) charts against the charts of the closed-form components
+def _charts_at(t, gone):
+    # the charts of t minus gone, read node by node through component_at
+    charts = {}
+    for v in range(1, t.rank + 1):
+        if v not in gone:
+            shape, pos, _ = component_at(t, gone, v)
+            r = _pspace_r(shape, pos)
+            if r is not None:
+                charts[v] = r
+    return charts
+
+
+def test_residue_charts_match_component_at_up_to_rank_96():
+    # the O(1) charts against the charts of the per-node reads, and up to
+    # rank 32 against the graph classifier's components too
     checked = 0
     for t in simple_types(96):
-        if t.letter in "ABCD":
-            for k in range(1, t.rank + 1):
-                charts = _residue_charts(t, k)
-                assert charts == component_charts(chain_components(t, (k,))), (str(t), k)
-                assert len(charts) <= 4
-                checked += 1
-    assert checked == 4 * sum(range(1, 97)) - (1 + 2) - (1 + 2 + 3) - 1
+        for k in range(1, t.rank + 1):
+            charts = _residue_charts(t, k)
+            assert charts == _charts_at(t, (k,)), (str(t), k)
+            if t.rank <= 32:
+                d = remove_node(diagram_of((t,)), k)
+                assert charts == component_charts(surgery_components(d)), (str(t), k)
+            assert len(charts) <= 4 or t.letter == "E"
+            checked += 1
+    # E6-E8, F4 and G2 add 6 + 7 + 8 + 4 + 2 to the classical residues
+    assert checked == 4 * sum(range(1, 97)) - (1 + 2) - (1 + 2 + 3) - 1 + 27
 
 
 def test_candidates_read_classical_residues_without_surgery(monkeypatch):
-    # building the records reads A-D factors in closed form: the only
-    # chain_components calls are the F4 and G2 records' Levi reads (once
-    # per residue, so none when an earlier test read them), each with at
-    # most both marks removed
-    components = []
-
-    def counting_chain_components(t, removed):
-        components.append((t, tuple(removed)))
-        return chain_components(t, removed)
-
-    monkeypatch.setattr(roofscope.dynkin, "chain_components", counting_chain_components)
+    # building a record reads each of its at most four marks' (W's two,
+    # V_1's and V_2's) at most three neighbours through component_at, with
+    # at most both marks removed: no residue is cut or read whole
+    components = _count_component_at(monkeypatch)
     records = enumerate_roofs(64)
     assert ("D64", 64, "D64:63,64") in {(rec.family, rec.r, rec.diagram) for rec in records}
-    assert {str(t) for t, _ in components} <= {"F4", "G2"}
-    assert all(len(removed) <= 2 for _, removed in components)
+    assert components and all(len(gone) <= 2 for _, gone in components)
+    assert len(components) <= 4 * 3 * len(records)
 
 
 def test_enumeration_parses_no_diagram(monkeypatch):

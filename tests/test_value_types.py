@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import Edge
+from oracles import Edge, surgery_components
 from roofscope import (
     G2_DAGGER_RECORD,
     BundleChowRing,
@@ -17,7 +17,6 @@ from roofscope import (
     MarkedDiagram,
     RoofRecord,
     SimpleType,
-    classify_components,
     classify_simple_kequiv,
     diagram_of,
     gp_invariants,
@@ -34,8 +33,8 @@ A3 = SimpleType("A", 3)
 
 
 def one_of_each():
-    """An instance of each of the 15 value types of the package and of the
-    oracle's Edge, keyed by type name."""
+    """An instance of each of the 14 value types of the package and of the
+    oracle's Edge and ComponentShape, keyed by type name."""
     table = verify_paper_table(2)
     classes = classify_simple_kequiv(ClassificationQuery(dim_x=8))
     values = [
@@ -43,7 +42,7 @@ def one_of_each():
         Edge(1, 2, 1, None),
         diagram_of((A2,)),
         parse("A2:1"),
-        classify_components(diagram_of((A2,)))[0],
+        surgery_components(diagram_of((A2,)))[0],
         gp_invariants(parse("A2:1")),
         G2_DAGGER_RECORD,
         table.rows[0],
