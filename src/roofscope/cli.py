@@ -6,6 +6,20 @@ Every command takes --format {table,json,csv,latex}.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 no result.
 All rendering lives here; the libraries never print.
 
+``roofs`` and ``verify-table`` print each record or row as it is built,
+from the generators behind ``enumerate_roofs`` and
+``verify_paper_table`` (``roofs._roof_stream``, ``roofs._table_rows``),
+so their memory stays flat at any size and a JSON payload is built for
+``--format json`` only.  The table format needs its column widths
+first, so it reads the rows twice.  ``roofs`` builds its records again
+for the second pass.  ``verify-table`` computes every row in the first
+pass and keeps only the widths and the failing rows; the second pass
+prints each passing row's computed triple as its expected one, which
+it equals.  When the reader closes the pipe early (``| head``), these
+two commands stop writing without a traceback and exit as they would
+have: 0, or 1 when a row fails, since ``verify-table`` still checks
+every row.
+
 The grammar is one table, ``GRAMMAR``.  ``build_parser`` makes the
 argparse parser from it, and ``_read_argv`` reads a well-formed query
 off it without argparse; any other argv (``--help``, an abbreviated or
@@ -220,15 +234,34 @@ def _ring_from_args(args) -> chow.BundleChowRing:
 # --- command bodies ------------------------------------------------------------
 
 
-def _emit(fmt: str, headers, rows, json_payload) -> None:
+def _emit(fmt: str, headers, rows, payload) -> None:
+    """Write one answer to stdout as it is built.  ``rows`` returns the
+    rows (the table calls it twice), and ``payload``, called for JSON
+    only, returns the JSON payload."""
     if fmt == "table":
-        sys.stdout.write(render.render_table(headers, rows))
+        render.render_table(sys.stdout, headers, rows)
     elif fmt == "csv":
-        sys.stdout.write(render.render_csv(headers, rows))
+        render.render_csv(sys.stdout, headers, rows())
     elif fmt == "json":
-        sys.stdout.write(render.render_json(json_payload))
+        render.render_json(sys.stdout, payload())
     else:
-        sys.stdout.write(render.render_latex(headers, rows))
+        render.render_latex(sys.stdout, headers, rows())
+
+
+def _stream(write) -> None:
+    """Run ``write``, which streams an answer to stdout, and flush.  A
+    reader that closes the pipe early (``| head``) ends the output
+    quietly: stdout is pointed at the null device, so that the
+    interpreter's own flush at exit stays silent too."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_gp(args) -> int:
@@ -251,7 +284,7 @@ def cmd_gp(args) -> int:
         "picard": inv.picard,
         "index": {str(m): c for m, c in inv.index_vector},
     }
-    _emit(args.format, headers, rows, payload)
+    _emit(args.format, headers, lambda: rows, lambda: payload)
     return EXIT_OK
 
 
@@ -264,69 +297,83 @@ def cmd_roofs(args) -> int:
     if args.fiber is not None and args.fiber < 2:
         print("error: --fiber must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    records = roofs.enumerate_roofs(args.max_rank, r_filter=args.fiber)
     if args.format == "latex":
         headers = ["Type", "Marked Dynkin diagram", r"$(\dim V_i,\ r_{V_1},\ r_{V_2})$"]
-        latex_rows = [
+        rows = (
             [
-                _family_latex(rec),
+                roofs.FAMILY_SPECS[family].latex(rec.r),
                 r"\texttt{" + render.latex_escape(rec.diagram) + "}"
                 if rec.diagram != roofs.NON_HOMOGENEOUS
                 else "--",
                 f"$({rec.dim_V1},\\,{rec.index_V1},\\,{rec.index_V2})$",
             ]
-            for rec in records
-        ]
-        sys.stdout.write(
-            render.render_latex(headers, latex_rows, raw_columns=(0, 1, 2))
+            for family, rec in roofs._roof_stream(args.max_rank, args.fiber)
         )
+        _stream(lambda: render.render_latex(sys.stdout, headers, rows, raw_columns=(0, 1, 2)))
         return EXIT_OK
+
+    def records():  # a fresh stream for each of the table's two passes
+        return (rec for _, rec in roofs._roof_stream(args.max_rank, args.fiber))
+
+    def payload():
+        return (rec._asdict() for rec in records())
+
     headers = list(roofs.RoofRecord._fields)
-    _emit(args.format, headers, records, [rec._asdict() for rec in records])
+    _stream(lambda: _emit(args.format, headers, records, payload))
     return EXIT_OK
 
 
-def _family_latex(rec: roofs.RoofRecord) -> str:
-    from .roofs import FAMILY_SPECS
-
-    for spec in FAMILY_SPECS.values():
-        if spec.label(rec.r) == rec.family:
-            return spec.latex(rec.r)
-    return render.latex_escape(rec.family)
-
-
 def cmd_verify_table(args) -> int:
-    from .roofs import verify_paper_table
+    from .roofs import _table_rows
 
     if args.r_max < 2:
         print("error: --r-max must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    report = verify_paper_table(args.r_max)
+    failed = {}  # (family, r) -> each failing row, in table order
+
+    def check():
+        for row in _table_rows(args.r_max):
+            if not row.ok:
+                failed[row.family, row.r] = row
+            yield row
+
+    computed = check()
+    unread = [computed]
+
+    def table_rows():
+        # the first call computes every row; a later one (the table's
+        # printing pass) recomputes none, as every row not in failed passed
+        return unread.pop() if unread else _table_rows(args.r_max, failed)
+
+    def rows():
+        return (
+            [row.family, row.r, str(row.computed), str(row.expected), "pass" if row.ok else "FAIL"]
+            for row in table_rows()
+        )
+
+    def payload():
+        return (
+            {
+                "family": row.family,
+                "r": row.r,
+                "computed": list(row.computed),
+                "expected": list(row.expected),
+                "ok": row.ok,
+            }
+            for row in table_rows()
+        )
+
     headers = ["family", "r", "computed", "expected", "status"]
-    rows = [
-        [row.family, row.r, str(row.computed), str(row.expected), "pass" if row.ok else "FAIL"]
-        for row in report.rows
-    ]
-    payload = [
-        {
-            "family": row.family,
-            "r": row.r,
-            "computed": list(row.computed),
-            "expected": list(row.expected),
-            "ok": row.ok,
-        }
-        for row in report.rows
-    ]
-    _emit(args.format, headers, rows, payload)
-    if not report.all_pass:
-        for row in report.failures():
-            print(
-                f"verification failed: {row.family} computed {row.computed}, "
-                f"expected {row.expected}",
-                file=sys.stderr,
-            )
-        return EXIT_VERIFY
-    return EXIT_OK
+    _stream(lambda: _emit(args.format, headers, rows, payload))
+    for _ in computed:  # rows a closed pipe left unprinted are checked all the same
+        pass
+    for row in failed.values():
+        print(
+            f"verification failed: {row.family} computed {row.computed}, "
+            f"expected {row.expected}",
+            file=sys.stderr,
+        )
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -353,7 +400,7 @@ def cmd_classify(args) -> int:
             for e in result.entries
         ],
     }
-    _emit(args.format, headers, rows, payload)
+    _emit(args.format, headers, lambda: rows, lambda: payload)
     return EXIT_OK
 
 
@@ -361,13 +408,13 @@ def _print_element(fmt: str, label: str, el: chow.ChowElement) -> None:
     from .chow import format_element
 
     text = format_element(el)
-    _emit(fmt, [label], [[text]], {label: text})
+    _emit(fmt, [label], lambda: [[text]], lambda: {label: text})
 
 
 def _emit_verdict(fmt: str, payload, lines, ok: bool) -> int:
     """A check's JSON payload, or its report lines in every other format."""
     if fmt == "json":
-        sys.stdout.write(render.render_json(payload))
+        render.render_json(sys.stdout, payload)
     else:
         for line in lines:
             print(line)
@@ -383,7 +430,7 @@ def cmd_chow_reduce(args) -> int:
 def cmd_chow_degree(args) -> int:
     ring = _ring_from_args(args)
     text = str(ring.degree(parse_element(args.element, ring)))
-    _emit(args.format, ["degree"], [[text]], {"degree": text})
+    _emit(args.format, ["degree"], lambda: [[text]], lambda: {"degree": text})
     return EXIT_OK
 
 
@@ -411,7 +458,7 @@ def cmd_chow_discrepancy(args) -> int:
 
     if args.codim2 is None:
         value = blowup_discrepancy(args.codim)
-        _emit(args.format, ["discrepancy"], [[value]], {"discrepancy": value})
+        _emit(args.format, ["discrepancy"], lambda: [[value]], lambda: {"discrepancy": value})
         return EXIT_OK
     verdict = kequiv_forces_equal_codim(args.codim, args.codim2)
     return _emit_verdict(args.format, verdict._asdict(), verdict.lines(), verdict.consistent)

@@ -118,9 +118,8 @@ class MarkedDiagram(namedtuple("MarkedDiagram", "diagram marks")):
         return f"{self.diagram} marked {','.join(map(str, sorted(self.marks)))}"
 
 
-@lru_cache(maxsize=None)
 def diagram_of(factors: tuple[SimpleType, ...]) -> Diagram:
-    """The full diagram of one or two factors."""
+    """The full diagram of one or two factors, built in O(#factors)."""
     return Diagram(factors)
 
 

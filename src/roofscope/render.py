@@ -1,15 +1,17 @@
 """Output formatting: aligned text tables, JSON, CSV and LaTeX.
 
 All emitters are deterministic: rows arrive pre-sorted from the library
-layer and are rendered without any environment-dependent state.  The
-CSV and JSON emitters import their modules when called, so a query
-loads only the format it prints.
+layer and are rendered without any environment-dependent state.  Each
+emitter writes to a text stream ``out`` as it goes, so an output of any
+length is printed in constant memory.  The table alone reads its rows
+twice, once for the column widths and once to print, so it takes a
+function that returns them.  The CSV and JSON emitters import their
+modules when called, so a query loads only the format it prints.
 """
 
 from __future__ import annotations
 
-import io
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 FORMATS = ("table", "json", "csv", "latex")
 
@@ -20,36 +22,41 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    cells = [[_cell(v) for v in row] for row in rows]
+def render_table(out, headers: Sequence[str], rows: Callable[[], Iterable[Sequence]]) -> None:
+    """Aligned columns; ``rows()`` is called twice and must give the same
+    rows both times."""
     widths = [len(h) for h in headers]
-    for row in cells:
-        for k, v in enumerate(row):
-            widths[k] = max(widths[k], len(v))
-    lines = [
-        "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[k] for k in range(len(headers))).rstrip(),
-    ]
-    for row in cells:
-        lines.append("  ".join(v.ljust(widths[k]) for k, v in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    for row in rows():
+        widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
+    out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
+    out.write("  ".join("-" * w for w in widths).rstrip() + "\n")
+    for row in rows():
+        out.write("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
-def render_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+def render_csv(out, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(headers)
     for row in rows:
         writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
 
 
-def render_json(payload) -> str:
+def render_json(out, payload) -> None:
+    """The bytes of ``json.dumps(payload, indent=2)`` and a newline.  A
+    payload that is not a dict is a JSON array, written item by item: each
+    item dumped alone, its lines indented two more spaces."""
     import json
 
-    return json.dumps(payload, indent=2) + "\n"
+    if isinstance(payload, dict):
+        out.write(json.dumps(payload, indent=2) + "\n")
+        return
+    sep = "[\n  "
+    for item in payload:
+        out.write(sep + json.dumps(item, indent=2).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def latex_escape(text: str) -> str:
@@ -68,22 +75,17 @@ def latex_escape(text: str) -> str:
     return "".join(out)
 
 
-def render_latex(headers: Sequence[str], rows: Sequence[Sequence], raw_columns=()) -> str:
+def render_latex(out, headers: Sequence[str], rows: Iterable[Sequence], raw_columns=()) -> None:
     """A plain tabular; cells are escaped unless their column is listed raw."""
-    spec = "l" * len(headers)
-    lines = [rf"\begin{{tabular}}{{{spec}}}"]
-    lines.append(
-        " & ".join(
-            h if k in raw_columns else latex_escape(h) for k, h in enumerate(headers)
+    def line(cells) -> str:
+        escaped = (
+            _cell(v) if k in raw_columns else latex_escape(_cell(v)) for k, v in enumerate(cells)
         )
-        + r" \\"
-    )
-    lines.append(r"\hline")
+        return " & ".join(escaped) + r" \\" + "\n"
+
+    out.write(rf"\begin{{tabular}}{{{'l' * len(headers)}}}" + "\n")
+    out.write(line(headers))
+    out.write(r"\hline" + "\n")
     for row in rows:
-        rendered = [
-            _cell(v) if k in raw_columns else latex_escape(_cell(v))
-            for k, v in enumerate(row)
-        ]
-        lines.append(" & ".join(rendered) + r" \\")
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines) + "\n"
+        out.write(line(row))
+    out.write(r"\end{tabular}" + "\n")

@@ -329,24 +329,30 @@ def _mark_images(md: MarkedDiagram) -> set[str]:
 
 def _fibers(max_rank: int, r_filter: int | None) -> Iterable[int]:
     """The fiber parameters to visit: r_filter alone, or every r at which
-    a row of rank <= max_rank can sit (each row's rank is at least r - 1)."""
-    return range(2, max_rank + 2) if r_filter is None else (r_filter,)
+    a row of rank <= max_rank can sit (each row's rank is at least r - 1),
+    and r = 3, where G2^dagger sits at any rank."""
+    return range(2, max(max_rank, 2) + 2) if r_filter is None else (r_filter,)
 
 
 def _row_instances(
-    family: Family, max_rank: int, r_filter: int | None
+    families: Iterable[Family], max_rank: int, r_filter: int | None
 ) -> Iterator[tuple[MarkedDiagram, int, Family]]:
-    """The canonical diagrams of one row whose rank fits max_rank, with r."""
-    spec = FAMILY_SPECS[family]
-    for r in _fibers(max_rank, r_filter):
-        if spec.admits(r) and spec.rank(r) <= max_rank:
-            yield spec.marked(r), r, family
+    """The canonical diagrams of the given rows whose rank fits max_rank,
+    row by row, each with its r and row."""
+    for family in families:
+        spec = FAMILY_SPECS[family]
+        for r in _fibers(max_rank, r_filter):
+            if spec.admits(r):
+                factors = spec.factors(r)  # checked SimpleTypes: built once per instance
+                if sum(t.rank for t in factors) <= max_rank:
+                    yield MarkedDiagram(diagram_of(factors), frozenset(spec.marks(r))), r, family
 
 
 # the rows that solve the single-factor chart join, by letter (see _candidates)
 _SOLVED_JOIN = (
     Family.A_MUKAI, Family.A_GRASS, Family.C_FLAG, Family.D_SPINOR, Family.F4, Family.G2
 )
+_PRODUCT_ROW = (Family.A_PRODUCT,)
 
 
 def _candidates(
@@ -387,15 +393,15 @@ def _candidates(
     O(max_rank) hits, or O(1) with ``r_filter``.  The tests compare them
     with the chart join itself on every type up to rank 512.
     """
-    for family in _SOLVED_JOIN:
-        yield from _row_instances(family, max_rank, r_filter)
+    return _row_instances(_SOLVED_JOIN, max_rank, r_filter)
 
 
 def enumerate_roofs(
     max_total_rank: int,
     r_filter: int | None = None,
 ) -> list[RoofRecord]:
-    """Every roof whose canonical diagram has total rank <= max_total_rank.
+    """Every roof whose canonical diagram has total rank <= max_total_rank,
+    sorted by (r, family, total rank, diagram).
 
     Single factors are the solved chart join of ``_candidates``, one
     record per automorphism class.  Products with one mark per factor
@@ -404,22 +410,33 @@ def enumerate_roofs(
     check this against the full scan of the products.  Each record is
     built from its row's factors and marks, with its index vector checked
     to be (r, r).  With ``r_filter`` only that r is visited, and the
-    non-homogeneous G2^dagger record is appended whenever the filter
-    admits r = 3.  The cost is O(1) per record.
+    non-homogeneous G2^dagger record is listed whenever the filter
+    admits r = 3.  The cost is O(1) per record; the records come from
+    ``_roof_stream``, which the command line prints as they are built.
     """
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
-    hits = itertools.chain(
-        _candidates(max_total_rank, r_filter),
-        _row_instances(Family.A_PRODUCT, max_total_rank, r_filter),
-    )
-    ranked = [  # (total rank, record); G2^dagger has no diagram and ranks 0
-        (md.diagram.total_rank, _record_for(md, family, r)) for md, r, family in hits
-    ]
-    if r_filter in (None, G2_DAGGER_RECORD.r):
-        ranked.append((0, G2_DAGGER_RECORD))
-    ranked.sort(key=lambda item: (item[1].r, item[1].family, item[0], item[1].diagram))
-    return [rec for _, rec in ranked]
+    return [rec for _, rec in _roof_stream(max_total_rank, r_filter)]
+
+
+def _roof_stream(
+    max_total_rank: int, r_filter: int | None = None
+) -> Iterator[tuple[Family, RoofRecord]]:
+    """The records of ``enumerate_roofs`` in its order, each with its
+    family row, built one fiber parameter r at a time: the at most eight
+    records at r are built, sorted and yielded before the next r is
+    visited, so memory stays flat at any max_total_rank."""
+    for r in _fibers(max_total_rank, r_filter):
+        hits = itertools.chain(
+            _candidates(max_total_rank, r), _row_instances(_PRODUCT_ROW, max_total_rank, r)
+        )
+        batch = [(family, _record_for(md, family, r)) for md, _, family in hits]
+        if r == G2_DAGGER_RECORD.r:
+            batch.append((Family.G2_DAGGER, G2_DAGGER_RECORD))
+        # the family labels at one r are distinct, so they alone give the
+        # order (r, family, total rank, diagram)
+        batch.sort(key=lambda item: item[1].family)
+        yield from batch
 
 
 def _record_for(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
@@ -487,22 +504,28 @@ def verify_paper_table(r_max: int) -> TableReport:
     """Recompute every family instance with r <= r_max and compare it to
     the bundled closed-form table.
 
-    Mismatches become failing rows, never exceptions.
+    Mismatches become failing rows, never exceptions.  The rows come from
+    ``_table_rows``, which the command line prints as they are computed.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    rows = []
+    return TableReport(tuple(_table_rows(r_max)))
+
+
+def _table_rows(r_max: int, failed: dict | None = None) -> Iterator[TableRow]:
+    """The rows of ``verify_paper_table``, in table order.
+
+    Given ``failed``, the failing rows of a run that computed every row,
+    by (family label, r), nothing is recomputed: each other row passed,
+    so its computed triple is its expected one.
+    """
     for family, spec in FAMILY_SPECS.items():
         for r in filter(spec.admits, range(2, r_max + 1)):
-            rows.append(
-                TableRow(
-                    family=spec.label(r),
-                    r=r,
-                    computed=_computed_triple(family, r),
-                    expected=spec.triple(r),
-                )
-            )
-    return TableReport(tuple(rows))
+            label, expected = spec.label(r), spec.triple(r)
+            if failed is None:
+                yield TableRow(label, r, _computed_triple(family, r), expected)
+            else:
+                yield failed.get((label, r)) or TableRow(label, r, expected, expected)
 
 
 # --- classification of simple K-equivalent maps --------------------------------

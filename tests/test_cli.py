@@ -912,8 +912,9 @@ def test_roofs_max_rank_96_csv_is_pinned():
 # imports decimal and numbers) stays out of the roof queries, fractions
 # stays out of chow queries on integral data, and so on; no well-formed
 # query builds the argparse parser (nor loads gettext and locale with it),
-# no value type loads typing, and a table needs no regular expression
-NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing"}
+# no value type loads typing, a table needs no regular expression, and
+# only a reader that closes the pipe early makes a query load os
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "os"}
 _CHOW_LEFT_OUT = {
     "roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "roofscope.root_system",
     "fractions", "decimal", "numbers",
