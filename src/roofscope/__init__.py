@@ -21,8 +21,7 @@ _EXPORTS = {
         "roofs": """
             ClassEntry ClassificationQuery ClassificationResult Family
             G2_DAGGER_RECORD NON_HOMOGENEOUS RoofRecord TableReport TableRow
-            classify_simple_kequiv enumerate_roofs family_diagram name_family
-            verify_paper_table
+            classify_simple_kequiv enumerate_roofs verify_paper_table
         """,
         "chow": """
             BundleChowRing ChowElement CodimVerdict CyclicBase H MukaiVerdict

@@ -23,6 +23,10 @@ Everything is exact, under one rule applied wherever a value enters
 integral data computes in machine integers, and ``fractions`` (with
 ``decimal`` and ``numbers``) loads only when a non-integral value
 appears; integral inputs give integral coefficients and degrees.
+
+The command line's element grammar (``parse_element``), numbers
+(``_fraction``) and base presets (``_preset_base``) live here too; the
+parser reduces after every product it takes.
 """
 
 from __future__ import annotations
@@ -242,6 +246,16 @@ def quadric(n: int) -> CyclicBase:
     return CyclicBase(dim=n, degree=2, index=n)
 
 
+def _preset_base(text: str) -> CyclicBase:
+    """The base a preset names: ``P<n>`` or ``Q<n>``, case and spaces aside."""
+    preset = text.strip().upper()
+    digits = preset[1:]
+    if preset[:1] not in ("P", "Q") or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"unknown base preset {text!r}; use P<n> or Q<n>")
+    n = int(digits)
+    return projective_space(n) if preset[0] == "P" else quadric(n)
+
+
 def chern_units_to_h(base: CyclicBase, values: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Convert Chern data quoted in Z-generator units to H-multiples.
 
@@ -438,3 +452,144 @@ def kequiv_forces_equal_codim(r1: int, r2: int) -> CodimVerdict:
             f"f1*K_X1 = f2*K_X2 would force {r1 - 1} = {r2 - 1}: inconsistent"
         )
     return CodimVerdict(consistent=r1 == r2, r1=r1, r2=r2, report=tuple(lines))
+
+
+# --- the element grammar --------------------------------------------------------
+
+
+# Larger coefficients cannot be printed anyway (Python refuses to convert
+# integers of more than 4300 digits to text); refusing them while parsing
+# keeps nested powers such as ((3^9999)^9999)^9999 from exhausting memory.
+_MAX_COEFFICIENT_BITS = 1 << 16
+
+
+class _ElementParser:
+    """expr := ('-')? term (('+'|'-') term)*; term := factor ('*' factor)*;
+    factor := atom ('^' int)?; atom := '(' expr ')' | rational | 'H' | 'xi'.
+
+    Every product is reduced in ``ring``, so no intermediate element
+    outgrows a normal form."""
+
+    def __init__(self, text: str, ring: BundleChowRing):
+        self.text = text.replace(" ", "")
+        self.pos = 0
+        self.ring = ring
+
+    def fail(self, msg: str):
+        raise ValueError(f"bad element: {msg} (at position {self.pos + 1})")
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take_int(self) -> int:
+        start = self.pos
+        while "0" <= self.peek() <= "9":
+            self.pos += 1
+        if start == self.pos:
+            self.fail("expected a number")
+        return int(self.text[start : self.pos])
+
+    def atom(self) -> ChowElement:
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            return inner
+        if "0" <= ch <= "9":
+            num = self.take_int()
+            if self.peek() == "/":
+                self.pos += 1
+                start = self.pos
+                den = self.take_int()
+                if den == 0:
+                    self.pos = start
+                    self.fail("zero denominator")
+                return ChowElement({(0, 0): rational(num, den)})
+            return ChowElement({(0, 0): num})
+        if self.text.startswith("xi", self.pos):
+            self.pos += 2
+            return XI
+        if ch == "H":
+            self.pos += 1
+            return H
+        self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
+
+    def product(self, a: ChowElement, b: ChowElement) -> ChowElement:
+        out = self.ring.reduce(a * b)
+        for c in out._terms.values():
+            if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
+                self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
+        return out
+
+    def factor(self) -> ChowElement:
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.pos += 1
+        k = self.take_int()
+        out = ChowElement({(0, 0): 1})
+        while k:
+            if k & 1:
+                out = self.product(out, base)
+            k >>= 1
+            if k:
+                base = self.product(base, base)
+        return out
+
+    def term(self) -> ChowElement:
+        out = self.factor()
+        while self.peek() == "*":
+            self.pos += 1
+            out = self.product(out, self.factor())
+        return out
+
+    def expr(self) -> ChowElement:
+        negate = False
+        if self.peek() == "-":
+            negate = True
+            self.pos += 1
+        out = -self.term() if negate else self.term()
+        while self.peek() in ("+", "-"):
+            op = self.peek()
+            self.pos += 1
+            nxt = self.term()
+            out = out + nxt if op == "+" else out - nxt
+        return out
+
+    def parse(self) -> ChowElement:
+        out = self.expr()
+        if self.pos != len(self.text):
+            self.fail(f"unexpected {self.peek()!r}")
+        return self.ring.reduce(out)
+
+
+def parse_element(text: str, ring: BundleChowRing) -> ChowElement:
+    """Parse an element and return its normal form in ``ring``; see
+    :class:`_ElementParser`."""
+    try:
+        return _ElementParser(text, ring).parse()
+    except RecursionError:
+        raise ValueError("bad element: parentheses nested too deeply") from None
+
+
+def _fraction(text: str) -> Scalar:
+    """A number as ``Fraction(text)`` reads it, as an ``int`` when the text
+    is a plain ASCII integer ([+-]digits, whitespace around), so integral
+    input loads no ``fractions``."""
+    # Fraction("1e3000000") builds the integer before anything can check
+    # its size, so exponent notation is refused outright
+    if "e" in text.lower():
+        raise ValueError(f"bad number {text!r}: exponent notation is not accepted")
+    stripped = text.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if digits.isascii() and digits.isdigit():
+        return int(stripped)
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad number {text!r}: zero denominator") from None

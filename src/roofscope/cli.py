@@ -11,14 +11,14 @@ from the generators behind ``enumerate_roofs`` and
 ``verify_paper_table`` (``roofs._roof_stream``, ``roofs._table_rows``),
 so their memory stays flat at any size and a JSON payload is built for
 ``--format json`` only.  The table format needs its column widths
-first, so it reads the rows twice.  ``roofs`` builds its records again
-for the second pass.  ``verify-table`` computes every row in the first
-pass and keeps only the widths and the failing rows; the second pass
-prints each passing row's computed triple as its expected one, which
-it equals.  When the reader closes the pipe early (``| head``), these
-two commands stop writing without a traceback and exit as they would
-have: 0, or 1 when a row fails, since ``verify-table`` still checks
-every row.
+first.  ``roofs`` reads them off at most nine records, each family
+row's widest (``roofs._widest_records``), and builds every record once.
+``verify-table`` computes every row in a first pass and keeps only the
+widths and the failing rows; the second pass prints each passing row's
+computed triple as its expected one, which it equals.  When the reader
+closes the pipe early (``| head``), these two commands stop writing
+without a traceback and exit as they would have: 0, or 1 when a row
+fails, since ``verify-table`` still checks every row.
 
 The grammar is one table, ``GRAMMAR``.  ``build_parser`` makes the
 argparse parser from it, and ``_read_argv`` reads a well-formed query
@@ -26,10 +26,11 @@ off it without argparse; any other argv (``--help``, an abbreviated or
 repeated flag, a bad value, ...) goes to argparse, which alone writes
 help and usage errors.  Each command imports the layer it runs when it
 runs: ``gp`` the diagram and G/P layers, ``roofs``, ``verify-table`` and
-``classify`` the roofs layer, and ``chow`` the bundle calculus alone.
-Importing this module loads only ``render``, and a well-formed query
-loads ``render`` and its layer; ``argparse`` loads for help and refused
-input only.
+``classify`` the roofs layer, and ``chow`` the bundle calculus alone,
+whose module also reads the element grammar and the base presets; this
+module only hands it the ``args``.  Importing this module loads only
+``render``, and a well-formed query loads ``render`` and its layer;
+``argparse`` loads for help and refused input only.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ from . import render
 TYPE_CHECKING = False  # type checkers read it as True
 if TYPE_CHECKING:  # annotations only
     import argparse
-    from fractions import Fraction
 
-    from . import chow, roofs
+    from . import chow
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -54,192 +54,35 @@ EXIT_USAGE = 2
 EXIT_NO_RESULT = 3
 
 
-# --- chow element grammar ----------------------------------------------------
-
-
-# Larger coefficients cannot be printed anyway (Python refuses to convert
-# integers of more than 4300 digits to text); refusing them while parsing
-# keeps nested powers such as ((3^9999)^9999)^9999 from exhausting memory.
-_MAX_COEFFICIENT_BITS = 1 << 16
-
-
-class _ElementParser:
-    """expr := ('-')? term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := atom ('^' int)?; atom := '(' expr ')' | rational | 'H' | 'xi'.
-
-    Every product is reduced in ``ring``, so no intermediate element
-    outgrows a normal form."""
-
-    def __init__(self, text: str, ring: chow.BundleChowRing):
-        self.text = text.replace(" ", "")
-        self.pos = 0
-        self.ring = ring
-
-    def fail(self, msg: str):
-        raise ValueError(f"bad element: {msg} (at position {self.pos + 1})")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        start = self.pos
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        if start == self.pos:
-            self.fail("expected a number")
-        return int(self.text[start : self.pos])
-
-    def atom(self) -> chow.ChowElement:
-        from .chow import H, XI, ChowElement, rational
-
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.expr()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return inner
-        if "0" <= ch <= "9":
-            num = self.take_int()
-            if self.peek() == "/":
-                self.pos += 1
-                start = self.pos
-                den = self.take_int()
-                if den == 0:
-                    self.pos = start
-                    self.fail("zero denominator")
-                return ChowElement({(0, 0): rational(num, den)})
-            return ChowElement({(0, 0): num})
-        if self.text.startswith("xi", self.pos):
-            self.pos += 2
-            return XI
-        if ch == "H":
-            self.pos += 1
-            return H
-        self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
-
-    def product(self, a: chow.ChowElement, b: chow.ChowElement) -> chow.ChowElement:
-        out = self.ring.reduce(a * b)
-        for c in out._terms.values():
-            if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
-                self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
-        return out
-
-    def factor(self) -> chow.ChowElement:
-        from .chow import ChowElement
-
-        base = self.atom()
-        if self.peek() != "^":
-            return base
-        self.pos += 1
-        k = self.take_int()
-        out = ChowElement({(0, 0): 1})
-        while k:
-            if k & 1:
-                out = self.product(out, base)
-            k >>= 1
-            if k:
-                base = self.product(base, base)
-        return out
-
-    def term(self) -> chow.ChowElement:
-        out = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            out = self.product(out, self.factor())
-        return out
-
-    def expr(self) -> chow.ChowElement:
-        negate = False
-        if self.peek() == "-":
-            negate = True
-            self.pos += 1
-        out = -self.term() if negate else self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            nxt = self.term()
-            out = out + nxt if op == "+" else out - nxt
-        return out
-
-    def parse(self) -> chow.ChowElement:
-        out = self.expr()
-        if self.pos != len(self.text):
-            self.fail(f"unexpected {self.peek()!r}")
-        return self.ring.reduce(out)
-
-
-def parse_element(text: str, ring: chow.BundleChowRing) -> chow.ChowElement:
-    """Parse an element and return its normal form in ``ring``; see
-    :class:`_ElementParser`."""
-    try:
-        return _ElementParser(text, ring).parse()
-    except RecursionError:
-        raise ValueError("bad element: parentheses nested too deeply") from None
-
-
-def _fraction(text: str) -> int | Fraction:
-    """A number as ``Fraction(text)`` reads it, as an ``int`` when the text
-    is a plain ASCII integer ([+-]digits, whitespace around), so integral
-    input loads no ``fractions``."""
-    # Fraction("1e3000000") builds the integer before anything can check
-    # its size, so exponent notation is refused outright
-    if "e" in text.lower():
-        raise ValueError(f"bad number {text!r}: exponent notation is not accepted")
-    stripped = text.strip()
-    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
-    if digits.isascii() and digits.isdigit():
-        return int(stripped)
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"bad number {text!r}: zero denominator") from None
-
-
-def _base_from_args(args) -> chow.CyclicBase:
+def _ring_from_args(args) -> chow.BundleChowRing:
     from . import chow
 
     if args.base is not None:
         if args.base_dim is not None or args.base_degree is not None:
             raise ValueError("give either --base or the explicit --base-* flags")
-        preset = args.base.strip().upper()
-        digits = preset[1:]
-        if preset[:1] not in ("P", "Q") or not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"unknown base preset {args.base!r}; use P<n> or Q<n>")
-        n = int(digits)
-        base = chow.projective_space(n) if preset[0] == "P" else chow.quadric(n)
+        base = chow._preset_base(args.base)
         if args.base_index is not None:
-            base = chow.CyclicBase(dim=base.dim, degree=base.degree, index=args.base_index)
-        return base
-    if args.base_dim is None or args.base_degree is None:
+            base = base._replace(index=args.base_index)
+    elif args.base_dim is None or args.base_degree is None:
         raise ValueError("give --base or both --base-dim and --base-degree")
-    return chow.CyclicBase(
-        dim=args.base_dim,
-        degree=args.base_degree,
-        index=args.base_index if args.base_index is not None else args.base_dim + 1,
-    )
-
-
-def _ring_from_args(args) -> chow.BundleChowRing:
-    from .chow import BundleChowRing
-
-    base = _base_from_args(args)
-    cherns = tuple(_fraction(c) for c in args.cherns.split(","))
-    return BundleChowRing(base=base, rank=args.rank, cherns=cherns)
+    else:
+        index = args.base_index if args.base_index is not None else args.base_dim + 1
+        base = chow.CyclicBase(dim=args.base_dim, degree=args.base_degree, index=index)
+    cherns = tuple(chow._fraction(c) for c in args.cherns.split(","))
+    return chow.BundleChowRing(base=base, rank=args.rank, cherns=cherns)
 
 
 # --- command bodies ------------------------------------------------------------
 
 
-def _emit(fmt: str, headers, rows, payload) -> None:
+def _emit(fmt: str, headers, rows, payload, widest=None) -> None:
     """Write one answer to stdout as it is built.  ``rows`` returns the
-    rows (the table calls it twice), and ``payload``, called for JSON
-    only, returns the JSON payload."""
+    rows, and ``payload``, called for JSON only, returns the JSON payload.
+    The table sizes its columns on ``widest()``, called first, when given
+    (see ``render.render_table``), and on a first call of ``rows()``
+    otherwise."""
     if fmt == "table":
-        render.render_table(sys.stdout, headers, rows)
+        render.render_table(sys.stdout, headers, (widest or rows)(), rows())
     elif fmt == "csv":
         render.render_csv(sys.stdout, headers, rows())
     elif fmt == "json":
@@ -312,14 +155,17 @@ def cmd_roofs(args) -> int:
         _stream(lambda: render.render_latex(sys.stdout, headers, rows, raw_columns=(0, 1, 2)))
         return EXIT_OK
 
-    def records():  # a fresh stream for each of the table's two passes
+    def records():
         return (rec for _, rec in roofs._roof_stream(args.max_rank, args.fiber))
 
     def payload():
         return (rec._asdict() for rec in records())
 
+    def widest():  # the table's column widths, from at most nine records
+        return roofs._widest_records(args.max_rank, args.fiber)
+
     headers = list(roofs.RoofRecord._fields)
-    _stream(lambda: _emit(args.format, headers, records, payload))
+    _stream(lambda: _emit(args.format, headers, records, payload, widest))
     return EXIT_OK
 
 
@@ -422,12 +268,16 @@ def _emit_verdict(fmt: str, payload, lines, ok: bool) -> int:
 
 
 def cmd_chow_reduce(args) -> int:
+    from .chow import parse_element
+
     ring = _ring_from_args(args)
     _print_element(args.format, "normal_form", parse_element(args.element, ring))
     return EXIT_OK
 
 
 def cmd_chow_degree(args) -> int:
+    from .chow import parse_element
+
     ring = _ring_from_args(args)
     text = str(ring.degree(parse_element(args.element, ring)))
     _emit(args.format, ["degree"], lambda: [[text]], lambda: {"degree": text})
@@ -440,7 +290,7 @@ def cmd_chow_canonical(args) -> int:
 
 
 def cmd_chow_mukai_check(args) -> int:
-    from .chow import mukai_pair_check
+    from .chow import _fraction, mukai_pair_check
 
     verdict = mukai_pair_check(args.index, _fraction(args.c1), args.rank, args.dim)
     payload = {

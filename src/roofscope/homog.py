@@ -101,16 +101,3 @@ def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
             raise RuntimeError(f"non-positive index coefficient for {md}")
     return VarietyInvariants(dim=dim, picard=len(marks), index_vector=tuple(vec))
 
-
-def _pspace_r(t: SimpleType, pos: int) -> int | None:
-    """r when type t marked at Bourbaki position pos alone is P^{r-1}.
-
-    The two shapes are an A_m chain marked at either end (P^m) and a C_m
-    chain marked at the short end, the node away from the arrow source
-    (P^{2m-1}).
-    """
-    if t.letter == "A" and pos in (1, t.rank):
-        return t.rank + 1
-    if t.letter == "C" and pos == 1:
-        return 2 * t.rank
-    return None

@@ -3,15 +3,15 @@
 All emitters are deterministic: rows arrive pre-sorted from the library
 layer and are rendered without any environment-dependent state.  Each
 emitter writes to a text stream ``out`` as it goes, so an output of any
-length is printed in constant memory.  The table alone reads its rows
-twice, once for the column widths and once to print, so it takes a
-function that returns them.  The CSV and JSON emitters import their
+length is printed in constant memory.  The table sizes its columns on
+rows at least as wide as those it prints, the same rows or a widest
+few, before its first line.  The CSV and JSON emitters import their
 modules when called, so a query loads only the format it prints.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 FORMATS = ("table", "json", "csv", "latex")
 
@@ -22,15 +22,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def render_table(out, headers: Sequence[str], rows: Callable[[], Iterable[Sequence]]) -> None:
-    """Aligned columns; ``rows()`` is called twice and must give the same
-    rows both times."""
+def render_table(
+    out, headers: Sequence[str], widest: Iterable[Sequence], rows: Iterable[Sequence]
+) -> None:
+    """Aligned columns, as wide as the headers and the cells of ``widest``:
+    ``rows`` again, or rows known to be at least as wide in each column.
+    Then ``rows`` is printed, read once."""
     widths = [len(h) for h in headers]
-    for row in rows():
+    for row in widest:
         widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
     out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
     out.write("  ".join("-" * w for w in widths).rstrip() + "\n")
-    for row in rows():
+    for row in rows:
         out.write("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 

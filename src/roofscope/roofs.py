@@ -1,4 +1,4 @@
-"""Roofs of P^{r-1}-bundles: detection, enumeration, classification.
+"""Roofs of P^{r-1}-bundles: the family rows, enumeration, classification.
 
 A two-marked diagram is a roof of P^{r-1}-bundles exactly when both
 fibration residues are projective spaces with the same fiber parameter
@@ -30,8 +30,8 @@ A_{2m-1} chain.  A record is listed when its canonical diagram fits the
 rank bound, and it is built from its row's factors and marks by three
 O(1) ``gp_invariants`` calls, so ``enumerate_roofs`` costs O(1) per
 record: O(N) up to rank N, and O(1) for one fiber parameter.  The tests
-keep the chart join and the direct roof test of every diagram as
-references and compare them with the rows.
+keep the chart join, the direct roof test of every diagram and family
+recognition as references and compare them with the rows.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from . import _make_checked
 from .dynkin import MarkedDiagram, diagram_of, parse, serialize
-from .homog import VarietyInvariants, _pspace_r, gp_invariants
+from .homog import VarietyInvariants, gp_invariants
 from .root_system import SimpleType
 
 
@@ -80,10 +80,6 @@ class FamilySpec(namedtuple("FamilySpec", "label latex factors marks admits trip
     def marked(self, r: int) -> MarkedDiagram:
         """The canonical marked diagram at r."""
         return MarkedDiagram(diagram_of(self.factors(r)), frozenset(self.marks(r)))
-
-    def diagram(self, r: int) -> str:
-        """The canonical marked diagram at r, as text."""
-        return serialize(self.marked(r))
 
     def rank(self, r: int) -> int:
         """The total rank of the canonical diagram at r."""
@@ -205,11 +201,6 @@ class RoofRecord(
             (family, r, diagram, dim_W, dim_V1, dim_V2, index_V1, index_V2, homogeneous, notes),
         )
 
-    def marked_diagram(self) -> MarkedDiagram:
-        if self.diagram == NON_HOMOGENEOUS:
-            raise ValueError("the G2^dagger roof has no marked diagram")
-        return parse(self.diagram)
-
 
 def _g2_dagger_record() -> RoofRecord:
     """The non-homogeneous roof, read off its table row at r = 3: both
@@ -242,86 +233,6 @@ def _check_index(md: MarkedDiagram, r: int) -> VarietyInvariants:
             f"index vector {w.coefficients()} disagrees with fiber parameter {r} on {md}"
         )
     return w
-
-
-# --- family recognition ------------------------------------------------------
-
-
-def _family_of(md: MarkedDiagram, r: int) -> Family:
-    d = md.diagram
-    marks = sorted(md.marks)
-    if len(d.factors) == 2:
-        split = d.factors[0].rank
-        in_first = [m for m in marks if m <= split]
-        if len(in_first) == 1:
-            # one mark per factor: the roof is a product of the two
-            # single-marked factors, each of which must be P^{r-1}
-            (t, u), (i, j) = d.factors, marks
-            if _pspace_r(t, i) == r == _pspace_r(u, j - split):
-                return Family.A_PRODUCT
-            return Family.UNKNOWN
-        # both marks in one factor: the other factor is a point
-        t = d.factors[0] if len(in_first) == 2 else d.factors[1]
-        offset = 0 if len(in_first) == 2 else split
-        local = frozenset(m - offset for m in marks)
-        return _single_factor_family(MarkedDiagram(diagram_of((t,)), local), r)
-    return _single_factor_family(md, r)
-
-
-def _single_factor_family(md: MarkedDiagram, r: int) -> Family:
-    """The family whose canonical diagram at r is md up to automorphism."""
-    images = _mark_images(md)
-    for family, spec in FAMILY_SPECS.items():
-        if spec.factors is not None and spec.admits(r) and spec.diagram(r) in images:
-            return family
-    return Family.UNKNOWN
-
-
-def family_diagram(family: Family, r: int) -> str:
-    """The canonical marked diagram of a family instance."""
-    spec = FAMILY_SPECS.get(family)
-    if spec is None or spec.factors is None:
-        raise ValueError(f"{family} has no canonical diagram")
-    return spec.diagram(r)
-
-
-def name_family(record: RoofRecord) -> str:
-    """Pattern-match a record against the eight family schemata."""
-    if record.diagram == NON_HOMOGENEOUS:
-        return Family.G2_DAGGER.label(record.r)
-    return _family_of(record.marked_diagram(), record.r).label(record.r)
-
-
-# --- automorphism canonicalization -------------------------------------------
-
-
-def _factor_automorphisms(t: SimpleType) -> list[dict[int, int]]:
-    n = t.rank
-    ident = {k: k for k in range(1, n + 1)}
-    if t.letter == "A" and n >= 2:
-        return [ident, {k: n + 1 - k for k in range(1, n + 1)}]
-    if t.letter == "D":
-        if n == 4:
-            return [
-                {1: p[0], 3: p[1], 4: p[2], 2: 2}
-                for p in itertools.permutations((1, 3, 4))
-            ]
-        swap = dict(ident)
-        swap[n - 1], swap[n] = n, n - 1
-        return [ident, swap]
-    if t.letter == "E" and n == 6:
-        return [ident, {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}]
-    return [ident]
-
-
-def _mark_images(md: MarkedDiagram) -> set[str]:
-    """All serializations of a single-factor md under its diagram automorphisms."""
-    d = md.diagram
-    (t,) = d.factors
-    return {
-        serialize(MarkedDiagram(d, frozenset(auto[m] for m in md.marks)))
-        for auto in _factor_automorphisms(t)
-    }
 
 
 # --- enumeration --------------------------------------------------------------
@@ -401,19 +312,11 @@ def enumerate_roofs(
     r_filter: int | None = None,
 ) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank,
-    sorted by (r, family, total rank, diagram).
-
-    Single factors are the solved chart join of ``_candidates``, one
-    record per automorphism class.  Products with one mark per factor
-    are P^{r-1} x P^{r-1}, read off the A_{r-1}xA_{r-1} row at every r
-    whose row rank fits the bound, and reported in that A-form; the tests
-    check this against the full scan of the products.  Each record is
-    built from its row's factors and marks, with its index vector checked
-    to be (r, r).  With ``r_filter`` only that r is visited, and the
-    non-homogeneous G2^dagger record is listed whenever the filter
-    admits r = 3.  The cost is O(1) per record; the records come from
-    ``_roof_stream``, which the command line prints as they are built.
-    """
+    sorted by (r, family, total rank, diagram), one record per row
+    instance (see the module docstring), each with its index vector
+    checked to be (r, r).  With ``r_filter`` only that r is visited;
+    G2^dagger is listed whenever r = 3 is.  The list of ``_roof_stream``,
+    which the command line prints as it is built."""
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
     return [rec for _, rec in _roof_stream(max_total_rank, r_filter)]
@@ -437,6 +340,21 @@ def _roof_stream(
         # order (r, family, total rank, diagram)
         batch.sort(key=lambda item: item[1].family)
         yield from batch
+
+
+def _widest_records(max_total_rank: int, r_filter: int | None = None) -> Iterator[RoofRecord]:
+    """Each row's record of ``_roof_stream`` at the largest r that fits,
+    and G2^dagger when r = 3 is visited.  Within a row every cell's printed
+    length is nondecreasing in r (the tests hold these widths to those of
+    the whole stream), so these at most nine records size a table."""
+    fibers = _fibers(max_total_rank, r_filter)
+    for family in _SOLVED_JOIN + _PRODUCT_ROW:
+        # the fit test is _row_instances', asked one r at a time from the top
+        fitting = (_row_instances((family,), max_total_rank, r) for r in reversed(fibers))
+        for md, r, _ in itertools.islice(itertools.chain.from_iterable(fitting), 1):
+            yield _record_for(md, family, r)
+    if G2_DAGGER_RECORD.r in fibers:
+        yield G2_DAGGER_RECORD
 
 
 def _record_for(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
@@ -569,6 +487,19 @@ _CASE_DIM_8 = {
     Family.G2_DAGGER: (3, 3),
 }
 
+
+def _dim_bound(d: int) -> dict[Family, tuple[int, int]]:
+    """``_CASE_DIM_8`` cut to the r with dim W(f, r) + 1 <= d, since
+    dim X = dim M + dim W + 1, and dim W = dim V_1 + r - 1 grows with r."""
+    table = {}
+    for family, (lo, hi) in _CASE_DIM_8.items():
+        triple = FAMILY_SPECS[family].triple
+        while hi >= lo and triple(hi)[0] + hi > d:
+            hi -= 1
+        table[family] = (lo, hi)
+    return table
+
+
 # dim X = dim M + dim W + 1, and the smallest roof W is P^1 x P^1
 _BELOW_DIM_3 = (
     "no simple K-equivalent map exists below dimension 3; the smallest is "
@@ -590,8 +521,9 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     """Apply the classification cases admitted by the query and intersect them.
 
     Cases: symplectic total space (Mukai flop only); codimension 2;
-    codimension at least fiber dimension minus 2; ambient dimension at
-    most 8.  Each case bounds r per family by an interval, and a family
+    codimension at least fiber dimension minus 2; ambient dimension d at
+    most 8, whose intervals are cut to dim W + 1 <= d (``_dim_bound``).
+    Each case bounds r per family by an interval, and a family
     survives when it is in every applied case; its intervals and the
     codimension r, as (r, r), are intersected.  A single r gives the
     label at r (if the family admits it), a bounded range the generic
@@ -618,7 +550,7 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     if q.r is not None and q.fiber_gap is not None and q.r >= q.fiber_gap - 2:
         cases.append(("codimension >= fiber dimension - 2", _CASE_LARGE_CODIM))
     if q.dim_x is not None and q.dim_x <= 8:
-        cases.append(("ambient dimension <= 8", _CASE_DIM_8))
+        cases.append(("ambient dimension <= 8", _dim_bound(q.dim_x)))
     if not cases:
         return ClassificationResult(False, (), ())
 

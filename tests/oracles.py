@@ -26,6 +26,13 @@ the automorphism dedup of its hits (``join_enumerate_roofs``).  Their
 components come from the surgery above, so no oracle shares a component
 reader with the library.
 
+Family recognition, the inverse of the family rows, lives here too:
+``name_family`` and ``_family_of`` name the family of a record or of a
+two-marked diagram, matching it up to diagram automorphism
+(``_mark_images``) against the rows' canonical diagrams
+(``family_diagram``), and ``marked_diagram`` parses a record's diagram.
+Production only goes from a row to its diagram and record.
+
 ``Edge`` and the edge set of a diagram (``edges_of``) live here too: the
 library stores a diagram as its factors and removed nodes, and reads a
 node's bonds off its factor's Bourbaki spine.
@@ -33,6 +40,7 @@ node's bonds off its factor's Bourbaki spine.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
@@ -44,17 +52,16 @@ from roofscope import (
     _make_checked,
     diagram_of,
     parse,
+    serialize,
 )
-from roofscope.homog import _pspace_r, gp_invariants
+from roofscope.homog import gp_invariants
 from roofscope.roofs import (
     FAMILY_SPECS,
     G2_DAGGER_RECORD,
+    NON_HOMOGENEOUS,
     Family,
     RoofRecord,
     _check_index,
-    _family_of,
-    _mark_images,
-    family_diagram,
 )
 from roofscope.root_system import SimpleType, _two_rho, positive_root_count, simple_types
 
@@ -376,6 +383,103 @@ def surgery_gp_invariants(md):
     return VarietyInvariants(dim=dim, picard=len(marks), index_vector=vec)
 
 
+# --- family recognition ------------------------------------------------------------
+
+def _pspace_r(t: SimpleType, pos: int) -> int | None:
+    """r when type t marked at Bourbaki position pos alone is P^{r-1}.
+
+    The two shapes are an A_m chain marked at either end (P^m) and a C_m
+    chain marked at the short end, the node away from the arrow source
+    (P^{2m-1}).
+    """
+    if t.letter == "A" and pos in (1, t.rank):
+        return t.rank + 1
+    if t.letter == "C" and pos == 1:
+        return 2 * t.rank
+    return None
+
+
+def _factor_automorphisms(t: SimpleType) -> list[dict[int, int]]:
+    n = t.rank
+    ident = {k: k for k in range(1, n + 1)}
+    if t.letter == "A" and n >= 2:
+        return [ident, {k: n + 1 - k for k in range(1, n + 1)}]
+    if t.letter == "D":
+        if n == 4:
+            return [
+                {1: p[0], 3: p[1], 4: p[2], 2: 2}
+                for p in itertools.permutations((1, 3, 4))
+            ]
+        swap = dict(ident)
+        swap[n - 1], swap[n] = n, n - 1
+        return [ident, swap]
+    if t.letter == "E" and n == 6:
+        return [ident, {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}]
+    return [ident]
+
+
+def _mark_images(md: MarkedDiagram) -> set[str]:
+    """All serializations of a single-factor md under its diagram automorphisms."""
+    d = md.diagram
+    (t,) = d.factors
+    return {
+        serialize(MarkedDiagram(d, frozenset(auto[m] for m in md.marks)))
+        for auto in _factor_automorphisms(t)
+    }
+
+
+def _single_factor_family(md: MarkedDiagram, r: int) -> Family:
+    """The family whose canonical diagram at r is md up to automorphism."""
+    images = _mark_images(md)
+    for family, spec in FAMILY_SPECS.items():
+        if spec.factors is not None and spec.admits(r) and serialize(spec.marked(r)) in images:
+            return family
+    return Family.UNKNOWN
+
+
+def _family_of(md: MarkedDiagram, r: int) -> Family:
+    d = md.diagram
+    marks = sorted(md.marks)
+    if len(d.factors) == 2:
+        split = d.factors[0].rank
+        in_first = [m for m in marks if m <= split]
+        if len(in_first) == 1:
+            # one mark per factor: the roof is a product of the two
+            # single-marked factors, each of which must be P^{r-1}
+            (t, u), (i, j) = d.factors, marks
+            if _pspace_r(t, i) == r == _pspace_r(u, j - split):
+                return Family.A_PRODUCT
+            return Family.UNKNOWN
+        # both marks in one factor: the other factor is a point
+        t = d.factors[0] if len(in_first) == 2 else d.factors[1]
+        offset = 0 if len(in_first) == 2 else split
+        local = frozenset(m - offset for m in marks)
+        return _single_factor_family(MarkedDiagram(diagram_of((t,)), local), r)
+    return _single_factor_family(md, r)
+
+
+def family_diagram(family: Family, r: int) -> str:
+    """The canonical marked diagram of a family instance."""
+    spec = FAMILY_SPECS.get(family)
+    if spec is None or spec.factors is None:
+        raise ValueError(f"{family} has no canonical diagram")
+    return serialize(spec.marked(r))
+
+
+def marked_diagram(record: RoofRecord) -> MarkedDiagram:
+    """The marked diagram a homogeneous record names."""
+    if record.diagram == NON_HOMOGENEOUS:
+        raise ValueError("the G2^dagger roof has no marked diagram")
+    return parse(record.diagram)
+
+
+def name_family(record: RoofRecord) -> str:
+    """Pattern-match a record against the eight family schemata."""
+    if record.diagram == NON_HOMOGENEOUS:
+        return Family.G2_DAGGER.label(record.r)
+    return _family_of(marked_diagram(record), record.r).label(record.r)
+
+
 # --- roofs -----------------------------------------------------------------------
 
 def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedDiagram:
@@ -499,7 +603,7 @@ def join_enumerate_roofs(
     product = FAMILY_SPECS[Family.A_PRODUCT]
     for r in filter(product.admits, range(max_total_rank + 2)):
         if product.rank(r) <= max_total_rank and r_filter in (None, r):
-            instances[product.diagram(r)] = (Family.A_PRODUCT, r)
+            instances[family_diagram(Family.A_PRODUCT, r)] = (Family.A_PRODUCT, r)
     ranked = []
     for diagram, (family, r) in instances.items():
         md = parse(diagram)

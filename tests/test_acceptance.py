@@ -23,7 +23,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import comb
 
-from oracles import ALL_SIMPLE, is_roof, pairing, positive_roots
+from oracles import ALL_SIMPLE, is_roof, marked_diagram, pairing, positive_roots
 from roofscope import (
     BundleChowRing,
     ClassificationQuery,
@@ -92,7 +92,8 @@ def test_criterion_1_paper_table_reproduction():
 def _brute_force_roofs(max_rank: int) -> set[tuple[str, int]]:
     """Independent scan: every 2-marked diagram, is_roof only, mapped to
     its variety-canonical diagram."""
-    from roofscope import Family, family_diagram, name_family, RoofRecord
+    from oracles import family_diagram, name_family
+    from roofscope import Family, RoofRecord
 
     found: set[tuple[str, int]] = set()
     candidates = []
@@ -166,7 +167,7 @@ def test_criterion_3_index_vector_and_dimension_additivity():
         assert rec.dim_W == rec.dim_V1 + rec.r - 1
         assert rec.dim_W == rec.dim_V2 + rec.r - 1
         if rec.homogeneous:
-            md = rec.marked_diagram()
+            md = marked_diagram(rec)
             assert gp_invariants(md).coefficients() == (rec.r, rec.r)
             for keep in sorted(md.marks):
                 base = gp_invariants(MarkedDiagram(md.diagram, frozenset({keep})))

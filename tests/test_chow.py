@@ -36,7 +36,7 @@ from roofscope import (
     quadric,
     twist_cherns,
 )
-from roofscope.cli import _fraction, parse_element
+from roofscope.chow import _fraction, parse_element
 
 
 def tangent_bundle_ring(r: int) -> BundleChowRing:

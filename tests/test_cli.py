@@ -22,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roofscope import roofs
-from roofscope.cli import GRAMMAR, _read_argv, build_parser, main, parse_element
+from roofscope.chow import H, XI, BundleChowRing, ChowElement, parse_element, projective_space
+from roofscope.cli import GRAMMAR, _read_argv, build_parser, main
 from roofscope.dynkin import parse
-from roofscope.chow import H, XI, BundleChowRing, ChowElement, projective_space
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -181,6 +181,22 @@ def test_classify_dim_x_8():
     assert code == 0
     for label in ["A_{r-1}xA_{r-1} (r<=3)", "A_r^M (r<=3)", "C2", "G2", "G2^dagger"]:
         assert label in out
+
+
+@pytest.mark.parametrize(
+    "dim_x,families",
+    [
+        ("3", ["A1xA1"]),
+        ("4", ["A1xA1", "A2^M"]),
+        ("5", ["A_{r-1}xA_{r-1} (r<=3)", "A2^M", "C2"]),
+        ("7", ["A_{r-1}xA_{r-1} (r<=3)", "A_r^M (r<=3)", "C2", "G2"]),
+    ],
+)
+def test_classify_below_dimension_8_keeps_the_roofs_with_dim_w_below_dim_x(dim_x, families):
+    # dim X >= dim W + 1, so G2^dagger (dim W = 7) needs dim X >= 8
+    code, out, _ = run("classify", "--dim-x", dim_x, "--format", "json")
+    assert code == 0
+    assert [e["family"] for e in json.loads(out)["families"]] == families
 
 
 def test_classify_symplectic_json():
@@ -757,8 +773,8 @@ PUBLIC_API = """
     MarkedDiagram MukaiVerdict NON_HOMOGENEOUS OTTAVIANI_CHERNS_CYCLIC
     OTTAVIANI_CHERNS_H ParseError RoofRecord SimpleType TableReport TableRow
     VarietyInvariants XI blowup_discrepancy chern_units_to_h
-    classify_simple_kequiv diagram_of enumerate_roofs family_diagram
-    gp_invariants kequiv_forces_equal_codim mukai_pair_check name_family parse
+    classify_simple_kequiv diagram_of enumerate_roofs
+    gp_invariants kequiv_forces_equal_codim mukai_pair_check parse
     positive_root_count projective_space quadric serialize twist_cherns
     verify_paper_table
 """.split()
@@ -767,7 +783,8 @@ PUBLIC_API = """
 # set, node surgery, the P^(r-1) tests and the chart join, which the tests
 # keep in oracles.py; then the whole-factor component readers, which
 # component_at replaced (ComponentShape, the graph classifier's output,
-# moved to oracles.py)
+# moved to oracles.py); then family recognition, which only the tests
+# use and which moved to oracles.py
 DELETED = {
     "_positive_roots", "_simple_cartan", "_construct", "RootSystem", "construct",
     "pairing", "sum_positive_roots", "Weight", "weight_of", "cartan_from_edges",
@@ -777,6 +794,12 @@ DELETED = {
     "_dedup_key",
     "ComponentShape", "classify_components", "chain_components", "_pendant_run",
     "_BOND_RUNS", "_shape", "_exceptional_places",
+    "name_family", "family_diagram", "_family_of", "_single_factor_family",
+    "_factor_automorphisms", "_mark_images", "_pspace_r",
+}
+# the element grammar and the number and preset readers, which live in chow.py
+CHOW_GRAMMAR = {
+    "_ElementParser", "parse_element", "_MAX_COEFFICIENT_BITS", "_fraction", "_preset_base",
 }
 
 
@@ -791,6 +814,7 @@ def test_no_module_ships_a_root_closure_and_production_paths_run():
     assert {"roofscope.chow", "roofscope.cli", "roofscope.roofs"} <= set(names)
     for name in names:
         assert not DELETED & set(vars(importlib.import_module(name))), name
+    assert not hasattr(roofscope.RoofRecord, "marked_diagram")
     for argv in [
         ("gp", "F4:2,3"),
         ("verify-table", "--r-max", "10"),
@@ -798,6 +822,14 @@ def test_no_module_ships_a_root_closure_and_production_paths_run():
     ]:
         code, out, err = run(*argv)
         assert code == 0 and out, (argv, err)
+
+
+def test_the_cli_defines_no_part_of_the_element_grammar():
+    import roofscope.chow
+    import roofscope.cli
+
+    assert not CHOW_GRAMMAR & set(vars(roofscope.cli))
+    assert CHOW_GRAMMAR <= set(vars(roofscope.chow))
 
 
 def test_star_import_exports_the_public_api_from_its_modules():

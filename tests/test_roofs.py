@@ -9,12 +9,17 @@ import roofscope.dynkin
 import roofscope.homog
 import roofscope.roofs
 from oracles import (
+    _family_of,
+    _pspace_r,
     _residue_charts,
     component_charts,
     dedup_key,
+    family_diagram,
     is_roof,
     join_candidates,
     join_enumerate_roofs,
+    marked_diagram,
+    name_family,
     remove_node,
     surgery_components,
 )
@@ -28,19 +33,15 @@ from roofscope import (
     classify_simple_kequiv,
     diagram_of,
     enumerate_roofs,
-    family_diagram,
     gp_invariants,
-    name_family,
     parse,
     serialize,
     verify_paper_table,
 )
 from roofscope.dynkin import component_at
-from roofscope.homog import _pspace_r
 from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
-    _family_of,
     _record_for,
 )
 from roofscope.root_system import simple_types
@@ -219,7 +220,7 @@ def test_record_invariants_hold_exhaustively():
         assert rec.dim_W == rec.dim_V1 + rec.r - 1 == rec.dim_V2 + rec.r - 1
         if not rec.homogeneous:
             continue
-        md = rec.marked_diagram()
+        md = marked_diagram(rec)
         inv = gp_invariants(md)
         assert inv.coefficients() == (rec.r, rec.r)
         assert rec.dim_W == inv.dim  # W's own dimension, not dim V_1 + r - 1
@@ -281,7 +282,7 @@ def test_candidates_cut_no_classical_diagram(monkeypatch):
     hits = list(roofscope.roofs._candidates(48))
     assert ("D48:47,48", 48, Family.D_SPINOR) in {(serialize(md), r, f) for md, r, f in hits}
     assert ("F4:2,3", 3, Family.F4) in {(serialize(md), r, f) for md, r, f in hits}
-    assert all(serialize(md) == FAMILY_SPECS[f].diagram(r) for md, r, f in hits)
+    assert all(serialize(md) == family_diagram(f, r) for md, r, f in hits)
     assert components == []
 
 
@@ -354,7 +355,7 @@ def test_enumeration_matches_the_join_based_reference_up_to_rank_128():
     # round trip, at every rank bound and fiber filter
     for r_filter in (None, 2, 3, 4, 5, 6):
         reference = [
-            (rec.homogeneous and rec.marked_diagram().diagram.total_rank, rec)
+            (rec.homogeneous and marked_diagram(rec).diagram.total_rank, rec)
             for rec in join_enumerate_roofs(128, r_filter)
         ]
         for max_rank in range(1, 129):
@@ -415,8 +416,8 @@ def test_product_records_fit_the_rank_bound_in_their_a_form():
 def test_enumeration_is_every_row_instance_that_fits_the_rank_bound(max_rank):
     # ranks the exhaustive scans above do not reach
     expected = {
-        (spec.label(r), r, spec.diagram(r))
-        for spec in FAMILY_SPECS.values()
+        (spec.label(r), r, family_diagram(family, r))
+        for family, spec in FAMILY_SPECS.items()
         if spec.factors is not None
         for r in filter(spec.admits, range(2, max_rank + 2))
         if spec.rank(r) <= max_rank
@@ -636,6 +637,12 @@ def _oracle_applies(name, q):
     return q.dim_x is not None and q.dim_x <= 8
 
 
+def _dim_w(spec, r):
+    if spec.factors is None:
+        return G2_DAGGER_RECORD.dim_W
+    return gp_invariants(spec.marked(r)).dim
+
+
 def test_classification_matches_the_r_set_oracle():
     checked = 0
     for dim_x in (None, 3, 5, 7, 8, 9, 100):
@@ -658,6 +665,9 @@ def test_classification_matches_the_r_set_oracle():
                         for name in applied:
                             allowed &= ORACLE_CASES[name].get(family, set())
                         allowed = {k for k in allowed if spec.admits(k)}
+                        if "ambient dimension <= 8" in applied:
+                            # dim X = dim M + dim W + 1, with dim W read off W itself
+                            allowed = {k for k in allowed if _dim_w(spec, k) + 1 <= dim_x}
                         if not allowed:
                             continue
                         if len(allowed) == 1:
@@ -683,7 +693,7 @@ def test_g2_dagger_record_contents():
     assert not rec.homogeneous
     assert "Ottaviani" in rec.notes and "(2,2,2)" in rec.notes
     with pytest.raises(ValueError):
-        rec.marked_diagram()
+        marked_diagram(rec)
 
 
 def test_g2_dagger_certificate_matches_the_bundle_ring():

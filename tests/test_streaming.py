@@ -148,6 +148,39 @@ def test_streamed_roofs_equal_the_rendered_list():
                 assert run(*argv) == (0, roofs_listed(fmt, records), ""), argv
 
 
+def _widths(records, widths=None) -> list[int]:
+    widths = widths or [len(h) for h in RoofRecord._fields]
+    for rec in records:
+        widths = [max(w, len(_cell(v))) for w, v in zip(widths, rec)]
+    return widths
+
+
+def test_the_widest_records_size_the_table_as_the_whole_stream_does():
+    # within a family row every cell's printed length grows with r, so each
+    # row's record at its largest fitting r holds the row's widest cells
+    widest = roofscope.roofs._widest_records
+    ranked = sorted(
+        (0 if family is Family.G2_DAGGER else FAMILY_SPECS[family].rank(rec.r), rec)
+        for family, rec in roofscope.roofs._roof_stream(512)
+    )  # a record is listed up to rank N exactly when its rank is at most N
+    widths, k = None, 0
+    for n in range(1, 513):
+        fits = []
+        while k < len(ranked) and ranked[k][0] <= n:
+            fits.append(ranked[k][1])
+            k += 1
+        widths = _widths(fits, widths)
+        assert _widths(widest(n)) == widths, n
+    assert k == len(ranked)
+    # one fiber: the records at r change only where a row's rank starts to fit
+    for fiber in range(2, 515):
+        at_r = [(rank, rec) for rank, rec in ranked if rec.r == fiber]
+        ranks = {rank for rank, _ in at_r}
+        for n in {1} | {max(rank, 1) for rank in ranks} | {max(rank - 1, 1) for rank in ranks}:
+            fits = [rec for rank, rec in at_r if rank <= n]
+            assert _widths(widest(n, fiber)) == _widths(fits), (n, fiber)
+
+
 def test_streamed_table_equals_the_rendered_report():
     rows = verify_paper_table(64).rows
     for r_max in range(2, 65):
