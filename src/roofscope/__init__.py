@@ -15,8 +15,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "root_system": "SimpleType positive_root_count",
-        "dynkin": "Diagram MarkedDiagram ParseError diagram_of parse serialize",
+        "dynkin": """
+            Diagram MarkedDiagram ParseError SimpleType diagram_of parse
+            positive_root_count serialize
+        """,
         "homog": "VarietyInvariants gp_invariants",
         "roofs": """
             ClassEntry ClassificationQuery ClassificationResult Family

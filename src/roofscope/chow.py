@@ -139,15 +139,7 @@ class ChowElement:
     def __pow__(self, k: int) -> "ChowElement":
         if not isinstance(k, int) or k < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = ChowElement({(0, 0): 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k, ChowElement.__mul__)
 
     def shift_xi(self, t: Scalar) -> "ChowElement":
         """Substitute xi -> xi + t*H (the tautological class of a twist)."""
@@ -165,6 +157,19 @@ class ChowElement:
 
     def __repr__(self) -> str:
         return f"ChowElement({format_element(self)!r})"
+
+
+def _power(base: ChowElement, k: int, mul) -> ChowElement:
+    """base^k by square and multiply in the product ``mul``; the base is
+    not squared after the last bit."""
+    out = ChowElement({(0, 0): 1})
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
 
 
 def _coerce(value) -> ChowElement | None:
@@ -529,15 +534,7 @@ class _ElementParser:
         if self.peek() != "^":
             return base
         self.pos += 1
-        k = self.take_int()
-        out = ChowElement({(0, 0): 1})
-        while k:
-            if k & 1:
-                out = self.product(out, base)
-            k >>= 1
-            if k:
-                base = self.product(base, base)
-        return out
+        return _power(base, self.take_int(), self.product)
 
     def term(self) -> ChowElement:
         out = self.factor()
@@ -593,3 +590,5 @@ def _fraction(text: str) -> Scalar:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"bad number {text!r}: zero denominator") from None
+    except ValueError:
+        raise ValueError(f"bad number {text!r}: not an integer, a/b or a decimal") from None

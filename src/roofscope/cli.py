@@ -4,7 +4,7 @@ Commands: gp, roofs, verify-table, classify, and chow with the
 subcommands reduce, degree, canonical, mukai-check and discrepancy.
 Every command takes --format {table,json,csv,latex}.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 no result.
-All rendering lives here; the libraries never print.
+Rendering lives in ``render``; the libraries never print.
 
 ``roofs`` and ``verify-table`` print each record or row as it is built,
 from the generators behind ``enumerate_roofs`` and

@@ -1,4 +1,17 @@
-"""Marked Dynkin diagrams: text grammar, bonds, components.
+"""Dynkin types and marked diagrams, and every per-letter fact about them.
+
+Bourbaki node numbering per factor::
+
+    A_n   1 - 2 - ... - n
+    B_n   1 - ... - (n-1) => n          alpha_n short
+    C_n   1 - ... - (n-1) <= n          alpha_n long
+    D_n   1 - ... - (n-2) < (n-1, n)    fork at node n-2
+    E_n   1 - 3 - 4 - ... - n           node 2 attached to node 4
+    F_4   1 - 2 => 3 - 4                nodes 1, 2 long
+    G_2   1 => 2                        alpha_1 long
+
+Double and triple arrows point from the long root to the short root
+(B_n: n-1 -> n, C_n: n -> n-1, F4: 2 -> 3, G2: 1 -> 2).
 
 Grammar (whitespace forbidden)::
 
@@ -6,28 +19,29 @@ Grammar (whitespace forbidden)::
     factor  := letter rank              letter in A..G, rank decimal
     marks   := index ("," index)*       global 1-based node indices
 
-Node indices continue across ``*``-joined factors, so ``A2*A2:1,4``
-marks node 1 of the first factor and node 2 of the second.  Marks are
-sorted ascending in the canonical serialization, and at least one mark
-is required.
+A product concatenates its factors' numberings: node indices continue
+across ``*``, so ``A2*A2:1,4`` marks node 1 of the first factor and
+node 2 of the second.  Marks are sorted ascending in the canonical
+serialization, and at least one mark is required.
 
-The rank-2 double-bond diagram is canonically ``C2`` (node 1 short,
-node 2 long).  The alias ``B2`` is accepted on input and remapped, so
-``B2:1`` means ``C2:2``.  Other non-canonical spellings (``D3``,
-``D2``, ``C1``, ...) are rejected with the canonical form named.
-
-Arrows on multiple bonds point from the long root to the short root
-(B_n: n-1 -> n, C_n: n -> n-1, F4: 2 -> 3, G2: 1 -> 2); see
-:mod:`roofscope.root_system` for the numbering.
+Canonical low-rank forms: the rank-2 double-bond diagram is ``C2``
+(node 1 short, node 2 long), D2 is written A1*A1 and D3 is written A3.
+The alias ``B2`` is accepted on input and remapped, so ``B2:1`` means
+``C2:2``.  Building any other non-canonical type (``D3``, ``C1``,
+``E5``, ...) is an error naming the form to use.
 
 A ``Diagram`` is its factors plus its removed nodes; no edge or node
 list is stored, so a diagram of any rank costs only what its text costs
 to parse.  A factor's bonds are read off its Bourbaki spine, pendant
-node and multiple bond: ``neighbours`` gives a node's at most three
-neighbours with their Cartan entries, and ``component_at`` reads the
-component of a factor minus a node set that holds a given node, with
-its type and the node's Bourbaki position there, for any of the seven
-letters in O(log #removed); no graph is searched.
+node and multiple bond: ``neighbours`` gives a node v's at most three
+neighbours j, each with the pairing -<alpha_j, alpha_v^vee>, and
+``component_at`` reads the component of a factor minus a node set that
+holds a given node, with its type and the node's Bourbaki position
+there, for any of the seven letters in O(log #removed); no graph is
+searched.  No root is generated either: G/P invariants use the closed
+forms ``positive_root_count`` and ``_two_rho`` (one entry per Bourbaki
+position).  The tests check both against a reflection-orbit root
+generator in ``tests/oracles.py``, which also holds the bond table.
 """
 
 from __future__ import annotations
@@ -38,7 +52,6 @@ from collections.abc import Sequence
 from functools import lru_cache
 
 from . import _make_checked
-from .root_system import SimpleType
 
 
 class ParseError(ValueError):
@@ -220,7 +233,112 @@ def serialize(md: MarkedDiagram) -> str:
     return body + ":" + ",".join(str(m) for m in sorted(md.marks))
 
 
-# --- closed form for one factor ----------------------------------------------
+# --- one factor: canonical form, layout, root data -------------------------
+
+_SERIES_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
+
+_CANONICAL_HINTS = {
+    ("B", 1): "A1",
+    ("C", 1): "A1",
+    ("B", 2): "C2 (same diagram with the node order reversed)",
+    ("D", 1): "A1",
+    ("D", 2): "A1*A1",
+    ("D", 3): "A3",
+    ("E", 4): "A4",
+    ("E", 5): "D5",
+}
+
+
+_LETTERS = tuple("ABCDEFG")
+
+
+class SimpleType(namedtuple("SimpleType", "letter rank")):
+    """One simple Dynkin factor in canonical form, e.g. A7 or F4."""
+
+    __slots__ = ()
+    _make = classmethod(_make_checked)
+
+    def __new__(cls, letter: str, rank: int) -> SimpleType:
+        if letter not in _LETTERS:
+            raise ValueError(f"unknown type letter {letter!r}")
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        problem = _noncanonical(letter, rank)
+        if problem is not None:
+            raise ValueError(problem)
+        return tuple.__new__(cls, (letter, rank))
+
+    def __str__(self) -> str:
+        return f"{self.letter}{self.rank}"
+
+
+def _noncanonical(letter: str, rank: int) -> str | None:
+    """Why a known letter at a positive rank is not a canonical type, or None."""
+    hint = _CANONICAL_HINTS.get((letter, rank))
+    if hint is not None:
+        return f"{letter}{rank} is not a canonical type; use {hint}"
+    if letter in _SERIES_MIN_RANK:
+        if rank < _SERIES_MIN_RANK[letter]:
+            return f"{letter}{rank} is not a canonical type"
+    elif letter == "E":
+        if rank not in (6, 7, 8):
+            return "E rank must be 6, 7 or 8"
+    elif letter == "F" and rank != 4:
+        return "F4 is the only type F diagram"
+    elif letter == "G" and rank != 2:
+        return "G2 is the only type G diagram"
+    return None
+
+
+def simple_types(max_rank: int) -> list[SimpleType]:
+    """Every canonical simple type of rank <= max_rank, by letter, then by rank."""
+    return [
+        SimpleType(letter, rank)
+        for letter in _LETTERS
+        for rank in range(1, max_rank + 1)
+        if _noncanonical(letter, rank) is None
+    ]
+
+
+def positive_root_count(t: SimpleType) -> int:
+    """Closed-form number of positive roots of a simple factor."""
+    n = t.rank
+    if t.letter == "A":
+        return n * (n + 1) // 2
+    if t.letter in "BC":
+        return n * n
+    if t.letter == "D":
+        return n * (n - 1)
+    if t.letter == "E":
+        return {6: 36, 7: 63, 8: 120}[n]
+    if t.letter == "F":
+        return 24
+    return 6  # G2
+
+
+_EXCEPTIONAL_TWO_RHO = {
+    ("E", 6): (16, 22, 30, 42, 30, 16),
+    ("E", 7): (34, 49, 66, 96, 75, 52, 27),
+    ("E", 8): (92, 136, 182, 270, 220, 168, 114, 58),
+    ("F", 4): (16, 30, 42, 22),
+    ("G", 2): (6, 10),  # node 1 long
+}
+
+
+def _two_rho(t: SimpleType, p: int) -> int:
+    """The entry at Bourbaki position p of 2rho, the sum of the positive
+    roots, in the simple-root basis (Bourbaki plates)."""
+    letter, n = t
+    if letter == "A":
+        return p * (n + 1 - p)
+    if letter == "B":
+        return p * (2 * n - p)
+    if letter == "C":
+        return p * (2 * n - p + 1) if p < n else n * (n + 1) // 2
+    if letter == "D":
+        return p * (2 * n - p - 1) if p < n - 1 else n * (n - 1) // 2
+    return _EXCEPTIONAL_TWO_RHO[t][p - 1]
+
 
 def _layout(t: SimpleType) -> tuple[Sequence[int], int | None, int | None]:
     """The Bourbaki spine of t, its pendant node and the pendant's anchor:

@@ -3,12 +3,12 @@
 A marked diagram (D, I) stands for G/P(I).  Its Picard number is #I.
 Its dimension is #Phi+ - #Phi+_L, where L is the Levi diagram: D with
 the marked nodes removed.  Both counts are sums over connected
-components of the closed form ``positive_root_count``.
+components of the closed form ``dynkin.positive_root_count``.
 
 The anticanonical class is sigma = 2rho - 2rho_L, reported through the
 pairings <sigma, alpha_m^vee> at the marks m.  Since <2rho, alpha_m^vee>
 is 2 and 2rho_L lives on the Levi components, whose 2rho is read off
-the Bourbaki plates (``_two_rho``), the coefficient at m is
+the Bourbaki plates (``dynkin._two_rho``), the coefficient at m is
 
     2 - sum over Levi neighbours j of m of  a_mj * (2rho_L)_j
 
@@ -20,11 +20,12 @@ marks, whatever the rank.  A mark has at most three neighbours
 (``dynkin.neighbours``).  The Levi component that holds a neighbour, and
 the neighbour's position in it, come from a bisect in the sorted marks
 (``dynkin.component_at``, the one component reader, for every letter),
-and one ``_two_rho`` entry at that position gives (2rho_L)_j.  Every Levi component of a connected diagram touches a
-removed node, so the components around the marks are all the Levi
-components that differ from D: dim is the sum of ``positive_root_count``
-over the components of D that hold a mark, minus the sum over the Levi
-components next to a mark.
+and one ``_two_rho`` entry at that position gives (2rho_L)_j.  Every
+Levi component of a connected diagram touches a removed node, so the
+components around the marks are all the Levi components that differ
+from D: dim is the sum of ``positive_root_count`` over the components
+of D that hold a mark, minus the sum over the Levi components next to
+a mark.
 
 Residual diagrams (after node removal) are handled the same way, with
 the removed nodes cut before the marks, since an induced subdiagram's
@@ -36,8 +37,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dynkin import MarkedDiagram, component_at, neighbours
-from .root_system import SimpleType, _two_rho, positive_root_count
+from .dynkin import (
+    MarkedDiagram, SimpleType, _two_rho, component_at, neighbours, positive_root_count,
+)
 
 
 class VarietyInvariants(namedtuple("VarietyInvariants", "dim picard index_vector")):

@@ -42,9 +42,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from . import _make_checked
-from .dynkin import MarkedDiagram, diagram_of, parse, serialize
+from .dynkin import MarkedDiagram, SimpleType, diagram_of, parse, serialize
 from .homog import VarietyInvariants, gp_invariants
-from .root_system import SimpleType
 
 
 class Family(enum.Enum):

@@ -54,6 +54,7 @@ from roofscope import (
     parse,
     serialize,
 )
+from roofscope.dynkin import SimpleType, _two_rho, positive_root_count, simple_types
 from roofscope.homog import gp_invariants
 from roofscope.roofs import (
     FAMILY_SPECS,
@@ -63,7 +64,6 @@ from roofscope.roofs import (
     RoofRecord,
     _check_index,
 )
-from roofscope.root_system import SimpleType, _two_rho, positive_root_count, simple_types
 
 ALL_SIMPLE = simple_types(8)
 

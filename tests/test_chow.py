@@ -273,6 +273,13 @@ def test_cli_numbers_read_as_fraction_reads_them(text, kind):
     assert type(value) is kind
 
 
+@pytest.mark.parametrize("text", ["", "nan", "inf", "x", "1/2/3"])
+def test_cli_numbers_fraction_refuses_read_as_bad_number(text):
+    with pytest.raises(ValueError) as refused:
+        _fraction(text)
+    assert str(refused.value).startswith(f"bad number {text!r}: ")
+
+
 def test_reduce_is_polynomial_in_the_xi_excess():
     ring = BundleChowRing(projective_space(30), 30, tuple(range(1, 31)))
     start = time.perf_counter()

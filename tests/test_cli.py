@@ -383,6 +383,21 @@ def test_chow_zero_denominators_exit_2(argv):
 
 
 @pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("canonical", "--base", "P2", "--rank", "2", "--cherns", ""), ""),
+        (("canonical", "--base", "P2", "--rank", "2", "--cherns", "nan,1"), "nan"),
+        (("mukai-check", "--index", "5", "--c1", "nan", "--rank", "3", "--dim", "5"), "nan"),
+        (("mukai-check", "--index", "5", "--c1", "inf", "--rank", "3", "--dim", "5"), "inf"),
+    ],
+)
+def test_chow_refused_numbers_read_bad_number(argv, text):
+    code, out, err = run("chow", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad number {text!r}: not an integer, a/b or a decimal\n"
+
+
+@pytest.mark.parametrize(
     "element, message",
     [
         ("xi^²", "bad element: expected a number (at position 4)"),
@@ -832,6 +847,29 @@ def test_the_cli_defines_no_part_of_the_element_grammar():
     assert CHOW_GRAMMAR <= set(vars(roofscope.chow))
 
 
+# what root_system defined before it folded into dynkin
+ROOT_SYSTEM_NAMES = """
+    SimpleType _noncanonical _CANONICAL_HINTS _SERIES_MIN_RANK _LETTERS simple_types
+    positive_root_count _EXCEPTIONAL_TWO_RHO _two_rho
+""".split()
+
+
+def test_dynkin_owns_the_types_and_no_root_system_module_is_left():
+    import roofscope
+    import roofscope.dynkin
+
+    modules = {info.name for info in pkgutil.iter_modules(roofscope.__path__)}
+    assert modules == {"chow", "cli", "dynkin", "homog", "render", "roofs"}
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("roofscope.root_system")
+    for name in ROOT_SYSTEM_NAMES:
+        assert hasattr(roofscope.dynkin, name), name
+    namespace: dict = {}
+    exec("from roofscope import SimpleType, positive_root_count", namespace)
+    assert namespace["SimpleType"] is roofscope.dynkin.SimpleType
+    assert namespace["positive_root_count"] is roofscope.dynkin.positive_root_count
+
+
 def test_star_import_exports_the_public_api_from_its_modules():
     import roofscope
 
@@ -948,8 +986,7 @@ def test_roofs_max_rank_96_csv_is_pinned():
 # only a reader that closes the pipe early makes a query load os
 NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "os"}
 _CHOW_LEFT_OUT = {
-    "roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "roofscope.root_system",
-    "fractions", "decimal", "numbers",
+    "roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "fractions", "decimal", "numbers",
 }
 LAYERS_LEFT_OUT = [
     (["roofs", "--max-rank", "8"], "roofscope.roofs",

@@ -16,8 +16,7 @@ from roofscope import (
     parse,
     serialize,
 )
-from roofscope.dynkin import component_at, neighbours
-from roofscope.root_system import simple_types
+from roofscope.dynkin import component_at, neighbours, simple_types
 
 
 # --- grammar -----------------------------------------------------------------

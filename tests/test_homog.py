@@ -27,7 +27,7 @@ from roofscope import (
     parse,
     serialize,
 )
-from roofscope.root_system import simple_types
+from roofscope.dynkin import simple_types
 
 
 def brute_dim(letter: str, rank: int, mark: int) -> int:

@@ -38,13 +38,12 @@ from roofscope import (
     serialize,
     verify_paper_table,
 )
-from roofscope.dynkin import component_at
+from roofscope.dynkin import component_at, simple_types
 from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
     _record_for,
 )
-from roofscope.root_system import simple_types
 
 
 def every_two_marked_diagram(max_rank):

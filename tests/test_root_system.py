@@ -7,7 +7,7 @@ import pytest
 
 from oracles import ALL_SIMPLE, cartan, pairing, positive_roots
 from roofscope import SimpleType, positive_root_count
-from roofscope.root_system import _two_rho, simple_types
+from roofscope.dynkin import _two_rho, simple_types
 
 EXPECTED_COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
