@@ -21,9 +21,12 @@ _EXPORTS = {
         """,
         "homog": "VarietyInvariants gp_invariants",
         "roofs": """
-            ClassEntry ClassificationQuery ClassificationResult Family
-            G2_DAGGER_RECORD NON_HOMOGENEOUS RoofRecord TableReport TableRow
-            classify_simple_kequiv enumerate_roofs verify_paper_table
+            Family G2_DAGGER_RECORD NON_HOMOGENEOUS RoofRecord TableReport
+            TableRow enumerate_roofs verify_paper_table
+        """,
+        "classify": """
+            ClassEntry ClassificationQuery ClassificationResult
+            classify_simple_kequiv
         """,
         "chow": """
             BundleChowRing ChowElement CodimVerdict CyclicBase H MukaiVerdict

@@ -25,8 +25,9 @@ argparse parser from it, and ``_read_argv`` reads a well-formed query
 off it without argparse; any other argv (``--help``, an abbreviated or
 repeated flag, a bad value, ...) goes to argparse, which alone writes
 help and usage errors.  Each command imports the layer it runs when it
-runs: ``gp`` the diagram and G/P layers, ``roofs``, ``verify-table`` and
-``classify`` the roofs layer, and ``chow`` the bundle calculus alone,
+runs: ``gp`` the diagram and G/P layers, ``roofs`` and ``verify-table``
+the roofs layer, ``classify`` the classification tables with the roofs
+layer whose family rows they read, and ``chow`` the bundle calculus alone,
 whose module also reads the element grammar and the base presets; this
 module only hands it the ``args``.  Importing this module loads only
 ``render``, and a well-formed query loads ``render`` and its layer;
@@ -223,7 +224,7 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .roofs import ClassificationQuery, classify_simple_kequiv
+    from .classify import ClassificationQuery, classify_simple_kequiv
 
     query = ClassificationQuery(
         dim_x=args.dim_x,
@@ -232,8 +233,12 @@ def cmd_classify(args) -> int:
         symplectic=args.symplectic,
     )
     result = classify_simple_kequiv(query)
-    if not result.available:
-        print("no classification available for this query", file=sys.stderr)
+    if not result.entries:
+        if result.available:
+            at = "" if args.codim is None else f" at codimension {args.codim}"
+            print(f"no family satisfies every applied case{at}", file=sys.stderr)
+        else:
+            print("no classification available for this query", file=sys.stderr)
         for rule in result.applied_rules:
             print(rule, file=sys.stderr)
         return EXIT_NO_RESULT

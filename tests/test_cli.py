@@ -230,6 +230,37 @@ def test_classify_exit_codes():
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv", "latex"])
+@pytest.mark.parametrize(
+    "argv,rules",
+    [
+        (["--dim-x", "3", "--symplectic"],
+         ["symplectic ambient variety", "ambient dimension <= 8"]),
+        (["--dim-x", "3", "--codim", "4"], ["ambient dimension <= 8"]),
+        (["--dim-x", "8", "--codim", "5", "--fiber-gap", "5"],
+         ["codimension >= fiber dimension - 2", "ambient dimension <= 8"]),
+    ],
+)
+def test_classify_with_no_surviving_family_exits_3_naming_the_cases(argv, rules, fmt):
+    code, out, err = run("classify", *argv, "--format", fmt)
+    assert code == 3 and out == ""
+    head, *applied = err.splitlines()
+    assert head.startswith("no family satisfies every applied case")
+    assert applied == rules
+
+
+@pytest.mark.parametrize("fiber_gap", ["0", "-1", "-99999999999999999999"])
+def test_classify_refuses_a_fiber_gap_below_1_naming_the_value(fiber_gap):
+    code, out, err = run("classify", "--codim", "3", f"--fiber-gap={fiber_gap}")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the fiber gap dim Y_i - dim M of a simple K-equivalent map is at least 1, "
+        f"got {fiber_gap}\n"
+    )
+    # a gap of 1 is the Atiyah flop's, and it is answered
+    assert run("classify", "--codim", "3", "--fiber-gap", "1")[0] == 0
+
+
 # --- chow --------------------------------------------------------------------------
 
 
@@ -854,12 +885,20 @@ ROOT_SYSTEM_NAMES = """
 """.split()
 
 
+# what the classification section of roofs defined before it moved to classify
+CLASSIFY_NAMES = """
+    ClassificationQuery _CASE_SYMPLECTIC _CASE_CODIM_2 _CASE_LARGE_CODIM _CASE_DIM_8
+    _dim_bound _BELOW_DIM_3 ClassEntry ClassificationResult classify_simple_kequiv
+""".split()
+
+
 def test_dynkin_owns_the_types_and_no_root_system_module_is_left():
     import roofscope
+    import roofscope.classify
     import roofscope.dynkin
 
     modules = {info.name for info in pkgutil.iter_modules(roofscope.__path__)}
-    assert modules == {"chow", "cli", "dynkin", "homog", "render", "roofs"}
+    assert modules == {"chow", "classify", "cli", "dynkin", "homog", "render", "roofs"}
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("roofscope.root_system")
     for name in ROOT_SYSTEM_NAMES:
@@ -868,6 +907,10 @@ def test_dynkin_owns_the_types_and_no_root_system_module_is_left():
     exec("from roofscope import SimpleType, positive_root_count", namespace)
     assert namespace["SimpleType"] is roofscope.dynkin.SimpleType
     assert namespace["positive_root_count"] is roofscope.dynkin.positive_root_count
+    # the classification tables live in classify alone
+    for name in CLASSIFY_NAMES:
+        assert hasattr(roofscope.classify, name), name
+        assert not hasattr(roofs, name), name
 
 
 def test_star_import_exports_the_public_api_from_its_modules():
@@ -986,17 +1029,20 @@ def test_roofs_max_rank_96_csv_is_pinned():
 # only a reader that closes the pipe early makes a query load os
 NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "os"}
 _CHOW_LEFT_OUT = {
-    "roofscope.roofs", "roofscope.dynkin", "roofscope.homog", "fractions", "decimal", "numbers",
+    "roofscope.roofs", "roofscope.classify", "roofscope.dynkin", "roofscope.homog",
+    "fractions", "decimal", "numbers",
 }
+_CLASSIFY_LEFT_OUT = {"roofscope.chow", "fractions", "decimal", "re"}
 LAYERS_LEFT_OUT = [
     (["roofs", "--max-rank", "8"], "roofscope.roofs",
-     {"roofscope.chow", "fractions", "decimal", "re"}),
+     {"roofscope.classify", "roofscope.chow", "fractions", "decimal", "re"}),
     (["verify-table", "--r-max", "10"], "roofscope.roofs",
-     {"roofscope.chow", "fractions", "decimal", "re"}),
-    (["classify", "--dim-x", "8"], "roofscope.roofs",
-     {"roofscope.chow", "fractions", "decimal", "re"}),
+     {"roofscope.classify", "roofscope.chow", "fractions", "decimal", "re"}),
+    (["classify", "--dim-x", "8"], "roofscope.classify", _CLASSIFY_LEFT_OUT),
+    (["classify", "--symplectic"], "roofscope.classify", _CLASSIFY_LEFT_OUT),
+    (["classify", "--codim", "3", "--fiber-gap", "5"], "roofscope.classify", _CLASSIFY_LEFT_OUT),
     (["gp", "F4:2,3", "--format", "json"], "roofscope.homog",
-     {"roofscope.roofs", "roofscope.chow"}),
+     {"roofscope.roofs", "roofscope.classify", "roofscope.chow"}),
     (["chow", "degree", "--base", "P2", "--rank", "2", "--cherns", "3,3",
       "--element", "(2*xi)^3"], "roofscope.chow", _CHOW_LEFT_OUT),
     (["chow", "reduce", "--base", "P10", "--rank", "10", "--cherns", "1,2,3,4,5,6,7,8,9,10",

@@ -584,6 +584,9 @@ def test_classify_requires_a_constraint():
         classify_simple_kequiv(ClassificationQuery())
     with pytest.raises(ValueError):
         classify_simple_kequiv(ClassificationQuery(r=1))
+    # the fibers of Y_i -> M are the roof's V_i, at least P^1
+    with pytest.raises(ValueError, match="is at least 1, got 0$"):
+        classify_simple_kequiv(ClassificationQuery(r=3, fiber_gap=0))
 
 
 def test_classify_intersection_is_monotone():
