@@ -6,19 +6,21 @@ Every command takes --format {table,json,csv,latex}.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 no result.
 Rendering lives in ``render``; the libraries never print.
 
-``roofs`` and ``verify-table`` print each record or row as it is built,
-from the generators behind ``enumerate_roofs`` and
-``verify_paper_table`` (``roofs._roof_stream``, ``roofs._table_rows``),
-so their memory stays flat at any size and a JSON payload is built for
-``--format json`` only.  The table format needs its column widths
-first.  ``roofs`` reads them off at most nine records, each family
-row's widest (``roofs._widest_records``), and builds every record once.
-``verify-table`` computes every row in a first pass and keeps only the
-widths and the failing rows; the second pass prints each passing row's
-computed triple as its expected one, which it equals.  When the reader
-closes the pipe early (``| head``), these two commands stop writing
-without a traceback and exit as they would have: 0, or 1 when a row
-fails, since ``verify-table`` still checks every row.
+``roofs`` prints each record as it is built, from the generator behind
+``enumerate_roofs`` (``roofs._roof_stream``), so its memory stays flat
+at any size and a JSON payload is built for ``--format json`` only.  Its
+table format needs the column widths first and reads them off at most
+nine records, each family row's widest at the largest r that fits
+(``roofs._widest_records``, one bisection per row), so its first line
+comes at once at any rank.  ``verify-table`` checks every row, keeping
+only the failing ones, and then prints: ``roofs._table_rows`` replays
+each passing row with its computed triple as its expected one, which it
+equals, so its memory stays flat too.  When the reader closes the pipe
+early (``| head``), either command stops writing without a traceback and
+exits as it would have: 0, or 1 when a table row fails.  An answer that
+holds an integer past the interpreter's print limit is refused with
+exit 2 before any of it is written (``render.text``); ``roofs`` reads its
+largest integer off the closed-form triples (``roofs._largest_integer``).
 
 The grammar is one table, ``GRAMMAR``.  ``build_parser`` makes the
 argparse parser from it, and ``_read_argv`` reads a well-formed query
@@ -114,14 +116,15 @@ def cmd_gp(args) -> int:
 
     md = parse(args.diagram)
     inv = gp_invariants(md)
+    dim = render.text(inv.dim)
     index_txt = (
-        str(inv.index)
+        render.text(inv.index)
         if inv.picard == 1
-        else "(" + ", ".join(str(c) for c in inv.coefficients()) + ")"
+        else "(" + ", ".join(render.text(c) for c in inv.coefficients()) + ")"
     )
     headers = ["diagram", "dim", "picard", "index"]
     diagram = serialize(md)
-    rows = [[diagram, inv.dim, inv.picard, index_txt]]
+    rows = [[diagram, dim, inv.picard, index_txt]]
     payload = {
         "diagram": diagram,
         "dim": inv.dim,
@@ -141,6 +144,7 @@ def cmd_roofs(args) -> int:
     if args.fiber is not None and args.fiber < 2:
         print("error: --fiber must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    render.text(roofs._largest_integer(args.max_rank, args.fiber))  # refused before any line
     if args.format == "latex":
         headers = ["Type", "Marked Dynkin diagram", r"$(\dim V_i,\ r_{V_1},\ r_{V_2})$"]
         rows = (
@@ -176,26 +180,13 @@ def cmd_verify_table(args) -> int:
     if args.r_max < 2:
         print("error: --r-max must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    failed = {}  # (family, r) -> each failing row, in table order
-
-    def check():
-        for row in _table_rows(args.r_max):
-            if not row.ok:
-                failed[row.family, row.r] = row
-            yield row
-
-    computed = check()
-    unread = [computed]
-
-    def table_rows():
-        # the first call computes every row; a later one (the table's
-        # printing pass) recomputes none, as every row not in failed passed
-        return unread.pop() if unread else _table_rows(args.r_max, failed)
+    # every row is checked before the first line; only the failing ones are kept
+    failed = {(row.family, row.r): row for row in _table_rows(args.r_max) if not row.ok}
 
     def rows():
         return (
             [row.family, row.r, str(row.computed), str(row.expected), "pass" if row.ok else "FAIL"]
-            for row in table_rows()
+            for row in _table_rows(args.r_max, failed)
         )
 
     def payload():
@@ -207,13 +198,11 @@ def cmd_verify_table(args) -> int:
                 "expected": list(row.expected),
                 "ok": row.ok,
             }
-            for row in table_rows()
+            for row in _table_rows(args.r_max, failed)
         )
 
     headers = ["family", "r", "computed", "expected", "status"]
     _stream(lambda: _emit(args.format, headers, rows, payload))
-    for _ in computed:  # rows a closed pipe left unprinted are checked all the same
-        pass
     for row in failed.values():
         print(
             f"verification failed: {row.family} computed {row.computed}, "
@@ -256,9 +245,7 @@ def cmd_classify(args) -> int:
 
 
 def _print_element(fmt: str, label: str, el: chow.ChowElement) -> None:
-    from .chow import format_element
-
-    text = format_element(el)
+    text = render.text(el)
     _emit(fmt, [label], lambda: [[text]], lambda: {label: text})
 
 
@@ -284,7 +271,7 @@ def cmd_chow_degree(args) -> int:
     from .chow import parse_element
 
     ring = _ring_from_args(args)
-    text = str(ring.degree(parse_element(args.element, ring)))
+    text = render.text(ring.degree(parse_element(args.element, ring)))
     _emit(args.format, ["degree"], lambda: [[text]], lambda: {"degree": text})
     return EXIT_OK
 

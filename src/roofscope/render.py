@@ -7,13 +7,30 @@ length is printed in constant memory.  The table sizes its columns on
 rows at least as wide as those it prints, the same rows or a widest
 few, before its first line.  The CSV and JSON emitters import their
 modules when called, so a query loads only the format it prints.
+A command converts an answer that the interpreter may refuse to print
+with ``text`` before writing any of it.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
 
 FORMATS = ("table", "json", "csv", "latex")
+
+
+def text(value) -> str:
+    """``str(value)``.  An integer past the interpreter's limit on printed
+    digits (4300 unless configured otherwise; roofscope leaves it as it is)
+    is refused with a ValueError that names the limit, so a command that
+    converts its answer first writes none of it."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"the answer holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for printing one"
+        ) from None
 
 
 def _cell(value) -> str:

@@ -29,7 +29,10 @@ factor marked at its short end is the same variety as an end-marked
 A_{2m-1} chain.  A record is listed when its canonical diagram fits the
 rank bound, and it is built from its row's factors and marks by three
 O(1) ``gp_invariants`` calls, so ``enumerate_roofs`` costs O(1) per
-record: O(N) up to rank N, and O(1) for one fiber parameter.  The tests
+record: O(N) up to rank N, and O(1) for one fiber parameter.  A row's
+rank grows with r, so the largest r at which it fits a rank bound is
+one bisection over the r its ``fibers`` list (``FamilySpec.top_fiber``):
+that row's widest record and largest integer, found at any rank.  The tests
 keep the chart join, the direct roof test of every diagram and family
 recognition as references and compare them with the rows.  The
 classification of simple K-equivalent maps, theorem tables over these
@@ -68,16 +71,23 @@ class Family(enum.Enum):
         return self.value if spec is None else spec.label(r)
 
 
-class FamilySpec(namedtuple("FamilySpec", "label latex factors marks admits triple")):
-    """One roof family, each field a function of the fiber parameter r.
+class FamilySpec(namedtuple("FamilySpec", "label latex factors marks fibers triple")):
+    """One roof family, each field but ``fibers`` a function of the fiber
+    parameter r.
 
     ``factors`` and ``marks`` (the two marks, ascending) give the
     canonical marked diagram; both are None for G2^dagger, which has
-    none.  ``triple`` is the closed-form (dim V_1, index V_1, index V_2)
-    that ``verify_paper_table`` checks.
+    none.  ``fibers`` is (first, step, last): the row sits at r = first,
+    first + step, ... up to last, None when unbounded.  ``triple`` is the
+    closed-form (dim V_1, index V_1, index V_2) that
+    ``verify_paper_table`` checks.
     """
 
     __slots__ = ()
+
+    def admits(self, r: int) -> bool:
+        first, step, last = self.fibers
+        return first <= r and (last is None or r <= last) and (r - first) % step == 0
 
     def marked(self, r: int) -> MarkedDiagram:
         """The canonical marked diagram at r."""
@@ -86,6 +96,23 @@ class FamilySpec(namedtuple("FamilySpec", "label latex factors marks admits trip
     def rank(self, r: int) -> int:
         """The total rank of the canonical diagram at r."""
         return sum(t.rank for t in self.factors(r))
+
+    def top_fiber(self, max_rank: int, fibers: range) -> int | None:
+        """The largest r of ``fibers`` at which the row sits with a rank of
+        at most max_rank, None if there is none.  The rank grows with r,
+        so this is one bisection over the row's r in ``fibers``: at most
+        bit_length(#r) + 1 calls of ``rank``, at any size."""
+        first, step, last = self.fibers
+        top = fibers.stop - 1 if last is None else min(last, fibers.stop - 1)
+        lo, hi = -((first - max(first, fibers.start)) // step), (top - first) // step
+        found = None
+        while lo <= hi:
+            k = (lo + hi) // 2
+            if self.rank(first + k * step) <= max_rank:
+                found, lo = first + k * step, k + 1
+            else:
+                hi = k - 1
+        return found
 
 
 def _a(n: int) -> tuple[SimpleType, ...]:
@@ -99,7 +126,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: rf"$A_{{{r - 1}}}\times A_{{{r - 1}}}$",
         factors=lambda r: _a(r - 1) * 2,
         marks=lambda r: (1, r),
-        admits=lambda r: r >= 2,
+        fibers=(2, 1, None),
         triple=lambda r: (r - 1, r, r),
     ),
     Family.A_MUKAI: FamilySpec(
@@ -107,7 +134,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: rf"$A_{{{r}}}^{{M}}$",
         factors=_a,
         marks=lambda r: (1, r),
-        admits=lambda r: r >= 2,
+        fibers=(2, 1, None),
         triple=lambda r: (r, r + 1, r + 1),
     ),
     Family.A_GRASS: FamilySpec(
@@ -115,7 +142,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: rf"$A_{{{2 * r - 2}}}^{{G}}$",
         factors=lambda r: _a(2 * r - 2),
         marks=lambda r: (r - 1, r),
-        admits=lambda r: r >= 3,
+        fibers=(3, 1, None),
         triple=lambda r: (r * (r - 1), 2 * r - 1, 2 * r - 1),
     ),
     Family.C_FLAG: FamilySpec(
@@ -123,7 +150,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: rf"$C_{{{3 * r // 2 - 1}}}$",
         factors=lambda r: (SimpleType("C", 3 * r // 2 - 1),),
         marks=lambda r: (r - 1, r),
-        admits=lambda r: r >= 2 and r % 2 == 0,
+        fibers=(2, 2, None),
         triple=lambda r: (3 * r * (r - 1) // 2, 2 * r, 2 * r - 1),
     ),
     Family.D_SPINOR: FamilySpec(
@@ -131,7 +158,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: rf"$D_{{{r}}}$",
         factors=lambda r: (SimpleType("D", r),),
         marks=lambda r: (r - 1, r),
-        admits=lambda r: r >= 4,
+        fibers=(4, 1, None),
         triple=lambda r: (r * (r - 1) // 2, 2 * r - 2, 2 * r - 2),
     ),
     Family.F4: FamilySpec(
@@ -139,7 +166,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: "$F_4$",
         factors=lambda r: (SimpleType("F", 4),),
         marks=lambda r: (2, 3),
-        admits=lambda r: r == 3,
+        fibers=(3, 1, 3),
         triple=lambda r: (20, 5, 7),
     ),
     Family.G2: FamilySpec(
@@ -147,7 +174,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: "$G_2$",
         factors=lambda r: (SimpleType("G", 2),),
         marks=lambda r: (1, 2),
-        admits=lambda r: r == 2,
+        fibers=(2, 1, 2),
         triple=lambda r: (5, 3, 5),
     ),
     Family.G2_DAGGER: FamilySpec(
@@ -155,7 +182,7 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         latex=lambda r: r"$G_2^{\dagger}$",
         factors=None,
         marks=None,
-        admits=lambda r: r == 3,
+        fibers=(3, 1, 3),
         triple=lambda r: (5, 5, 5),
     ),
 }
@@ -240,11 +267,11 @@ def _check_index(md: MarkedDiagram, r: int) -> VarietyInvariants:
 # --- enumeration --------------------------------------------------------------
 
 
-def _fibers(max_rank: int, r_filter: int | None) -> Iterable[int]:
+def _fibers(max_rank: int, r_filter: int | None) -> range:
     """The fiber parameters to visit: r_filter alone, or every r at which
     a row of rank <= max_rank can sit (each row's rank is at least r - 1),
     and r = 3, where G2^dagger sits at any rank."""
-    return range(2, max(max_rank, 2) + 2) if r_filter is None else (r_filter,)
+    return range(2, max(max_rank, 2) + 2) if r_filter is None else range(r_filter, r_filter + 1)
 
 
 def _row_instances(
@@ -252,9 +279,10 @@ def _row_instances(
 ) -> Iterator[tuple[MarkedDiagram, int, Family]]:
     """The canonical diagrams of the given rows whose rank fits max_rank,
     row by row, each with its r and row."""
+    fibers = _fibers(max_rank, r_filter)
     for family in families:
         spec = FAMILY_SPECS[family]
-        for r in _fibers(max_rank, r_filter):
+        for r in fibers:
             if spec.admits(r):
                 factors = spec.factors(r)  # checked SimpleTypes: built once per instance
                 if sum(t.rank for t in factors) <= max_rank:
@@ -321,6 +349,8 @@ def enumerate_roofs(
     which the command line prints as it is built."""
     if max_total_rank < 1:
         raise ValueError("max_total_rank must be at least 1")
+    if r_filter is not None and r_filter < 2:
+        raise ValueError("r_filter must be at least 2")
     return [rec for _, rec in _roof_stream(max_total_rank, r_filter)]
 
 
@@ -344,19 +374,36 @@ def _roof_stream(
         yield from batch
 
 
+def _top_fibers(max_total_rank: int, r_filter: int | None = None) -> Iterator[tuple[Family, int]]:
+    """Each homogeneous row of ``_roof_stream`` with the largest r at which
+    it is listed, when it is."""
+    fibers = _fibers(max_total_rank, r_filter)
+    for family in _SOLVED_JOIN + _PRODUCT_ROW:
+        r = FAMILY_SPECS[family].top_fiber(max_total_rank, fibers)
+        if r is not None:
+            yield family, r
+
+
 def _widest_records(max_total_rank: int, r_filter: int | None = None) -> Iterator[RoofRecord]:
     """Each row's record of ``_roof_stream`` at the largest r that fits,
     and G2^dagger when r = 3 is visited.  Within a row every cell's printed
     length is nondecreasing in r (the tests hold these widths to those of
     the whole stream), so these at most nine records size a table."""
-    fibers = _fibers(max_total_rank, r_filter)
-    for family in _SOLVED_JOIN + _PRODUCT_ROW:
-        # the fit test is _row_instances', asked one r at a time from the top
-        fitting = (_row_instances((family,), max_total_rank, r) for r in reversed(fibers))
-        for md, r, _ in itertools.islice(itertools.chain.from_iterable(fitting), 1):
+    for family, r in _top_fibers(max_total_rank, r_filter):
+        for md, _, _ in _row_instances((family,), max_total_rank, r):
             yield _record_for(md, family, r)
-    if G2_DAGGER_RECORD.r in fibers:
+    if G2_DAGGER_RECORD.r in _fibers(max_total_rank, r_filter):
         yield G2_DAGGER_RECORD
+
+
+def _largest_integer(max_total_rank: int, r_filter: int | None = None) -> int:
+    """The largest integer that a homogeneous record of ``_roof_stream``
+    holds or prints (G2^dagger's are at most 7), read off the closed-form
+    triples, with no record built.  A record's dim W = dim V_1 + r - 1 is
+    its largest integer (the tests hold every integer of every record's
+    cells and LaTeX row to it), and it grows with r within a row."""
+    tops = _top_fibers(max_total_rank, r_filter)
+    return max((FAMILY_SPECS[family].triple(r)[0] + r - 1 for family, r in tops), default=0)
 
 
 def _record_for(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:

@@ -984,6 +984,33 @@ def test_roofs_at_one_fiber_beyond_the_largest_range_length():
     ] == [(f"A{n}^M", n, n + 1, n + 1), (f"D{n}", n * (n - 1) // 2, 2 * n - 2, 2 * n - 2)]
 
 
+_NINES, _FOURS = "9" * 2200, "4" * 2200
+_P2_RING = ["--base", "P2", "--rank", "2", "--cherns", "3,3"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv", "latex"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gp", f"A{_NINES}:{_FOURS}"],  # dim has 4400 digits
+        ["roofs", "--max-rank", "1" + _NINES, "--fiber", _NINES],  # A^G's dim V_1 = r(r-1)
+        ["roofs", "--max-rank", "1" + _NINES],  # the same record, further down the stream
+        ["chow", "reduce", *_P2_RING, "--element", "2^20000"],
+        ["chow", "degree", *_P2_RING, "--element", "2^20000*xi^3"],
+    ],
+    ids=["gp", "roofs-fiber", "roofs", "chow-reduce", "chow-degree"],
+)
+def test_an_answer_past_the_print_limit_exits_2_with_nothing_on_stdout(argv, fmt):
+    # the interpreter prints no integer of more than 4300 digits; the
+    # answer is refused before any of it is written, and the limit stays
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(*argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the answer holds an integer of more than 4300 digits")
+    assert "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_roofs_max_rank_24_is_fast():
     start = time.perf_counter()
     code, out, _ = run("roofs", "--max-rank", "24", "--format", "csv")

@@ -171,6 +171,13 @@ def test_enumerate_rejects_bad_rank():
         enumerate_roofs(0)
 
 
+@pytest.mark.parametrize("r_filter", [1, 0, -5])
+def test_enumerate_refuses_a_fiber_filter_below_2(r_filter):
+    # as --fiber does: every roof has r >= 2
+    with pytest.raises(ValueError, match="r_filter must be at least 2"):
+        enumerate_roofs(10, r_filter)
+
+
 def test_enumeration_agrees_with_brute_force_scan():
     """Independent cross-check: run is_roof on every two-marked diagram of
     total rank <= 8 and compare against the enumerated records after the

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -181,6 +182,68 @@ def test_the_widest_records_size_the_table_as_the_whole_stream_does():
             assert _widths(widest(n, fiber)) == _widths(fits), (n, fiber)
 
 
+def _top_fiber_by_formula(family: Family, n: int) -> int | None:
+    # the largest r at which the row's rank fits n, solved by hand
+    top = {
+        Family.A_PRODUCT: n // 2 + 1,  # rank 2r - 2
+        Family.A_MUKAI: n,  # rank r
+        Family.A_GRASS: n // 2 + 1,  # rank 2r - 2
+        Family.C_FLAG: (2 * (n + 1) // 3) // 2 * 2,  # rank 3r/2 - 1, r even
+        Family.D_SPINOR: n,  # rank r
+        Family.F4: 3 if n >= 4 else None,
+        Family.G2: 2 if n >= 2 else None,
+    }[family]
+    return top if top is not None and FAMILY_SPECS[family].admits(top) else None
+
+
+@pytest.mark.parametrize("n", [10**5, 10**18, 10**20])
+def test_the_widest_records_sit_at_each_rows_largest_fitting_r(monkeypatch, n):
+    # one bisection per row finds its largest fitting r at any rank, with
+    # at most bit_length(n) + 1 rank calls (64 up to n = 2^63)
+    spec_rank = roofscope.roofs.FamilySpec.rank
+    calls = {}
+
+    def counted(spec, r):
+        calls[spec] = calls.get(spec, 0) + 1
+        return spec_rank(spec, r)
+
+    monkeypatch.setattr(roofscope.roofs.FamilySpec, "rank", counted)
+    got = list(roofscope.roofs._widest_records(n))
+    assert calls and max(calls.values()) <= n.bit_length() + 1
+    monkeypatch.undo()
+    expected = []
+    for family in roofscope.roofs._SOLVED_JOIN + roofscope.roofs._PRODUCT_ROW:
+        r = _top_fiber_by_formula(family, n)
+        if n == 10**5:  # a linear scan agrees
+            spec = FAMILY_SPECS[family]
+            fitting = [k for k in range(2, n + 2) if spec.admits(k) and spec.rank(k) <= n]
+            assert r == fitting[-1], family
+        expected.append(roofscope.roofs._record_for(FAMILY_SPECS[family].marked(r), family, r))
+    assert got == [*expected, roofscope.roofs.G2_DAGGER_RECORD]
+
+
+def test_the_largest_integer_of_the_stream_needs_no_record():
+    # every integer a homogeneous record prints, in its cells and in its
+    # LaTeX row, is at most its dim W; _largest_integer is the largest
+    # dim W of the stream, read off the closed forms
+    stream = [(family, rec) for family, rec in roofscope.roofs._roof_stream(512)]
+    for family, rec in stream:
+        if family is not Family.G2_DAGGER:
+            text = " ".join(map(str, rec)) + FAMILY_SPECS[family].latex(rec.r)
+            assert max(map(int, re.findall(r"\d+", text))) <= rec.dim_W, rec
+    largest = roofscope.roofs._largest_integer
+    for n in range(1, 513):
+        fits = [
+            rec
+            for family, rec in stream
+            if family is not Family.G2_DAGGER and FAMILY_SPECS[family].rank(rec.r) <= n
+        ]
+        assert largest(n) == max((rec.dim_W for rec in fits), default=0), n
+        for fiber in (2, 3, 4, 5, n, n + 1):
+            at_r = [rec.dim_W for rec in fits if rec.r == fiber]
+            assert largest(n, fiber) == max(at_r, default=0), (n, fiber)
+
+
 def test_streamed_table_equals_the_rendered_report():
     rows = verify_paper_table(64).rows
     for r_max in range(2, 65):
@@ -247,6 +310,8 @@ def _child_env() -> dict:
     [
         ["roofs", "--max-rank", "2000", "--format", "csv"],
         ["verify-table", "--r-max", "1000"],
+        # the table's widths come from one bisection per row, at any rank
+        ["roofs", "--max-rank", "100000000000000000000"],
     ],
 )
 def test_a_closed_pipe_ends_the_query_quietly(argv):
