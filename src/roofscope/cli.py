@@ -10,7 +10,7 @@ Rendering lives in ``render``; the libraries never print.
 ``enumerate_roofs`` (``roofs._roof_stream``), so its memory stays flat
 at any size and a JSON payload is built for ``--format json`` only.  Its
 table format needs the column widths first and reads them off at most
-nine records, each family row's widest at the largest r that fits
+eight records, each family row's widest at the largest r that fits
 (``roofs._widest_records``, one bisection per row), so its first line
 comes at once at any rank.  ``verify-table`` checks every row, keeping
 only the failing ones, and then prints: ``roofs._table_rows`` replays
@@ -166,7 +166,7 @@ def cmd_roofs(args) -> int:
     def payload():
         return (rec._asdict() for rec in records())
 
-    def widest():  # the table's column widths, from at most nine records
+    def widest():  # the table's column widths, from at most eight records
         return roofs._widest_records(args.max_rank, args.fiber)
 
     headers = list(roofs.RoofRecord._fields)

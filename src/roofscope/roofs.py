@@ -19,33 +19,33 @@ factor G/P(i, j), the fiber over G/P(i) is the residue "type minus i"
 marked at j, so i < j is a roof exactly when the residue without i is
 P^{r-1} at j and the residue without j is P^{r-1} at i: a join on the
 projective-space charts of the residues.  That join is solved once per
-letter in ``_candidates``, and its solutions are the single-factor rows
-of ``FAMILY_SPECS``, one diagram per r up to automorphism (chain
+letter in the comment above ``FAMILY_SPECS``, and its solutions are the
+single-factor rows, one diagram per r up to automorphism (chain
 reversal, D-fork swap and D4 triality, E6 reversal).  A two-factor
 product with one mark per factor is a roof exactly when both
 single-marked factors are P^{r-1} for the same r, so it is P^{r-1} x
 P^{r-1}: the A_{r-1}xA_{r-1} row, reported in that A-form, since a C_m
 factor marked at its short end is the same variety as an end-marked
-A_{2m-1} chain.  A record is listed when its canonical diagram fits the
-rank bound, and it is built from its row's factors and marks by three
-O(1) ``gp_invariants`` calls, so ``enumerate_roofs`` costs O(1) per
-record: O(N) up to rank N, and O(1) for one fiber parameter.  A row's
-rank grows with r, so the largest r at which it fits a rank bound is
-one bisection over the r its ``fibers`` list (``FamilySpec.top_fiber``):
-that row's widest record and largest integer, found at any rank.  The tests
-keep the chart join, the direct roof test of every diagram and family
-recognition as references and compare them with the rows.  The
-classification of simple K-equivalent maps, theorem tables over these
-rows, lives in ``classify``, which no ``roofs`` or ``verify-table`` query
-loads.
+A_{2m-1} chain.  Every walk reads the eight rows in table order, and
+``_record`` builds a row's record at r: from its factors and marks by
+three O(1) ``gp_invariants`` calls, or the fixed G2^dagger record.  A
+record is listed when its row admits r and fits the rank bound, so
+``enumerate_roofs`` costs O(1) per record: O(N) up to rank N, and O(1)
+for one fiber parameter.  A row's rank grows with r, so the largest r at
+which it fits a rank bound is one bisection over the r its ``fibers``
+list (``FamilySpec.top_fiber``): that row's widest record and largest
+integer, found at any rank.  The tests keep the chart join, the direct
+roof test of every diagram and family recognition as references and
+compare them with the rows.  The classification of simple K-equivalent
+maps, theorem tables over these rows, lives in ``classify``, which no
+``roofs`` or ``verify-table`` query loads.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from . import _make_checked
 from .dynkin import MarkedDiagram, SimpleType, diagram_of, parse, serialize
@@ -77,7 +77,8 @@ class FamilySpec(namedtuple("FamilySpec", "label latex factors marks fibers trip
 
     ``factors`` and ``marks`` (the two marks, ascending) give the
     canonical marked diagram; both are None for G2^dagger, which has
-    none.  ``fibers`` is (first, step, last): the row sits at r = first,
+    none, so its ``rank`` is 0: it fits every rank bound at r = 3.
+    ``fibers`` is (first, step, last): the row sits at r = first,
     first + step, ... up to last, None when unbounded.  ``triple`` is the
     closed-form (dim V_1, index V_1, index V_2) that
     ``verify_paper_table`` checks.
@@ -94,8 +95,8 @@ class FamilySpec(namedtuple("FamilySpec", "label latex factors marks fibers trip
         return MarkedDiagram(diagram_of(self.factors(r)), frozenset(self.marks(r)))
 
     def rank(self, r: int) -> int:
-        """The total rank of the canonical diagram at r."""
-        return sum(t.rank for t in self.factors(r))
+        """The total rank of the canonical diagram at r, 0 with none."""
+        return 0 if self.factors is None else sum(t.rank for t in self.factors(r))
 
     def top_fiber(self, max_rank: int, fibers: range) -> int | None:
         """The largest r of ``fibers`` at which the row sits with a rank of
@@ -120,6 +121,36 @@ def _a(n: int) -> tuple[SimpleType, ...]:
 
 
 # The eight families, in table order; everything family-specific reads a row.
+#
+# A single factor G/P(i, j), i < j, is a roof exactly when the residue
+# "type minus i" marked at j and the residue "type minus j" marked at i
+# are both P^(r-1): a join on the projective-space charts of the residues,
+# the A-chain ends (P^m, r = m + 1 on A_m) and the short end of each
+# C-chain (P^(2m-1), r = 2m on C_m).  It is solved here once per letter.
+# Removing k from the Bourbaki chain leaves the run 1..k-1, an A_(k-1)
+# with charts 1 and k-1 at r = k, and the nodes beyond k.  So j > i is a
+# chart of "minus i" only in the run beyond i, and i < j is a chart of
+# "minus j" only at 1 or j-1, with r = j:
+#
+# * A_n: beyond i lies A_(n-i), charts i+1 and n at r = n-i+1.  So
+#   r = j = n-i+1 with j in {i+1, n}: (1, n) at r = n (A_r^M), and
+#   (n/2, n/2+1) at r = n/2+1 for even n (A_(2r-2)^G; at n = 2 the same
+#   pair as A2^M).
+# * C_n: beyond i lies C_(n-i), chart i+1 at r = 2(n-i).  So j = i+1 and
+#   r = i+1 = 2(n-i): (r-1, r) at r = 2(n+1)/3 when n = 2 mod 3
+#   (C_(3r/2-1), C2 included).
+# * B_n: beyond i lies B_(n-i), with the chart n only when n-i <= 2, at
+#   r = 2(n-i), and "minus n" has charts 1 and n-1 at r = n.  No n >= 3
+#   solves both.
+# * D_n: beyond i <= n-3 lie the fork nodes n-1 and n, charts only when
+#   n-i <= 3, at r = 2(n-i)-2, and "minus n-1" and "minus n" are A_(n-1)
+#   with charts at r = n.  So (n-1, n) at r = n (D_r), and in D4 also
+#   (1, 3) and (1, 4), its triality images.
+# * F4: (2, 3) at r = 3; G2: (1, 2) at r = 2; E_n: none (read off the
+#   residues of these five types).
+#
+# Each solution is a single-factor row; the tests compare the rows with
+# the chart join itself on every type up to rank 512.
 FAMILY_SPECS: dict[Family, FamilySpec] = {
     Family.A_PRODUCT: FamilySpec(
         label=lambda r: f"A{r - 1}xA{r - 1}",
@@ -274,69 +305,6 @@ def _fibers(max_rank: int, r_filter: int | None) -> range:
     return range(2, max(max_rank, 2) + 2) if r_filter is None else range(r_filter, r_filter + 1)
 
 
-def _row_instances(
-    families: Iterable[Family], max_rank: int, r_filter: int | None
-) -> Iterator[tuple[MarkedDiagram, int, Family]]:
-    """The canonical diagrams of the given rows whose rank fits max_rank,
-    row by row, each with its r and row."""
-    fibers = _fibers(max_rank, r_filter)
-    for family in families:
-        spec = FAMILY_SPECS[family]
-        for r in fibers:
-            if spec.admits(r):
-                factors = spec.factors(r)  # checked SimpleTypes: built once per instance
-                if sum(t.rank for t in factors) <= max_rank:
-                    yield MarkedDiagram(diagram_of(factors), frozenset(spec.marks(r))), r, family
-
-
-# the rows that solve the single-factor chart join, by letter (see _candidates)
-_SOLVED_JOIN = (
-    Family.A_MUKAI, Family.A_GRASS, Family.C_FLAG, Family.D_SPINOR, Family.F4, Family.G2
-)
-_PRODUCT_ROW = (Family.A_PRODUCT,)
-
-
-def _candidates(
-    max_rank: int, r_filter: int | None = None
-) -> Iterator[tuple[MarkedDiagram, int, Family]]:
-    """Every single-factor roof of rank <= max_rank (only r_filter, when
-    given), up to automorphism, as (diagram, r, family row).
-
-    A single factor G/P(i, j), i < j, is a roof exactly when the residue
-    "type minus i" marked at j and the residue "type minus j" marked at
-    i are both P^(r-1): a join on the projective-space charts of the
-    residues, the A-chain ends (P^m, r = m + 1 on A_m) and the short end
-    of each C-chain (P^(2m-1), r = 2m on C_m).  The join is solved here
-    once per letter.  Removing k from the Bourbaki chain leaves the run
-    1..k-1, an A_(k-1) with charts 1 and k-1 at r = k, and the nodes
-    beyond k.  So j > i is a chart of "minus i" only in the run beyond i,
-    and i < j is a chart of "minus j" only at 1 or j-1, with r = j:
-
-    * A_n: beyond i lies A_(n-i), charts i+1 and n at r = n-i+1.  So
-      r = j = n-i+1 with j in {i+1, n}: (1, n) at r = n (A_r^M), and
-      (n/2, n/2+1) at r = n/2+1 for even n (A_(2r-2)^G; at n = 2 the
-      same pair as A2^M).
-    * C_n: beyond i lies C_(n-i), chart i+1 at r = 2(n-i).  So j = i+1
-      and r = i+1 = 2(n-i): (r-1, r) at r = 2(n+1)/3 when n = 2 mod 3
-      (C_(3r/2-1), C2 included).
-    * B_n: beyond i lies B_(n-i), with the chart n only when n-i <= 2,
-      at r = 2(n-i), and "minus n" has charts 1 and n-1 at r = n.  No
-      n >= 3 solves both.
-    * D_n: beyond i <= n-3 lie the fork nodes n-1 and n, charts only when
-      n-i <= 3, at r = 2(n-i)-2, and "minus n-1" and "minus n" are
-      A_(n-1) with charts at r = n.  So (n-1, n) at r = n (D_r), and in
-      D4 also (1, 3) and (1, 4), its triality images.
-    * F4: (2, 3) at r = 3; G2: (1, 2) at r = 2; E_n: none (read off the
-      residues of these five types).
-
-    Each solution is a ``FAMILY_SPECS`` row (``_SOLVED_JOIN``), so the
-    hits are the row instances whose rank fits, one per row and r:
-    O(max_rank) hits, or O(1) with ``r_filter``.  The tests compare them
-    with the chart join itself on every type up to rank 512.
-    """
-    return _row_instances(_SOLVED_JOIN, max_rank, r_filter)
-
-
 def enumerate_roofs(
     max_total_rank: int,
     r_filter: int | None = None,
@@ -362,12 +330,11 @@ def _roof_stream(
     records at r are built, sorted and yielded before the next r is
     visited, so memory stays flat at any max_total_rank."""
     for r in _fibers(max_total_rank, r_filter):
-        hits = itertools.chain(
-            _candidates(max_total_rank, r), _row_instances(_PRODUCT_ROW, max_total_rank, r)
-        )
-        batch = [(family, _record_for(md, family, r)) for md, _, family in hits]
-        if r == G2_DAGGER_RECORD.r:
-            batch.append((Family.G2_DAGGER, G2_DAGGER_RECORD))
+        batch = [
+            (family, _record(family, r))
+            for family, spec in FAMILY_SPECS.items()
+            if spec.admits(r) and spec.rank(r) <= max_total_rank
+        ]
         # the family labels at one r are distinct, so they alone give the
         # order (r, family, total rank, diagram)
         batch.sort(key=lambda item: item[1].family)
@@ -375,40 +342,41 @@ def _roof_stream(
 
 
 def _top_fibers(max_total_rank: int, r_filter: int | None = None) -> Iterator[tuple[Family, int]]:
-    """Each homogeneous row of ``_roof_stream`` with the largest r at which
-    it is listed, when it is."""
+    """Each row of ``_roof_stream`` with the largest r at which it is
+    listed, when it is."""
     fibers = _fibers(max_total_rank, r_filter)
-    for family in _SOLVED_JOIN + _PRODUCT_ROW:
-        r = FAMILY_SPECS[family].top_fiber(max_total_rank, fibers)
+    for family, spec in FAMILY_SPECS.items():
+        r = spec.top_fiber(max_total_rank, fibers)
         if r is not None:
             yield family, r
 
 
 def _widest_records(max_total_rank: int, r_filter: int | None = None) -> Iterator[RoofRecord]:
-    """Each row's record of ``_roof_stream`` at the largest r that fits,
-    and G2^dagger when r = 3 is visited.  Within a row every cell's printed
-    length is nondecreasing in r (the tests hold these widths to those of
-    the whole stream), so these at most nine records size a table."""
+    """Each row's record of ``_roof_stream`` at the largest r that fits.
+    Within a row every cell's printed length is nondecreasing in r (the
+    tests hold these widths to those of the whole stream), so these at
+    most eight records size a table."""
     for family, r in _top_fibers(max_total_rank, r_filter):
-        for md, _, _ in _row_instances((family,), max_total_rank, r):
-            yield _record_for(md, family, r)
-    if G2_DAGGER_RECORD.r in _fibers(max_total_rank, r_filter):
-        yield G2_DAGGER_RECORD
+        yield _record(family, r)
 
 
 def _largest_integer(max_total_rank: int, r_filter: int | None = None) -> int:
-    """The largest integer that a homogeneous record of ``_roof_stream``
-    holds or prints (G2^dagger's are at most 7), read off the closed-form
-    triples, with no record built.  A record's dim W = dim V_1 + r - 1 is
-    its largest integer (the tests hold every integer of every record's
-    cells and LaTeX row to it), and it grows with r within a row."""
+    """The largest integer that a record of ``_roof_stream`` holds or
+    prints, read off the closed-form triples, with no record built.  A
+    record's dim W = dim V_1 + r - 1 is its largest integer (the tests
+    hold every integer of every record's cells and LaTeX row to it), and
+    it grows with r within a row."""
     tops = _top_fibers(max_total_rank, r_filter)
     return max((FAMILY_SPECS[family].triple(r)[0] + r - 1 for family, r in tops), default=0)
 
 
-def _record_for(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
-    """The record of the roof md: W from its own invariants, V_1 and V_2
-    from md marked at the smaller and at the larger mark alone."""
+def _record(family: Family, r: int) -> RoofRecord:
+    """The record of the row at r: W from its canonical diagram's own
+    invariants, V_1 and V_2 from that diagram marked at the smaller and
+    at the larger mark alone; G2^dagger's is ``G2_DAGGER_RECORD``."""
+    if family is Family.G2_DAGGER:
+        return G2_DAGGER_RECORD
+    md = FAMILY_SPECS[family].marked(r)
     w = _check_index(md, r)
     (i, _), (j, _) = w.index_vector
     v1 = gp_invariants(MarkedDiagram(md.diagram, frozenset({i})))
@@ -463,7 +431,7 @@ def _computed_triple(family: Family, r: int) -> tuple[int, int, int]:
         if q5.index != _OTTAVIANI_C1 + _OTTAVIANI_RANK:
             return (q5.dim, -1, -1)
         return (q5.dim, q5.index, q5.index)
-    rec = _record_for(FAMILY_SPECS[family].marked(r), family, r)
+    rec = _record(family, r)
     return (rec.dim_V1, rec.index_V1, rec.index_V2)
 
 
@@ -487,7 +455,8 @@ def _table_rows(r_max: int, failed: dict | None = None) -> Iterator[TableRow]:
     so its computed triple is its expected one.
     """
     for family, spec in FAMILY_SPECS.items():
-        for r in filter(spec.admits, range(2, r_max + 1)):
+        first, step, last = spec.fibers
+        for r in range(first, (r_max if last is None else min(last, r_max)) + 1, step):
             label, expected = spec.label(r), spec.triple(r)
             if failed is None:
                 yield TableRow(label, r, _computed_triple(family, r), expected)

@@ -1132,7 +1132,7 @@ COMMANDS = [
 ]
 
 
-def test_byte_identical_output_across_thread_settings():
+def test_two_runs_in_one_process_print_the_same_bytes():
     snapshot = []
     for argv in COMMANDS:
         code, out, err = run(*argv)

@@ -42,7 +42,9 @@ from roofscope.dynkin import component_at, simple_types
 from roofscope.roofs import (
     FAMILY_SPECS,
     _computed_triple,
-    _record_for,
+    _record,
+    _roof_stream,
+    _widest_records,
 )
 
 
@@ -257,15 +259,18 @@ def test_residue_join_matches_is_roof_on_every_single_factor():
 D4_TRIALITY = {("D4:1,3", 4), ("D4:1,4", 4)}
 
 
+def _single_factor(records):
+    # the (diagram, r) of the homogeneous records whose diagram has one factor
+    return [(rec.diagram, rec.r) for rec in records if rec.homogeneous and "*" not in rec.diagram]
+
+
 def test_solved_join_is_the_chart_join_up_to_rank_512():
-    # the rows that solve the join per letter, against the join itself
-    solved = [(serialize(md), r) for md, r, _ in roofscope.roofs._candidates(512)]
+    # the single-factor rows' records, against the join itself
+    solved = _single_factor(enumerate_roofs(512))
     assert len(solved) == len(set(solved))
     assert set(solved) == {(serialize(md), r) for md, r in join_candidates(512)} - D4_TRIALITY
     for r in (2, 3, 4, 5, 17, 342):
-        assert {(serialize(md), s) for md, s, _ in roofscope.roofs._candidates(512, r)} == {
-            hit for hit in solved if hit[1] == r
-        }
+        assert _single_factor(enumerate_roofs(512, r)) == [hit for hit in solved if hit[1] == r]
 
 
 def _count_component_at(monkeypatch):
@@ -281,15 +286,13 @@ def _count_component_at(monkeypatch):
     return calls
 
 
-def test_candidates_cut_no_classical_diagram(monkeypatch):
-    # the hits come off the family rows: no residue is read, and each hit
-    # is one row instance carrying its family
-    components = _count_component_at(monkeypatch)
-    hits = list(roofscope.roofs._candidates(48))
-    assert ("D48:47,48", 48, Family.D_SPINOR) in {(serialize(md), r, f) for md, r, f in hits}
-    assert ("F4:2,3", 3, Family.F4) in {(serialize(md), r, f) for md, r, f in hits}
-    assert all(serialize(md) == family_diagram(f, r) for md, r, f in hits)
-    assert components == []
+def test_candidates_cut_no_classical_diagram():
+    # the records come off the family rows: each homogeneous record is one
+    # row instance carrying its family and that row's canonical diagram
+    hits = {(rec.diagram, rec.r, f) for f, rec in _roof_stream(48) if rec.homogeneous}
+    assert ("D48:47,48", 48, Family.D_SPINOR) in hits
+    assert ("F4:2,3", 3, Family.F4) in hits
+    assert all(diagram == family_diagram(f, r) for diagram, r, f in hits)
 
 
 def _charts_at(t, gone):
@@ -382,26 +385,19 @@ def _scanned_product_instances(max_rank, r_filter, hits):
     return out
 
 
-def test_product_join_matches_the_full_product_scan(monkeypatch):
+def test_product_join_matches_the_full_product_scan():
     hits = [
         (md, r)
         for md in every_one_mark_per_factor_product(12)
         if (r := is_roof(md)) is not None
     ]
-    # with the single-factor scan emptied, every homogeneous record is
-    # an A_PRODUCT row instance
-    monkeypatch.setattr(
-        roofscope.roofs, "_candidates", lambda max_rank, r_filter=None: iter(())
-    )
+    # the A_PRODUCT records are the products, and no other record is one
     for max_rank in range(1, 13):
         for r_filter in (None, 2, 3, 4, 5, 6, 7):
-            records = [
-                rec
-                for rec in enumerate_roofs(max_rank, r_filter=r_filter)
-                if rec.homogeneous
-            ]
-            assert all(rec.family == Family.A_PRODUCT.label(rec.r) for rec in records)
-            joined = {(rec.diagram, rec.r) for rec in records}
+            records = enumerate_roofs(max_rank, r_filter=r_filter)
+            products = [rec for rec in records if rec.family == Family.A_PRODUCT.label(rec.r)]
+            assert sum("*" in rec.diagram for rec in records) == len(products)
+            joined = {(rec.diagram, rec.r) for rec in products}
             assert joined == _scanned_product_instances(max_rank, r_filter, hits), (
                 max_rank,
                 r_filter,
@@ -431,6 +427,14 @@ def test_enumeration_is_every_row_instance_that_fits_the_rank_bound(max_rank):
     expected.add((G2_DAGGER_RECORD.family, G2_DAGGER_RECORD.r, NON_HOMOGENEOUS))
     got = {(rec.family, rec.r, rec.diagram) for rec in enumerate_roofs(max_rank)}
     assert got == expected
+
+
+def test_g2_dagger_alone_fits_the_smallest_rank_bound():
+    # its row has no diagram and rank 0, so it sits at r = 3 under every bound
+    assert enumerate_roofs(1) == [G2_DAGGER_RECORD] == enumerate_roofs(1, 3)
+    assert enumerate_roofs(1, 2) == []
+    assert list(_widest_records(1)) == [G2_DAGGER_RECORD]
+    assert FAMILY_SPECS[Family.G2_DAGGER].rank(3) == 0
 
 
 # --- family naming -----------------------------------------------------------------
@@ -507,7 +511,8 @@ def test_each_family_row_agrees_with_its_diagram_up_to_r_16(family):
         assert is_roof(md) == r, diagram
         assert _family_of(md, r) is family, diagram
         assert spec.rank(r) == md.diagram.total_rank, diagram
-        rec = _record_for(md, family, r)
+        rec = _record(family, r)
+        assert rec.diagram == diagram
         assert (rec.dim_V1, rec.index_V1, rec.index_V2) == spec.triple(r), diagram
         assert rec.family == spec.label(r) == family.label(r)
 

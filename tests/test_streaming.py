@@ -161,7 +161,7 @@ def test_the_widest_records_size_the_table_as_the_whole_stream_does():
     # row's record at its largest fitting r holds the row's widest cells
     widest = roofscope.roofs._widest_records
     ranked = sorted(
-        (0 if family is Family.G2_DAGGER else FAMILY_SPECS[family].rank(rec.r), rec)
+        (FAMILY_SPECS[family].rank(rec.r), rec)
         for family, rec in roofscope.roofs._roof_stream(512)
     )  # a record is listed up to rank N exactly when its rank is at most N
     widths, k = None, 0
@@ -192,6 +192,7 @@ def _top_fiber_by_formula(family: Family, n: int) -> int | None:
         Family.D_SPINOR: n,  # rank r
         Family.F4: 3 if n >= 4 else None,
         Family.G2: 2 if n >= 2 else None,
+        Family.G2_DAGGER: 3,  # rank 0
     }[family]
     return top if top is not None and FAMILY_SPECS[family].admits(top) else None
 
@@ -212,32 +213,29 @@ def test_the_widest_records_sit_at_each_rows_largest_fitting_r(monkeypatch, n):
     assert calls and max(calls.values()) <= n.bit_length() + 1
     monkeypatch.undo()
     expected = []
-    for family in roofscope.roofs._SOLVED_JOIN + roofscope.roofs._PRODUCT_ROW:
+    for family in FAMILY_SPECS:
         r = _top_fiber_by_formula(family, n)
         if n == 10**5:  # a linear scan agrees
             spec = FAMILY_SPECS[family]
             fitting = [k for k in range(2, n + 2) if spec.admits(k) and spec.rank(k) <= n]
             assert r == fitting[-1], family
-        expected.append(roofscope.roofs._record_for(FAMILY_SPECS[family].marked(r), family, r))
-    assert got == [*expected, roofscope.roofs.G2_DAGGER_RECORD]
+        expected.append(roofscope.roofs._record(family, r))
+    assert got == expected
+    assert got[-1] == roofscope.roofs.G2_DAGGER_RECORD
 
 
 def test_the_largest_integer_of_the_stream_needs_no_record():
-    # every integer a homogeneous record prints, in its cells and in its
-    # LaTeX row, is at most its dim W; _largest_integer is the largest
-    # dim W of the stream, read off the closed forms
+    # every integer a record prints, in its cells and in its LaTeX row,
+    # G2^dagger's notes included, is at most its dim W; _largest_integer
+    # is the largest dim W of the stream, read off the closed forms
     stream = [(family, rec) for family, rec in roofscope.roofs._roof_stream(512)]
+    assert (Family.G2_DAGGER, roofscope.roofs.G2_DAGGER_RECORD) in stream
     for family, rec in stream:
-        if family is not Family.G2_DAGGER:
-            text = " ".join(map(str, rec)) + FAMILY_SPECS[family].latex(rec.r)
-            assert max(map(int, re.findall(r"\d+", text))) <= rec.dim_W, rec
+        text = " ".join(map(str, rec)) + FAMILY_SPECS[family].latex(rec.r)
+        assert max(map(int, re.findall(r"\d+", text))) <= rec.dim_W, rec
     largest = roofscope.roofs._largest_integer
     for n in range(1, 513):
-        fits = [
-            rec
-            for family, rec in stream
-            if family is not Family.G2_DAGGER and FAMILY_SPECS[family].rank(rec.r) <= n
-        ]
+        fits = [rec for family, rec in stream if FAMILY_SPECS[family].rank(rec.r) <= n]
         assert largest(n) == max((rec.dim_W for rec in fits), default=0), n
         for fiber in (2, 3, 4, 5, n, n + 1):
             at_r = [rec.dim_W for rec in fits if rec.r == fiber]
