@@ -30,18 +30,20 @@ The alias ``B2`` is accepted on input and remapped, so ``B2:1`` means
 ``C2:2``.  Building any other non-canonical type (``D3``, ``C1``,
 ``E5``, ...) is an error naming the form to use.
 
-A ``Diagram`` is its factors plus its removed nodes; no edge or node
-list is stored, so a diagram of any rank costs only what its text costs
-to parse.  A factor's bonds are read off its Bourbaki spine, pendant
-node and multiple bond: ``neighbours`` gives a node v's at most three
-neighbours j, each with the pairing -<alpha_j, alpha_v^vee>, and
-``component_at`` reads the component of a factor minus a node set that
-holds a given node, with its type and the node's Bourbaki position
-there, for any of the seven letters in O(log #removed); no graph is
-searched.  No root is generated either: G/P invariants use the closed
-forms ``positive_root_count`` and ``_two_rho`` (one entry per Bourbaki
-position).  The tests check both against a reflection-orbit root
-generator in ``tests/oracles.py``, which also holds the bond table.
+A ``Diagram`` is its factors; no edge or node list is stored, so a
+diagram of any rank costs only what its text costs to parse, and every
+marked diagram has a grammar form.  A factor's bonds are read off its
+Bourbaki spine, pendant node and multiple bond: ``neighbours`` gives a
+node v's at most three neighbours j, each with the pairing
+-<alpha_j, alpha_v^vee>, and ``component_at`` reads the component of a
+factor minus a node set that holds a given node, with its type and the
+node's Bourbaki position there, for any of the seven letters in
+O(log #set); no graph is searched.  No root is generated either: G/P
+invariants use the closed forms ``positive_root_count`` and
+``_two_rho`` (one entry per Bourbaki position).  The tests check both
+against a reflection-orbit root generator in ``tests/oracles.py``,
+which also holds the bond table and the residual diagrams (a diagram
+minus some nodes).
 """
 
 from __future__ import annotations
@@ -62,55 +64,32 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Diagram(namedtuple("Diagram", "factors removed", defaults=((),))):
-    """A Dynkin graph: 1 or 2 factors minus the global nodes ``removed``.
+class Diagram(namedtuple("Diagram", "factors")):
+    """A Dynkin graph: 1 or 2 factors, numbered across ``*``.
 
-    ``factors`` always records the full ambient diagram and ``removed``
-    the deleted global indices, ascending, so a freshly built diagram
-    removes nothing and node removal keeps the original numbering.  The
-    bonds are those of the factors' Bourbaki diagrams among the surviving
-    nodes (``neighbours``); no edge or node list is stored.
+    The bonds are those of the factors' Bourbaki diagrams
+    (``neighbours``); no edge or node list is stored.
     """
 
     __slots__ = ()
     _make = classmethod(_make_checked)
 
-    def __new__(cls, factors: tuple[SimpleType, ...], removed: tuple[int, ...] = ()) -> Diagram:
+    def __new__(cls, factors: tuple[SimpleType, ...]) -> Diagram:
         if not 1 <= len(factors) <= 2:
             raise ValueError("a diagram has 1 or 2 factors")
-        removed = tuple(removed)
-        if any(a >= b for a, b in zip(removed, removed[1:])):
-            raise ValueError("removed nodes must be sorted ascending, each at most once")
-        total = sum(f.rank for f in factors)
-        for v in removed[:1] + removed[-1:]:
-            if not 1 <= v <= total:
-                raise ValueError(f"node {v} out of range 1..{total}")
-        return tuple.__new__(cls, (factors, removed))
+        return tuple.__new__(cls, (factors,))
 
     @property
     def total_rank(self) -> int:
         return sum(f.rank for f in self.factors)
 
     @property
-    def is_full(self) -> bool:
-        return not self.removed
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        """The surviving global nodes, ascending; O(total rank)."""
-        gone = set(self.removed)
-        return tuple(v for v in range(1, self.total_rank + 1) if v not in gone)
-
-    def has_node(self, v: int) -> bool:
-        """Whether the global node v survives, in O(log #removed)."""
-        i = bisect_left(self.removed, v)
-        return 1 <= v <= self.total_rank and (i == len(self.removed) or self.removed[i] != v)
+    def nodes(self) -> range:
+        """The global nodes, ascending, as a lazy range."""
+        return range(1, self.total_rank + 1)
 
     def __str__(self) -> str:
-        body = "*".join(str(f) for f in self.factors)
-        if self.is_full:
-            return body
-        return f"{body} on nodes {','.join(map(str, self.nodes))}"
+        return "*".join(str(f) for f in self.factors)
 
 
 class MarkedDiagram(namedtuple("MarkedDiagram", "diagram marks")):
@@ -121,14 +100,12 @@ class MarkedDiagram(namedtuple("MarkedDiagram", "diagram marks")):
         if not marks:
             raise ValueError("at least one mark is required")
         for m in marks:
-            if not diagram.has_node(m):
+            if not 1 <= m <= diagram.total_rank:
                 raise ValueError(f"mark {m} is not a node of the diagram")
         return tuple.__new__(cls, (diagram, marks))
 
     def __str__(self) -> str:
-        if self.diagram.is_full:
-            return serialize(self)
-        return f"{self.diagram} marked {','.join(map(str, sorted(self.marks)))}"
+        return serialize(self)
 
 
 def diagram_of(factors: tuple[SimpleType, ...]) -> Diagram:
@@ -226,11 +203,7 @@ def parse(text: str) -> MarkedDiagram:
 
 def serialize(md: MarkedDiagram) -> str:
     """Canonical text form: factors joined by '*', marks sorted ascending."""
-    d = md.diagram
-    if not d.is_full:
-        raise ValueError("a diagram with removed nodes has no grammar form")
-    body = "*".join(str(f) for f in d.factors)
-    return body + ":" + ",".join(str(m) for m in sorted(md.marks))
+    return f"{md.diagram}:{','.join(str(m) for m in sorted(md.marks))}"
 
 
 # --- one factor: canonical form, layout, root data -------------------------

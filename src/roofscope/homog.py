@@ -21,16 +21,12 @@ marks, whatever the rank.  A mark has at most three neighbours
 the neighbour's position in it, come from a bisect in the sorted marks
 (``dynkin.component_at``, the one component reader, for every letter),
 and one ``_two_rho`` entry at that position gives (2rho_L)_j.  Every
-Levi component of a connected diagram touches a removed node, so the
-components around the marks are all the Levi components that differ
-from D: dim is the sum of ``positive_root_count`` over the components
-of D that hold a mark, minus the sum over the Levi components next to
-a mark.
-
-Residual diagrams (after node removal) are handled the same way, with
-the removed nodes cut before the marks, since an induced subdiagram's
-root system is the product of its components' systems.  Unmarked
-components contribute a point and drop out.
+Levi component of a factor that holds a mark touches one of its marks,
+so the components around the marks are all the Levi components that
+differ from their factors: dim is the sum of ``positive_root_count``
+over the factors that hold a mark, minus the sum over the Levi
+components next to a mark.  A factor with no mark contributes a point
+and drops out.
 """
 
 from __future__ import annotations
@@ -73,30 +69,23 @@ class VarietyInvariants(namedtuple("VarietyInvariants", "dim picard index_vector
 
 def gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
     """Compute dim, Picard number and the anticanonical coefficient vector."""
-    d = md.diagram
     marks = sorted(md.marks)
     dim, vec, offset = 0, [], 0
-    for t in d.factors:
+    for t in md.diagram.factors:
         local = [m - offset for m in marks if offset < m <= offset + t.rank]
         if local:
-            cut = [v - offset for v in d.removed if offset < v <= offset + t.rank]
-            gone = sorted(cut + local)
-            skip = set(gone)
-            # components by smallest node: those holding a mark, and the Levi ones
-            whole: dict[int, SimpleType] = {}
+            skip = set(local)
+            # the Levi components next to a mark, by smallest node
             levi: dict[int, SimpleType] = {}
             for m in local:
-                shape, _, first = component_at(t, cut, m) if cut else (t, m, 1)
-                whole[first] = shape
                 c = 2
                 for j, weight in neighbours(t, m):
                     if j not in skip:
-                        shape, pos, first = component_at(t, gone, j)
+                        shape, pos, first = component_at(t, local, j)
                         levi[first] = shape
                         c += weight * _two_rho(shape, pos)
                 vec.append((m + offset, c))
-            dim += sum(map(positive_root_count, whole.values()))
-            dim -= sum(map(positive_root_count, levi.values()))
+            dim += positive_root_count(t) - sum(map(positive_root_count, levi.values()))
         offset += t.rank
     for _, c in vec:
         if c <= 0:  # -K is ample on G/P; a failure here is a programming error

@@ -53,7 +53,7 @@ from .homog import VarietyInvariants, gp_invariants
 
 
 class Family(enum.Enum):
-    """The eight known roof families plus the open 'unknown' label."""
+    """The eight known roof families."""
 
     A_PRODUCT = "A_{r-1}xA_{r-1}"
     A_MUKAI = "A_r^M"
@@ -63,12 +63,10 @@ class Family(enum.Enum):
     F4 = "F4"
     G2 = "G2"
     G2_DAGGER = "G2^dagger"
-    UNKNOWN = "unknown"
 
     def label(self, r: int) -> str:
-        """The label instantiated at r; 'unknown' has no other."""
-        spec = FAMILY_SPECS.get(self)
-        return self.value if spec is None else spec.label(r)
+        """The label instantiated at r."""
+        return FAMILY_SPECS[self].label(r)
 
 
 class FamilySpec(namedtuple("FamilySpec", "label latex factors marks fibers triple")):

@@ -33,9 +33,12 @@ two-marked diagram, matching it up to diagram automorphism
 (``family_diagram``), and ``marked_diagram`` parses a record's diagram.
 Production only goes from a row to its diagram and record.
 
-``Edge`` and the edge set of a diagram (``edges_of``) live here too: the
-library stores a diagram as its factors and removed nodes, and reads a
-node's bonds off its factor's Bourbaki spine.
+``Edge`` and the edge set of a diagram (``edges_of``) live here too, and
+so do residual diagrams: the library stores a diagram as its factors
+alone and reads a node's bonds off its factor's Bourbaki spine, while a
+``Residue`` is a diagram minus some nodes, made only by ``remove_node``,
+and a ``MarkedResidue`` marks one.  The surgery, the fibration fibers
+and the projective-space test read residues and full diagrams alike.
 """
 
 from __future__ import annotations
@@ -124,15 +127,60 @@ class Edge(namedtuple("Edge", "a b mult source")):
         return self.b if self.source == self.a else self.a
 
 
-def edges_of(d: Diagram) -> frozenset[Edge]:
+class Residue(namedtuple("Residue", "factors removed")):
+    """A diagram of 1 or 2 factors minus the global nodes ``removed``,
+    ascending; the surviving nodes keep their global numbering."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors: tuple[SimpleType, ...], removed: tuple[int, ...]) -> Residue:
+        Diagram(factors)  # 1 or 2 factors
+        removed = tuple(removed)
+        if any(a >= b for a, b in zip(removed, removed[1:])):
+            raise ValueError("removed nodes must be sorted ascending, each at most once")
+        total = sum(f.rank for f in factors)
+        for v in removed[:1] + removed[-1:]:
+            if not 1 <= v <= total:
+                raise ValueError(f"node {v} out of range 1..{total}")
+        return tuple.__new__(cls, (factors, removed))
+
+    @property
+    def total_rank(self) -> int:
+        return sum(f.rank for f in self.factors)
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The surviving global nodes, ascending."""
+        gone = set(self.removed)
+        return tuple(v for v in range(1, self.total_rank + 1) if v not in gone)
+
+    def __str__(self) -> str:
+        return f"{Diagram(self.factors)} on nodes {','.join(map(str, self.nodes))}"
+
+
+class MarkedResidue(namedtuple("MarkedResidue", "diagram marks")):
+    """A residue marked at some of its surviving nodes."""
+
+    __slots__ = ()
+
+    def __new__(cls, diagram: Residue, marks: frozenset[int]) -> MarkedResidue:
+        if not marks or not marks <= set(diagram.nodes):
+            raise ValueError(f"marks {sorted(marks)} are not nodes of {diagram}")
+        return tuple.__new__(cls, (diagram, marks))
+
+    def __str__(self) -> str:
+        return f"{self.diagram} marked {','.join(map(str, sorted(self.marks)))}"
+
+
+def edges_of(d: Diagram | Residue) -> frozenset[Edge]:
     """The edges of d: the Bourbaki bonds of its factors between surviving nodes."""
     out = []
     offset = 0
-    gone = set(d.removed)
+    alive = set(d.nodes)
     for f in d.factors:
         for i, j, ij, ji in _bonds(f):
             a, b = offset + i + 1, offset + j + 1
-            if a in gone or b in gone:
+            if a not in alive or b not in alive:
                 continue
             source = None
             if ij * ji > 1:
@@ -143,11 +191,13 @@ def edges_of(d: Diagram) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def remove_node(d: Diagram, j: int) -> Diagram:
+def remove_node(d: Diagram | Residue, j: int) -> Residue:
     """Delete node j and its incident edges; surviving indices are preserved."""
-    if not d.has_node(j):
+    alive = set(d.nodes)
+    if j not in alive:
         raise ValueError(f"node {j} is not in the diagram")
-    return Diagram(d.factors, tuple(sorted((*d.removed, j))))
+    alive.remove(j)
+    return Residue(d.factors, tuple(v for v in range(1, d.total_rank + 1) if v not in alive))
 
 
 # --- roots ---------------------------------------------------------------------
@@ -428,16 +478,17 @@ def _mark_images(md: MarkedDiagram) -> set[str]:
     }
 
 
-def _single_factor_family(md: MarkedDiagram, r: int) -> Family:
-    """The family whose canonical diagram at r is md up to automorphism."""
+def _single_factor_family(md: MarkedDiagram, r: int) -> Family | None:
+    """The family whose canonical diagram at r is md up to automorphism,
+    None if there is none."""
     images = _mark_images(md)
     for family, spec in FAMILY_SPECS.items():
         if spec.factors is not None and spec.admits(r) and serialize(spec.marked(r)) in images:
             return family
-    return Family.UNKNOWN
+    return None
 
 
-def _family_of(md: MarkedDiagram, r: int) -> Family:
+def _family_of(md: MarkedDiagram, r: int) -> Family | None:
     d = md.diagram
     marks = sorted(md.marks)
     if len(d.factors) == 2:
@@ -449,7 +500,7 @@ def _family_of(md: MarkedDiagram, r: int) -> Family:
             (t, u), (i, j) = d.factors, marks
             if _pspace_r(t, i) == r == _pspace_r(u, j - split):
                 return Family.A_PRODUCT
-            return Family.UNKNOWN
+            return None
         # both marks in one factor: the other factor is a point
         t = d.factors[0] if len(in_first) == 2 else d.factors[1]
         offset = 0 if len(in_first) == 2 else split
@@ -473,16 +524,21 @@ def marked_diagram(record: RoofRecord) -> MarkedDiagram:
     return parse(record.diagram)
 
 
+def _label(family: Family | None, r: int) -> str:
+    return "unknown" if family is None else family.label(r)
+
+
 def name_family(record: RoofRecord) -> str:
-    """Pattern-match a record against the eight family schemata."""
+    """Pattern-match a record against the eight family schemata; a record
+    that matches none is "unknown"."""
     if record.diagram == NON_HOMOGENEOUS:
         return Family.G2_DAGGER.label(record.r)
-    return _family_of(marked_diagram(record), record.r).label(record.r)
+    return _label(_family_of(marked_diagram(record), record.r), record.r)
 
 
 # --- roofs -----------------------------------------------------------------------
 
-def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedDiagram:
+def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedResidue:
     """The fiber of G/P({i,j}) -> G/P({keep}): the diagram minus ``keep``,
     marked at the other node."""
     if len(md.marks) != 2:
@@ -490,7 +546,7 @@ def fibration_fiber(md: MarkedDiagram, keep: int) -> MarkedDiagram:
     if keep not in md.marks:
         raise ValueError(f"{keep} is not a mark of {md}")
     (other,) = md.marks - {keep}
-    return MarkedDiagram(remove_node(md.diagram, keep), frozenset({other}))
+    return MarkedResidue(remove_node(md.diagram, keep), frozenset({other}))
 
 
 def component_charts(shapes: Iterable[ComponentShape]) -> dict[int, int]:
@@ -506,12 +562,12 @@ def component_charts(shapes: Iterable[ComponentShape]) -> dict[int, int]:
     return charts
 
 
-def projective_space_charts(d: Diagram) -> dict[int, int]:
+def projective_space_charts(d: Diagram | Residue) -> dict[int, int]:
     """Every node m at which d marked at m alone is P^{r-1}, as {m: r}."""
     return component_charts(surgery_components(d))
 
 
-def is_projective_space(md: MarkedDiagram) -> int | None:
+def is_projective_space(md: MarkedDiagram | MarkedResidue) -> int | None:
     """Return r if the one-marked variety is the projective space P^{r-1};
     unmarked components are points and are ignored."""
     if len(md.marks) != 1:
@@ -594,11 +650,11 @@ def join_enumerate_roofs(
     chart join, each hit named by ``_family_of`` and keyed by its family
     diagram (or its automorphism class), products from the A_PRODUCT
     row, and every record built through a parse of its diagram."""
-    instances: dict[str, tuple[Family, int]] = {}
+    instances: dict[str, tuple[Family | None, int]] = {}
     for md, r in join_candidates(max_total_rank, r_filter):
         _check_index(md, r)
         family = _family_of(md, r)
-        key = dedup_key(md) if family is Family.UNKNOWN else family_diagram(family, r)
+        key = dedup_key(md) if family is None else family_diagram(family, r)
         instances[key] = (family, r)
     product = FAMILY_SPECS[Family.A_PRODUCT]
     for r in filter(product.admits, range(max_total_rank + 2)):
@@ -614,12 +670,12 @@ def join_enumerate_roofs(
     return [rec for _, rec in ranked]
 
 
-def _parsed_record(md: MarkedDiagram, family: Family, r: int) -> RoofRecord:
+def _parsed_record(md: MarkedDiagram, family: Family | None, r: int) -> RoofRecord:
     i, j = sorted(md.marks)
     v1 = gp_invariants(MarkedDiagram(md.diagram, frozenset({i})))
     v2 = gp_invariants(MarkedDiagram(md.diagram, frozenset({j})))
     return RoofRecord(
-        family=family.label(r),
+        family=_label(family, r),
         r=r,
         diagram=str(md),
         dim_W=v1.dim + r - 1,

@@ -126,10 +126,7 @@ def _brute_force_roofs(max_rank: int) -> set[tuple[str, int]]:
         )
         label = name_family(probe)
         assert label != "unknown", f"scan found an unclassified roof {text}"
-        family = next(
-            f for f in Family
-            if f is not Family.UNKNOWN and f.label(r) == label
-        )
+        family = next(f for f in Family if f.label(r) == label)
         canonical = family_diagram(family, r)
         if parse(canonical).diagram.total_rank <= max_rank:
             found.add((canonical, r))

@@ -861,6 +861,11 @@ def test_no_module_ships_a_root_closure_and_production_paths_run():
     for name in names:
         assert not DELETED & set(vars(importlib.import_module(name))), name
     assert not hasattr(roofscope.RoofRecord, "marked_diagram")
+    # a Diagram is its factors: residual diagrams live in oracles.py, and
+    # Family names the eight families and no 'unknown' one
+    assert roofscope.Diagram._fields == ("factors",)
+    assert not {"is_full", "has_node"} & set(dir(roofscope.Diagram))
+    assert "UNKNOWN" not in roofscope.Family.__members__
     for argv in [
         ("gp", "F4:2,3"),
         ("verify-table", "--r-max", "10"),

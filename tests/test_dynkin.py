@@ -6,7 +6,16 @@ import pytest
 
 from itertools import combinations
 
-from oracles import ALL_SIMPLE, _bonds, _classify_graph, cartan, edges_of, remove_node
+from oracles import (
+    ALL_SIMPLE,
+    MarkedResidue,
+    Residue,
+    _bonds,
+    _classify_graph,
+    cartan,
+    edges_of,
+    remove_node,
+)
 from roofscope import (
     Diagram,
     MarkedDiagram,
@@ -358,14 +367,17 @@ def test_neighbours_read_the_bonds_and_their_cartan_entries():
 
 
 def test_a_diagram_stores_its_removed_nodes_and_no_edges():
-    d = Diagram((SimpleType("D", 5), SimpleType("A", 2)), (2, 6))
-    assert d.nodes == (1, 3, 4, 5, 7) and not d.is_full
-    assert [d.has_node(v) for v in range(0, 9)] == [False, True, False, True, True, True, False, True, False]
-    assert diagram_of((SimpleType("A", 10**9),)).removed == ()
+    # a Diagram is its factors alone, at any rank; the residues the tests
+    # cut are the oracle's, which keep their removed nodes
+    huge = diagram_of((SimpleType("A", 10**9),))
+    assert huge.factors == (SimpleType("A", 10**9),) and huge.nodes == range(1, 10**9 + 1)
     with pytest.raises(TypeError):
-        Diagram((SimpleType("A", 3),), (), frozenset())  # no edge set to disagree with
+        Diagram((SimpleType("A", 3),), frozenset())  # no edge set to disagree with
+    d = Residue((SimpleType("D", 5), SimpleType("A", 2)), (2, 6))
+    assert d.nodes == (1, 3, 4, 5, 7) and str(d) == "D5*A2 on nodes 1,3,4,5,7"
+    assert [v in d.nodes for v in range(0, 9)] == [False, True, False, True, True, True, False, True, False]
     with pytest.raises(ValueError, match="out of range"):
-        Diagram((SimpleType("A", 3),), (4,))
+        Residue((SimpleType("A", 3),), (4,))
 
 
 def test_component_at_special_runs():
@@ -392,15 +404,10 @@ def test_marked_diagram_validation():
     d = diagram_of((SimpleType("A", 3),))
     with pytest.raises(ValueError):
         MarkedDiagram(d, frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mark 4 is not a node of the diagram"):
         MarkedDiagram(d, frozenset({4}))
-    cut = remove_node(d, 2)
+    with pytest.raises(ValueError, match="mark 0 is not a node of the diagram"):
+        MarkedDiagram(d, frozenset({0}))
+    # the oracle's residues refuse a mark at a removed node
     with pytest.raises(ValueError):
-        MarkedDiagram(cut, frozenset({2}))
-
-
-def test_residual_diagrams_do_not_serialize():
-    md = parse("A3:1,3")
-    cut = MarkedDiagram(remove_node(md.diagram, 1), frozenset({3}))
-    with pytest.raises(ValueError):
-        serialize(cut)
+        MarkedResidue(remove_node(d, 2), frozenset({2}))

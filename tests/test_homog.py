@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     ALL_SIMPLE,
+    MarkedResidue,
     fibration_fiber,
     is_projective_space,
     pairing,
@@ -36,7 +37,7 @@ def brute_dim(letter: str, rank: int, mark: int) -> int:
     return sum(1 for beta in roots if beta[mark - 1] != 0)
 
 
-def brute_gp_invariants(md: MarkedDiagram) -> VarietyInvariants:
+def brute_gp_invariants(md: MarkedDiagram | MarkedResidue) -> VarietyInvariants:
     """Oracle: sum the ambient positive roots supported on the surviving nodes.
 
     The roots of an induced subdiagram are the ambient positive roots
@@ -75,19 +76,22 @@ def _all_factor_specs(max_rank):
 
 def test_closed_form_invariants_match_the_root_sum_exhaustively():
     # every diagram with 1-3 marks of total rank <= 8, plus both
-    # fibration fibers of every two-marked one
+    # fibration fibers of every two-marked one, which only the surgery
+    # oracle reads
     checked = 0
     for factors in _all_factor_specs(8):
         d = diagram_of(factors)
         for k in (1, 2, 3):
             for marks in combinations(d.nodes, k):
                 md = MarkedDiagram(d, frozenset(marks))
-                cases = [md]
+                assert gp_invariants(md) == brute_gp_invariants(md), str(md)
+                checked += 1
                 if k == 2:
-                    cases += [fibration_fiber(md, keep) for keep in marks]
-                for case in cases:
-                    assert gp_invariants(case) == brute_gp_invariants(case), str(case)
-                    checked += 1
+                    for keep in marks:
+                        fiber = fibration_fiber(md, keep)
+                        expected = brute_gp_invariants(fiber)
+                        assert surgery_gp_invariants(fiber) == expected, str(fiber)
+                        checked += 1
     assert checked == 14_984
 
 
@@ -200,8 +204,9 @@ def test_pspace_charts_agree_with_the_one_mark_test():
         for d in [full] + [remove_node(full, k) for k in full.nodes]:
             charts = projective_space_charts(d)
             assert set(charts) <= set(d.nodes)
+            marked = MarkedDiagram if d is full else MarkedResidue
             for m in d.nodes:
-                expected = is_projective_space(MarkedDiagram(d, frozenset({m})))
+                expected = is_projective_space(marked(d, frozenset({m})))
                 assert charts.get(m) == expected, (str(d), m)
 
 
@@ -268,26 +273,26 @@ def _two_marked_diagrams(max_rank):
 
 def test_tower_additivity_rank_at_most_6():
     # dim G/P({i,j}) = dim G/P({i}) + dim fiber, for every two-marked
-    # diagram of total rank <= 6
+    # diagram of total rank <= 6; the fiber is a residue, read by surgery
     for md in _two_marked_diagrams(6):
         total = gp_invariants(md).dim
         for keep in sorted(md.marks):
             base = gp_invariants(MarkedDiagram(md.diagram, frozenset({keep})))
-            fiber = gp_invariants(fibration_fiber(md, keep))
+            fiber = surgery_gp_invariants(fibration_fiber(md, keep))
             assert total == base.dim + fiber.dim, serialize(md)
 
 
 def test_mark_swap_symmetry_rank_at_most_6():
     # swapping the two marks permutes the index vector and swaps the two
-    # fibration fibers
+    # fibration fibers, whose dims come from surgery
     for md in _two_marked_diagrams(6):
         i, j = sorted(md.marks)
         inv = gp_invariants(md)
         assert inv.coefficient(i) == gp_invariants(
             MarkedDiagram(md.diagram, frozenset({i, j}))
         ).coefficient(i)
-        fib_i = gp_invariants(fibration_fiber(md, keep=i)).dim
-        fib_j = gp_invariants(fibration_fiber(md, keep=j)).dim
+        fib_i = surgery_gp_invariants(fibration_fiber(md, keep=i)).dim
+        fib_j = surgery_gp_invariants(fibration_fiber(md, keep=j)).dim
         base_i = gp_invariants(MarkedDiagram(md.diagram, frozenset({i}))).dim
         base_j = gp_invariants(MarkedDiagram(md.diagram, frozenset({j}))).dim
         assert base_i + fib_i == base_j + fib_j == inv.dim
@@ -296,8 +301,9 @@ def test_mark_swap_symmetry_rank_at_most_6():
 def test_residual_invariants_live_in_the_ambient_system():
     # the A2 x A1 residual of F4:2,3 has the invariants of P^2 x point
     fiber = fibration_fiber(parse("F4:2,3"), keep=3)
-    inv = gp_invariants(fiber)
+    inv = surgery_gp_invariants(fiber)
     assert (inv.dim, inv.picard, inv.index) == (2, 1, 3)
+    assert inv == brute_gp_invariants(fiber)
 
 
 # --- Levi factors against surgery ---------------------------------------------------
@@ -335,25 +341,31 @@ def test_levi_factors_match_surgery_on_products_up_to_rank_10():
     assert checked == 9_704
 
 
+def _assert_surgery_matches_the_root_sum(mr):
+    assert surgery_gp_invariants(mr) == brute_gp_invariants(mr), str(mr)
+
+
 def test_levi_factors_match_surgery_on_the_residues_of_these_tests():
-    # the fibration fibers of every two-marked diagram of rank <= 8, the
-    # one-node residues of every type of rank <= 10, and the F4 fiber
+    # production takes no residue, so the surgery that reads the residues
+    # of these tests is checked against the root sum: the fibration fibers
+    # of every two-marked diagram of rank <= 8, the one-node residues of
+    # every type of rank <= 10, and the F4 fiber
     checked = 0
     for factors in _all_factor_specs(8):
         d = diagram_of(factors)
         for marks in combinations(d.nodes, 2):
             md = MarkedDiagram(d, frozenset(marks))
             for keep in marks:
-                _assert_levi_path_matches_surgery(fibration_fiber(md, keep))
+                _assert_surgery_matches_the_root_sum(fibration_fiber(md, keep))
                 checked += 1
     for t in simple_types(10):
         full = diagram_of((t,))
         for k in full.nodes:
             residue = remove_node(full, k)
             for m in residue.nodes:
-                _assert_levi_path_matches_surgery(MarkedDiagram(residue, frozenset({m})))
+                _assert_surgery_matches_the_root_sum(MarkedResidue(residue, frozenset({m})))
                 checked += 1
-    _assert_levi_path_matches_surgery(fibration_fiber(parse("F4:2,3"), keep=3))
+    _assert_surgery_matches_the_root_sum(fibration_fiber(parse("F4:2,3"), keep=3))
     assert checked == 7_390
 
 
@@ -376,9 +388,22 @@ def test_gp_invariants_match_surgery_on_three_marks_up_to_rank_10():
     assert checked == 18_765
 
 
+def test_gp_invariants_match_surgery_on_four_and_five_marks_up_to_rank_9():
+    # Levi reads with four or five marks gone from one factor
+    checked = 0
+    for t in simple_types(9):
+        d = diagram_of((t,))
+        for k in (4, 5):
+            for marks in combinations(d.nodes, k):
+                md = MarkedDiagram(d, frozenset(marks))
+                assert gp_invariants(md) == surgery_gp_invariants(md), str(md)
+                checked += 1
+    assert checked == 2_052
+
+
 def test_gp_invariants_match_surgery_on_residues_with_up_to_three_marks():
     # every one- and two-node residue of every type of rank <= 8, cut by
-    # the oracle, with one to three marks
+    # the oracle, with one to three marks: surgery against the root sum
     checked = 0
     for t in ALL_SIMPLE:
         full = diagram_of((t,))
@@ -389,10 +414,11 @@ def test_gp_invariants_match_surgery_on_residues_with_up_to_three_marks():
                     residue = remove_node(residue, j)
                 for k in (1, 2, 3):
                     for marks in combinations(residue.nodes, k):
-                        md = MarkedDiagram(residue, frozenset(marks))
-                        assert gp_invariants(md) == surgery_gp_invariants(md), str(md)
+                        _assert_surgery_matches_the_root_sum(
+                            MarkedResidue(residue, frozenset(marks))
+                        )
                         checked += 1
-    assert checked > 0
+    assert checked == 14_952
 
 
 def test_gp_invariants_read_a_huge_diagram_per_mark():
@@ -407,9 +433,9 @@ def test_gp_invariants_read_a_huge_diagram_per_mark():
 
 
 def test_a_diagram_cannot_carry_an_edge_set_that_disagrees_with_its_factors():
-    # a Diagram is its factors and removed nodes, so P^3 reads as P^3
+    # a Diagram is its factors alone, so P^3 reads as P^3
     a3 = SimpleType("A", 3)
     with pytest.raises(TypeError):
-        Diagram((a3,), (), frozenset())
+        Diagram((a3,), frozenset())
     inv = gp_invariants(MarkedDiagram(Diagram((a3,)), frozenset({1})))
     assert (inv.dim, inv.index) == (3, 4)

@@ -143,15 +143,9 @@ BAD_CONSTRUCTIONS = [
         id="SimpleType-bool",
     ),
     pytest.param(lambda: Edge(1, 2, 2, 3), "arrow source must be an endpoint", id="Edge"),
+    pytest.param(lambda: Diagram(()), "a diagram has 1 or 2 factors", id="Diagram"),
     pytest.param(
-        lambda: Diagram((A2,), (2, 1)),
-        "removed nodes must be sorted ascending",
-        id="Diagram",
-    ),
-    pytest.param(
-        lambda: Diagram((A3,), (1, 1, 2)),
-        "removed nodes must be sorted ascending, each at most once",
-        id="Diagram-duplicate",
+        lambda: Diagram((A2, A3, A2)), "a diagram has 1 or 2 factors", id="Diagram-three-factors"
     ),
     pytest.param(
         lambda: MarkedDiagram(diagram_of((A2,)), frozenset()),
@@ -183,7 +177,7 @@ def test_each_checked_constructor_names_its_problem(build, message):
 BAD_REPLACEMENTS = [
     pytest.param(SimpleType("E", 6), {"rank": 5}, "use D5", id="SimpleType"),
     pytest.param(Edge(1, 2, 1, None), {"a": 5}, "a < b", id="Edge"),
-    pytest.param(diagram_of((A2,)), {"removed": (2, 1)}, "sorted ascending", id="Diagram"),
+    pytest.param(diagram_of((A2,)), {"factors": ()}, "1 or 2 factors", id="Diagram"),
     pytest.param(parse("A2:1"), {"marks": frozenset()}, "at least one mark", id="MarkedDiagram"),
     pytest.param(projective_space(2), {"dim": 0}, "must be positive", id="CyclicBase"),
     pytest.param(
