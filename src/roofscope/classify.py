@@ -1,27 +1,31 @@
-"""Classification of simple K-equivalent maps: theorem tables over the roof rows.
+"""Classification of simple K-equivalent maps: the roof rows cut by the query.
 
 A simple K-equivalent map X_1 --> X_2 blows up centers Y_i of
 codimension r, each a V_i-bundle over one base M, to one exceptional
 divisor, a bundle of roofs W over M; so dim X = dim M + dim W + 1, and
-the map is named by a roof family and r.  Each case of the
-classification is a theorem table that bounds r per family row of
-``roofs.FAMILY_SPECS`` by an interval (lo, hi), hi None when unbounded;
-no case reads a diagram.  The four cases:
+the map is named by a roof family and r.  Each row of
+``roofs.FAMILY_SPECS`` keeps the r its ``fibers`` list, cut only by what
+the query states and the row's closed-form triple computes; no case
+reads a diagram.  A codimension r keeps the rows that admit r, and a
+fiber gap g keeps on each row the one r with dim V_1 = g, since the
+fibers of Y_i -> M are the roof's V_i.  The four cases of the
+classification are rule names, each applied under its condition:
 
-* symplectic ambient variety (``_CASE_SYMPLECTIC``): the Mukai flop
-  alone, A_r^M at every r;
-* codimension 2 (``_CASE_CODIM_2``): A1xA1, A2^M, C2 and G2;
-* codimension at least the fiber dimension minus 2
-  (``_CASE_LARGE_CODIM``): both A families at every r, C2, D4 and
-  G2^dagger;
-* ambient dimension d <= 8 (``_CASE_DIM_8``), cut to the r with
-  dim W + 1 <= d by ``_dim_bound``.
+* symplectic ambient variety: the Mukai flop alone (``_SYMPLECTIC``);
+* codimension 2: the rows that admit r = 2, A1xA1, A2^M, C2 and G2;
+* codimension r at least the fiber gap minus 2: what the gap leaves,
+  as r >= dim V_1 - 2 then holds;
+* ambient dimension d <= 8: the r with dim W + 1 = dim V_1 + r <= d,
+  which drops A_{2r-2}^G, D_r and F4 at every r, and at most r = 3 on
+  both A rows (``_DIM_8_TOP``).
 
-One question is open in ``_CASE_DIM_8``: it bounds A_{r-1}xA_{r-1} and
-A_r^M by r <= 3, but dim W + 1 <= 8 admits r = 4 for both (A3xA3 has
-dim W = 6, A4^M has dim W = 7).  Either ``(r<=3)`` encodes a hypothesis
-of the dimension-8 theorem or the table is off by one; the paper text is
-needed to settle it, so the table stays as pinned.
+That each case lists every map is the paper's theorem, and the cuts
+only read the lists off the known rows; ``_SYMPLECTIC`` and
+``_DIM_8_TOP`` are the two theorem facts no row computes.  The second
+holds an open question: dim W + 1 <= 8 admits r = 4 on both A rows
+(A3xA3 has dim W = 6, A4^M has dim W = 7), so r <= 3 either encodes a
+hypothesis of the dimension-8 theorem or is off by one; the paper text
+is needed to settle it, so the cap stays as pinned.
 
 ``roofs`` and ``verify-table`` never load this module; ``classify`` does.
 """
@@ -51,40 +55,9 @@ class ClassificationQuery(
     __slots__ = ()
 
 
-# Each case bounds r per family by an interval (lo, hi); hi None is unbounded.
-_CASE_SYMPLECTIC = {Family.A_MUKAI: (2, None)}
-_CASE_CODIM_2 = {
-    Family.A_PRODUCT: (2, 2),
-    Family.A_MUKAI: (2, 2),
-    Family.C_FLAG: (2, 2),
-    Family.G2: (2, 2),
-}
-_CASE_LARGE_CODIM = {
-    Family.A_PRODUCT: (2, None),
-    Family.A_MUKAI: (2, None),
-    Family.C_FLAG: (2, 2),
-    Family.D_SPINOR: (4, 4),
-    Family.G2_DAGGER: (3, 3),
-}
-_CASE_DIM_8 = {
-    Family.A_PRODUCT: (2, 3),
-    Family.A_MUKAI: (2, 3),
-    Family.C_FLAG: (2, 2),
-    Family.G2: (2, 2),
-    Family.G2_DAGGER: (3, 3),
-}
-
-
-def _dim_bound(d: int) -> dict[Family, tuple[int, int]]:
-    """``_CASE_DIM_8`` cut to the r with dim W(f, r) + 1 <= d, since
-    dim X = dim M + dim W + 1, and dim W = dim V_1 + r - 1 grows with r."""
-    table = {}
-    for family, (lo, hi) in _CASE_DIM_8.items():
-        triple = FAMILY_SPECS[family].triple
-        while hi >= lo and triple(hi)[0] + hi > d:
-            hi -= 1
-        table[family] = (lo, hi)
-    return table
+# The two theorem facts that the rows' arithmetic does not give.
+_SYMPLECTIC = Family.A_MUKAI
+_DIM_8_TOP = {Family.A_PRODUCT: 3, Family.A_MUKAI: 3}
 
 
 # dim X = dim M + dim W + 1, and the smallest roof W is P^1 x P^1
@@ -105,21 +78,21 @@ class ClassificationResult(namedtuple("ClassificationResult", "available entries
 
 
 def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
-    """Apply the classification cases admitted by the query and intersect them.
+    """Apply the classification cases admitted by the query and cut each
+    family row by them.
 
-    Cases: symplectic total space (Mukai flop only); codimension 2;
-    codimension at least fiber dimension minus 2; ambient dimension d at
-    most 8, whose intervals are cut to dim W + 1 <= d (``_dim_bound``).
-    Each case bounds r per family by an interval, and a family
-    survives when it is in every applied case; its intervals and the
-    codimension r, as (r, r), are intersected.  A single r gives the
-    label at r (if the family admits it), a bounded range the generic
-    label with "(r<=hi)", no bound the generic label; an empty
-    intersection drops the family.  A query matching no case yields an
-    explicit unavailable result, not an empty list.  So does an ambient
-    dimension of 1 or 2, which no map reaches; its one applied rule says
-    why.  A fiber gap below 1 is refused: the fibers of Y_i -> M are the
-    roof's V_i, of dimension at least 1 (P^1 for the Atiyah flop).
+    Each row's r runs from its first fiber up, or is the codimension r
+    alone when the row admits it.  At d <= 8 its top falls to the largest
+    r with dim W + 1 <= d, and to 3 on both A rows; a fiber gap g leaves
+    the one r with dim V_1 = g.  Each cut is one ``FamilySpec.top_fiber``
+    bisection, as dim V_1 grows with r.  A single r gives the label at r,
+    a bounded range the generic label with "(r<=hi)", no bound the
+    generic label; an empty range drops the family.  A query matching no
+    case yields an explicit unavailable result, not an empty list.  So
+    does an ambient dimension of 1 or 2, which no map reaches; its one
+    applied rule says why.  A fiber gap below 1 is refused: the fibers
+    of Y_i -> M are the roof's V_i, of dimension at least 1 (P^1 for the
+    Atiyah flop).
     """
     if not (q.symplectic or q.dim_x is not None or q.r is not None or q.fiber_gap is not None):
         raise ValueError("at least one constraint is required")
@@ -135,35 +108,46 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     if q.dim_x is not None and q.dim_x < 3:
         return ClassificationResult(False, (), (_BELOW_DIM_3,))
 
-    cases: list[tuple[str, dict]] = []
-    if q.symplectic:
-        cases.append(("symplectic ambient variety", _CASE_SYMPLECTIC))
-    if q.r == 2:
-        cases.append(("codimension 2", _CASE_CODIM_2))
-    if q.r is not None and q.fiber_gap is not None and q.r >= q.fiber_gap - 2:
-        cases.append(("codimension >= fiber dimension - 2", _CASE_LARGE_CODIM))
-    if q.dim_x is not None and q.dim_x <= 8:
-        cases.append(("ambient dimension <= 8", _dim_bound(q.dim_x)))
-    if not cases:
+    large_codim = q.r is not None and q.fiber_gap is not None and q.r >= q.fiber_gap - 2
+    dim_8 = q.dim_x is not None and q.dim_x <= 8
+    cases = (
+        ("symplectic ambient variety", q.symplectic),
+        ("codimension 2", q.r == 2),
+        ("codimension >= fiber dimension - 2", large_codim),
+        ("ambient dimension <= 8", dim_8),
+    )
+    rules = tuple(name for name, applies in cases if applies)
+    if not rules:
         return ClassificationResult(False, (), ())
 
-    rules = tuple(name for name, _ in cases)
     entries = []
     for family, spec in FAMILY_SPECS.items():
-        bounds = [table[family] for _, table in cases if family in table]
-        if len(bounds) < len(cases):
+        if q.symplectic and family is not _SYMPLECTIC:
             continue
-        if q.r is not None:
-            bounds.append((q.r, q.r))
-        lo = max(b[0] for b in bounds)
-        hi = min((b[1] for b in bounds if b[1] is not None), default=None)
+        if q.r is None:
+            lo, _, hi = spec.fibers
+        elif spec.admits(q.r):
+            lo = hi = q.r
+        else:
+            continue
+        if dim_8:
+            # dim X = dim M + dim W + 1, and dim W = dim V_1 + r - 1 >= r
+            top = min(hi or q.dim_x, _DIM_8_TOP.get(family, q.dim_x))
+            hi = spec.top_fiber(lambda r: spec.triple(r)[0] + r <= q.dim_x, range(lo, top + 1))
+            if hi is None:
+                continue
+        if q.fiber_gap is not None:
+            # dim V_1 >= r - 1 on every row, so an open range ends by g + 1
+            g = q.fiber_gap
+            hi = spec.top_fiber(lambda r: spec.triple(r)[0] <= g, range(lo, (hi or g + 1) + 1))
+            if hi is None or spec.triple(hi)[0] != g:
+                continue
+            lo = hi
         if hi is None:
             label = family.value
         elif lo < hi:
             label = f"{family.value} (r<={hi})"
-        elif lo == hi and spec.admits(lo):
-            label = spec.label(lo)
         else:
-            continue
+            label = spec.label(lo)
         entries.append(ClassEntry(family, label, rules))
     return ClassificationResult(True, tuple(entries), rules)

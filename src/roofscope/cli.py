@@ -28,8 +28,8 @@ off it without argparse; any other argv (``--help``, an abbreviated or
 repeated flag, a bad value, ...) goes to argparse, which alone writes
 help and usage errors.  Each command imports the layer it runs when it
 runs: ``gp`` the diagram and G/P layers, ``roofs`` and ``verify-table``
-the roofs layer, ``classify`` the classification tables with the roofs
-layer whose family rows they read, and ``chow`` the bundle calculus alone,
+the roofs layer, ``classify`` the classification with the roofs layer
+whose family rows it cuts, and ``chow`` the bundle calculus alone,
 whose module also reads the element grammar and the base presets; this
 module only hands it the ``args``.  Importing this module loads only
 ``render``, and a well-formed query loads ``render`` and its layer;

@@ -33,12 +33,13 @@ record is listed when its row admits r and fits the rank bound, so
 ``enumerate_roofs`` costs O(1) per record: O(N) up to rank N, and O(1)
 for one fiber parameter.  A row's rank grows with r, so the largest r at
 which it fits a rank bound is one bisection over the r its ``fibers``
-list (``FamilySpec.top_fiber``): that row's widest record and largest
-integer, found at any rank.  The tests keep the chart join, the direct
-roof test of every diagram and family recognition as references and
-compare them with the rows.  The classification of simple K-equivalent
-maps, theorem tables over these rows, lives in ``classify``, which no
-``roofs`` or ``verify-table`` query loads.
+list (``FamilySpec.top_fiber``, which ``classify`` also cuts by): that
+row's widest record and largest integer, found at any rank.  The tests
+keep the chart join, the direct roof test of every diagram and family
+recognition as references and compare them with the rows.  The
+classification of simple K-equivalent maps, these rows cut by the query,
+lives in ``classify``, which no ``roofs`` or ``verify-table`` query
+loads.
 """
 
 from __future__ import annotations
@@ -96,18 +97,19 @@ class FamilySpec(namedtuple("FamilySpec", "label latex factors marks fibers trip
         """The total rank of the canonical diagram at r, 0 with none."""
         return 0 if self.factors is None else sum(t.rank for t in self.factors(r))
 
-    def top_fiber(self, max_rank: int, fibers: range) -> int | None:
-        """The largest r of ``fibers`` at which the row sits with a rank of
-        at most max_rank, None if there is none.  The rank grows with r,
-        so this is one bisection over the row's r in ``fibers``: at most
-        bit_length(#r) + 1 calls of ``rank``, at any size."""
+    def top_fiber(self, fits, fibers: range) -> int | None:
+        """The largest r of ``fibers`` at which the row sits and ``fits(r)``
+        holds, None if there is none.  ``fits`` must hold up to some r and
+        fail after it, as a bound on the rank or on dim V_1 does, so this
+        is one bisection over the row's r in ``fibers``: at most
+        bit_length(#r) + 1 calls of ``fits``, at any size."""
         first, step, last = self.fibers
         top = fibers.stop - 1 if last is None else min(last, fibers.stop - 1)
         lo, hi = -((first - max(first, fibers.start)) // step), (top - first) // step
         found = None
         while lo <= hi:
             k = (lo + hi) // 2
-            if self.rank(first + k * step) <= max_rank:
+            if fits(first + k * step):
                 found, lo = first + k * step, k + 1
             else:
                 hi = k - 1
@@ -344,7 +346,7 @@ def _top_fibers(max_total_rank: int, r_filter: int | None = None) -> Iterator[tu
     listed, when it is."""
     fibers = _fibers(max_total_rank, r_filter)
     for family, spec in FAMILY_SPECS.items():
-        r = spec.top_fiber(max_total_rank, fibers)
+        r = spec.top_fiber(lambda r: spec.rank(r) <= max_total_rank, fibers)
         if r is not None:
             yield family, r
 

@@ -13,7 +13,7 @@ import runpy
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from math import comb
 from pathlib import Path
 
@@ -257,8 +257,33 @@ def test_classify_refuses_a_fiber_gap_below_1_naming_the_value(fiber_gap):
         "error: the fiber gap dim Y_i - dim M of a simple K-equivalent map is at least 1, "
         f"got {fiber_gap}\n"
     )
-    # a gap of 1 is the Atiyah flop's, and it is answered
-    assert run("classify", "--codim", "3", "--fiber-gap", "1")[0] == 0
+    # a gap of 1 is the Atiyah flop's, A1xA1 at r = 2, and it is answered
+    code, out, _ = run("classify", "--codim", "2", "--fiber-gap", "1", "--format", "json")
+    assert code == 0
+    assert [e["family"] for e in json.loads(out)["families"]] == ["A1xA1"]
+    # no row has dim V_1 = 1 at r = 3
+    assert run("classify", "--codim", "3", "--fiber-gap", "1")[:2] == (3, "")
+
+
+def test_classify_cuts_an_open_range_by_the_fiber_gap_in_one_bisection(monkeypatch):
+    # the gap bounds r by g + 1, and each row's r is one bisection over that
+    # range: at most bit_length(g) + 1 calls of the bound, at any gap
+    top_fiber = roofs.FamilySpec.top_fiber
+    calls = {}
+
+    def counted(spec, fits, fibers):
+        def counted_fits(r):
+            calls[spec] = calls.get(spec, 0) + 1
+            return fits(r)
+
+        return top_fiber(spec, counted_fits, fibers)
+
+    monkeypatch.setattr(roofs.FamilySpec, "top_fiber", counted)
+    gap = 10**20
+    code, out, _ = run("classify", "--symplectic", "--fiber-gap", str(gap), "--format", "json")
+    assert code == 0
+    assert [e["family"] for e in json.loads(out)["families"]] == [f"A{gap}^M"]
+    assert calls and max(calls.values()) <= gap.bit_length() + 1
 
 
 # --- chow --------------------------------------------------------------------------
@@ -892,8 +917,11 @@ ROOT_SYSTEM_NAMES = """
 
 # what the classification section of roofs defined before it moved to classify
 CLASSIFY_NAMES = """
-    ClassificationQuery _CASE_SYMPLECTIC _CASE_CODIM_2 _CASE_LARGE_CODIM _CASE_DIM_8
-    _dim_bound _BELOW_DIM_3 ClassEntry ClassificationResult classify_simple_kequiv
+    ClassificationQuery _BELOW_DIM_3 ClassEntry ClassificationResult classify_simple_kequiv
+""".split()
+# the case tables and the dimension bound, which the cuts over the family rows replaced
+CLASSIFY_DELETED_NAMES = """
+    _CASE_SYMPLECTIC _CASE_CODIM_2 _CASE_LARGE_CODIM _CASE_DIM_8 _dim_bound
 """.split()
 
 
@@ -912,10 +940,65 @@ def test_dynkin_owns_the_types_and_no_root_system_module_is_left():
     exec("from roofscope import SimpleType, positive_root_count", namespace)
     assert namespace["SimpleType"] is roofscope.dynkin.SimpleType
     assert namespace["positive_root_count"] is roofscope.dynkin.positive_root_count
-    # the classification tables live in classify alone
+    # the classification lives in classify alone
     for name in CLASSIFY_NAMES:
         assert hasattr(roofscope.classify, name), name
         assert not hasattr(roofs, name), name
+    for name in CLASSIFY_DELETED_NAMES:
+        assert not hasattr(roofscope.classify, name), name
+        assert not hasattr(roofs, name), name
+
+
+def _resolve_dotted(name: str) -> bool:
+    """Whether a dotted name is a roofscope module or attribute, a name of
+    ``tests/oracles.py`` or a standard-library module or attribute."""
+    import oracles
+    import roofscope
+
+    head, *rest = name.split(".")
+    modules = [roofscope, oracles] + [
+        importlib.import_module(f"roofscope.{info.name}")
+        for info in pkgutil.iter_modules(roofscope.__path__)
+    ]
+    if head == "roofscope":
+        obj = roofscope
+    elif head in sys.stdlib_module_names:
+        obj = importlib.import_module(head)
+    else:
+        obj = next((getattr(m, head) for m in modules if hasattr(m, head)), None)
+        if obj is None:
+            return False
+    for part in rest:
+        if hasattr(obj, "__path__"):  # a package: part may be a submodule
+            with suppress(ModuleNotFoundError):
+                importlib.import_module(f"{obj.__name__}.{part}")
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_the_dotted_names_of_the_readme_and_the_module_docstrings_resolve():
+    import ast
+    import re
+
+    root = Path(__file__).resolve().parents[1]
+    dotted = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
+    names = {
+        "README.md": re.findall(rf"`({dotted})`", (root / "README.md").read_text()),
+    }
+    for path in sorted((root / "src" / "roofscope").glob("*.py")):
+        docstring = ast.get_docstring(ast.parse(path.read_text())) or ""
+        names[path.name] = re.findall(rf"``({dotted})``", docstring)
+    assert len(names["README.md"]) > 10
+    unresolved = {
+        (where, name) for where, found in names.items() for name in found
+        if not _resolve_dotted(name)
+    }
+    assert not unresolved
+    # a stale name fails: gone from the package, never there, or a variable
+    for name in ("homog._pspace_r", "roofscope.root_system", "Diagram.edges", "d.nodes"):
+        assert not _resolve_dotted(name), name
 
 
 def test_star_import_exports_the_public_api_from_its_modules():

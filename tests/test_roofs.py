@@ -579,10 +579,16 @@ def test_classify_symplectic():
 
 
 def test_classify_large_codimension_case():
+    # the fiber gap is dim V_1, so a row is listed only where its V_1 has
+    # that dimension: at r = 4, A3xA3, A4^M and D4 have dim V_1 = 3, 4, 6
+    for fiber_gap, labels in [(3, ["A3xA3"]), (4, ["A4^M"]), (6, ["D4"])]:
+        result = classify_simple_kequiv(ClassificationQuery(r=4, fiber_gap=fiber_gap))
+        assert result.labels() == labels, fiber_gap
+        assert result.applied_rules == ("codimension >= fiber dimension - 2",)
     result = classify_simple_kequiv(ClassificationQuery(r=4, fiber_gap=5))
-    assert set(result.labels()) == {"A3xA3", "A4^M", "D4"}
+    assert result.available and result.entries == ()
     result = classify_simple_kequiv(ClassificationQuery(r=3, fiber_gap=5))
-    assert set(result.labels()) == {"A2xA2", "A3^M", "G2^dagger"}
+    assert result.labels() == ["G2^dagger"]
 
 
 def test_classify_no_applicable_case():
@@ -601,19 +607,30 @@ def test_classify_requires_a_constraint():
         classify_simple_kequiv(ClassificationQuery(r=3, fiber_gap=0))
 
 
+def _families(q):
+    return {e.family for e in classify_simple_kequiv(q).entries}
+
+
 def test_classify_intersection_is_monotone():
     # strengthening a query never enlarges the family list
-    weaker = classify_simple_kequiv(ClassificationQuery(dim_x=8))
+    weaker = _families(ClassificationQuery(dim_x=8))
     for stronger_query in [
         ClassificationQuery(dim_x=8, r=2),
         ClassificationQuery(dim_x=8, r=3),
         ClassificationQuery(dim_x=8, symplectic=True),
         ClassificationQuery(dim_x=8, r=2, fiber_gap=4),
     ]:
-        stronger = classify_simple_kequiv(stronger_query)
-        weak_families = {e.family for e in weaker.entries}
-        strong_families = {e.family for e in stronger.entries}
-        assert strong_families <= weak_families, stronger_query
+        assert _families(stronger_query) <= weaker, stronger_query
+    # nor does adding a fiber gap to a query that has a classification
+    for dim_x in (None, 3, 5, 8, 9):
+        for r in (None, 2, 3, 4, 6):
+            for symplectic in (False, True):
+                q = ClassificationQuery(dim_x, r, None, symplectic)
+                if q == ClassificationQuery() or not classify_simple_kequiv(q).available:
+                    continue
+                for fiber_gap in [*range(1, 25), 10**20]:
+                    stronger_query = q._replace(fiber_gap=fiber_gap)
+                    assert _families(stronger_query) <= _families(q), stronger_query
 
 
 def test_classify_symplectic_with_codim_instantiates():
@@ -657,11 +674,19 @@ def _dim_w(spec, r):
     return gp_invariants(spec.marked(r)).dim
 
 
+def _dim_v1(spec, r):
+    # V_1 keeps the smaller mark; the fibers of Y_i -> M are the V_i
+    if spec.factors is None:
+        return G2_DAGGER_RECORD.dim_V1
+    md = spec.marked(r)
+    return gp_invariants(MarkedDiagram(md.diagram, frozenset({min(md.marks)}))).dim
+
+
 def test_classification_matches_the_r_set_oracle():
     checked = 0
     for dim_x in (None, 3, 5, 7, 8, 9, 100):
         for r in (None, 2, 3, 4, 5, 6, 8):
-            for fiber_gap in (None, 2, 4, 5, 6, 7, 10):
+            for fiber_gap in (None, 1, 2, 3, 4, 5, 6, 7, 10):
                 for symplectic in (False, True):
                     q = ClassificationQuery(dim_x, r, fiber_gap, symplectic)
                     if q == ClassificationQuery():
@@ -682,6 +707,8 @@ def test_classification_matches_the_r_set_oracle():
                         if "ambient dimension <= 8" in applied:
                             # dim X = dim M + dim W + 1, with dim W read off W itself
                             allowed = {k for k in allowed if _dim_w(spec, k) + 1 <= dim_x}
+                        if fiber_gap is not None:
+                            allowed = {k for k in allowed if _dim_v1(spec, k) == fiber_gap}
                         if not allowed:
                             continue
                         if len(allowed) == 1:

@@ -197,6 +197,23 @@ def _top_fiber_by_formula(family: Family, n: int) -> int | None:
     return top if top is not None and FAMILY_SPECS[family].admits(top) else None
 
 
+def test_top_fiber_agrees_with_a_linear_scan_under_each_bound():
+    # the three bounds it bisects by, each holding up to some r and failing
+    # after it: the rank (roofs), dim W + 1 = dim V_1 + r and dim V_1 (classify)
+    for spec in FAMILY_SPECS.values():
+        for bound in range(1, 65):
+            for fits in (
+                lambda r: spec.rank(r) <= bound,
+                lambda r: spec.triple(r)[0] + r <= bound,
+                lambda r: spec.triple(r)[0] <= bound,
+            ):
+                for fibers in (range(2, 67), range(3, 67), range(4, bound + 2)):
+                    scan = [r for r in fibers if spec.admits(r) and fits(r)]
+                    assert spec.top_fiber(fits, fibers) == max(scan, default=None), (
+                        spec.label(4), bound, fibers,
+                    )
+
+
 @pytest.mark.parametrize("n", [10**5, 10**18, 10**20])
 def test_the_widest_records_sit_at_each_rows_largest_fitting_r(monkeypatch, n):
     # one bisection per row finds its largest fitting r at any rank, with
