@@ -15,9 +15,11 @@ classification are rule names, each applied under its condition:
 * codimension 2: the rows that admit r = 2, A1xA1, A2^M, C2 and G2;
 * codimension r at least the fiber gap minus 2: what the gap leaves,
   as r >= dim V_1 - 2 then holds;
-* ambient dimension d <= 8: the r with dim W + 1 = dim V_1 + r <= d,
-  which drops A_{2r-2}^G, D_r and F4 at every r, and at most r = 3 on
-  both A rows (``_DIM_8_TOP``).
+* ambient dimension d <= 8: at most r = 3 on both A rows
+  (``_DIM_8_TOP``); the cut by d drops A_{2r-2}^G, D_r and F4.
+
+Under any case an ambient dimension d keeps on each row the r with
+dim W + 1 = dim V_1 + r <= d.
 
 That each case lists every map is the paper's theorem, and the cuts
 only read the lists off the known rows; ``_SYMPLECTIC`` and
@@ -82,17 +84,17 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     family row by them.
 
     Each row's r runs from its first fiber up, or is the codimension r
-    alone when the row admits it.  At d <= 8 its top falls to the largest
-    r with dim W + 1 <= d, and to 3 on both A rows; a fiber gap g leaves
-    the one r with dim V_1 = g.  Each cut is one ``FamilySpec.top_fiber``
-    bisection, as dim V_1 grows with r.  A single r gives the label at r,
-    a bounded range the generic label with "(r<=hi)", no bound the
-    generic label; an empty range drops the family.  A query matching no
-    case yields an explicit unavailable result, not an empty list.  So
-    does an ambient dimension of 1 or 2, which no map reaches; its one
-    applied rule says why.  A fiber gap below 1 is refused: the fibers
-    of Y_i -> M are the roof's V_i, of dimension at least 1 (P^1 for the
-    Atiyah flop).
+    alone when the row admits it.  Given d, its top falls to the largest
+    r with dim W + 1 <= d, and at d <= 8 to 3 on both A rows; a fiber
+    gap g leaves the one r with dim V_1 = g.  Each cut is one
+    ``FamilySpec.top_fiber`` bisection, as dim V_1 grows with r.  A single
+    r gives the label at r, a bounded range the generic label with
+    "(r<=hi)", no bound the generic label; an empty range drops the
+    family.  A query matching no case yields an explicit unavailable
+    result, not an empty list.  So does an ambient dimension of 1 or 2,
+    which no map reaches; its one applied rule says why.  A fiber gap
+    below 1 is refused: the fibers of Y_i -> M are the roof's V_i, of
+    dimension at least 1 (P^1 for the Atiyah flop).
     """
     if not (q.symplectic or q.dim_x is not None or q.r is not None or q.fiber_gap is not None):
         raise ValueError("at least one constraint is required")
@@ -130,9 +132,10 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
             lo = hi = q.r
         else:
             continue
-        if dim_8:
+        if q.dim_x is not None:
             # dim X = dim M + dim W + 1, and dim W = dim V_1 + r - 1 >= r
-            top = min(hi or q.dim_x, _DIM_8_TOP.get(family, q.dim_x))
+            cap = _DIM_8_TOP.get(family, q.dim_x) if dim_8 else q.dim_x
+            top = min(hi or q.dim_x, cap)
             hi = spec.top_fiber(lambda r: spec.triple(r)[0] + r <= q.dim_x, range(lo, top + 1))
             if hi is None:
                 continue

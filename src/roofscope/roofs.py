@@ -27,15 +27,16 @@ single-marked factors are P^{r-1} for the same r, so it is P^{r-1} x
 P^{r-1}: the A_{r-1}xA_{r-1} row, reported in that A-form, since a C_m
 factor marked at its short end is the same variety as an end-marked
 A_{2m-1} chain.  Every walk reads the eight rows in table order, and
-``_record`` builds a row's record at r: from its factors and marks by
-three O(1) ``gp_invariants`` calls, or the fixed G2^dagger record.  A
-record is listed when its row admits r and fits the rank bound, so
-``enumerate_roofs`` costs O(1) per record: O(N) up to rank N, and O(1)
-for one fiber parameter.  A row's rank grows with r, so the largest r at
-which it fits a rank bound is one bisection over the r its ``fibers``
-list (``FamilySpec.top_fiber``, which ``classify`` also cuts by): that
-row's widest record and largest integer, found at any rank.  The tests
-keep the chart join, the direct roof test of every diagram and family
+``_record`` reads a row's record at r off its triple and canonical
+diagram.  A record is listed when its row admits r and fits the rank
+bound, so ``enumerate_roofs`` costs O(1) per record: O(N) up to rank N,
+and O(1) for one fiber parameter.  Only ``verify_paper_table``
+recomputes the triples, by ``gp_invariants`` on the rows' diagrams.  A
+row's rank grows with r, so the largest r at which it fits a rank bound
+is one bisection over the r its ``fibers`` list
+(``FamilySpec.top_fiber``, which ``classify`` also cuts by): that row's
+widest record and largest integer, found at any rank.  The tests keep
+the chart join, the direct roof test of every diagram and family
 recognition as references and compare them with the rows.  The
 classification of simple K-equivalent maps, these rows cut by the query,
 lives in ``classify``, which no ``roofs`` or ``verify-table`` query
@@ -70,17 +71,19 @@ class Family(enum.Enum):
         return FAMILY_SPECS[self].label(r)
 
 
-class FamilySpec(namedtuple("FamilySpec", "label latex factors marks fibers triple")):
-    """One roof family, each field but ``fibers`` a function of the fiber
-    parameter r.
+class FamilySpec(
+    namedtuple("FamilySpec", "label latex factors marks fibers triple notes", defaults=("",))
+):
+    """One roof family, each field but ``fibers`` and ``notes`` a function
+    of the fiber parameter r.
 
     ``factors`` and ``marks`` (the two marks, ascending) give the
     canonical marked diagram; both are None for G2^dagger, which has
     none, so its ``rank`` is 0: it fits every rank bound at r = 3.
     ``fibers`` is (first, step, last): the row sits at r = first,
     first + step, ... up to last, None when unbounded.  ``triple`` is the
-    closed-form (dim V_1, index V_1, index V_2) that
-    ``verify_paper_table`` checks.
+    closed-form (dim V_1, index V_1, index V_2) that the records read and
+    ``verify_paper_table`` checks.  ``notes`` is the records' notes column.
     """
 
     __slots__ = ()
@@ -150,7 +153,13 @@ def _a(n: int) -> tuple[SimpleType, ...]:
 #   residues of these five types).
 #
 # Each solution is a single-factor row; the tests compare the rows with
-# the chart join itself on every type up to rank 512.
+# the chart join itself on every type up to rank 512.  The records read
+# each row's triple, which verify-table recomputes by gp_invariants on the
+# row's diagram, and the two agree at every r: past the small ranks, where
+# a Levi component next to a mark is empty or changes letter, rank and
+# marks are affine in r, positive_root_count is quadratic in the rank and
+# _two_rho in rank and position, so both sides are polynomials in r of
+# degree <= 2, and the tests check them at every r <= 64 and near 10^18.
 FAMILY_SPECS: dict[Family, FamilySpec] = {
     Family.A_PRODUCT: FamilySpec(
         label=lambda r: f"A{r - 1}xA{r - 1}",
@@ -215,6 +224,8 @@ FAMILY_SPECS: dict[Family, FamilySpec] = {
         marks=None,
         fibers=(3, 1, 3),
         triple=lambda r: (5, 5, 5),
+        notes="projectivized Ottaviani bundle on Q5: stable, Chern classes "
+        "(2,2,2) in the integral Chow units of Q5",
     ),
 }
 
@@ -262,29 +273,6 @@ class RoofRecord(
         )
 
 
-def _g2_dagger_record() -> RoofRecord:
-    """The non-homogeneous roof, read off its table row at r = 3: both
-    contractions land on Q^5, so dim V_2 = dim V_1."""
-    r = 3
-    dim, index_1, index_2 = FAMILY_SPECS[Family.G2_DAGGER].triple(r)
-    return RoofRecord(
-        family=Family.G2_DAGGER.label(r),
-        r=r,
-        diagram=NON_HOMOGENEOUS,
-        dim_W=dim + r - 1,
-        dim_V1=dim,
-        dim_V2=dim,
-        index_V1=index_1,
-        index_V2=index_2,
-        homogeneous=False,
-        notes="projectivized Ottaviani bundle on Q5: stable, Chern classes "
-        "(2,2,2) in the integral Chow units of Q5",
-    )
-
-
-G2_DAGGER_RECORD = _g2_dagger_record()
-
-
 def _check_index(md: MarkedDiagram, r: int) -> VarietyInvariants:
     """The invariants of the roof md, whose index vector must be (r, r)."""
     w = gp_invariants(md)
@@ -305,10 +293,7 @@ def _fibers(max_rank: int, r_filter: int | None) -> range:
     return range(2, max(max_rank, 2) + 2) if r_filter is None else range(r_filter, r_filter + 1)
 
 
-def enumerate_roofs(
-    max_total_rank: int,
-    r_filter: int | None = None,
-) -> list[RoofRecord]:
+def enumerate_roofs(max_total_rank: int, r_filter: int | None = None) -> list[RoofRecord]:
     """Every roof whose canonical diagram has total rank <= max_total_rank,
     sorted by (r, family, total rank, diagram), one record per row
     instance (see the module docstring), each with its index vector
@@ -371,27 +356,27 @@ def _largest_integer(max_total_rank: int, r_filter: int | None = None) -> int:
 
 
 def _record(family: Family, r: int) -> RoofRecord:
-    """The record of the row at r: W from its canonical diagram's own
-    invariants, V_1 and V_2 from that diagram marked at the smaller and
-    at the larger mark alone; G2^dagger's is ``G2_DAGGER_RECORD``."""
-    if family is Family.G2_DAGGER:
-        return G2_DAGGER_RECORD
-    md = FAMILY_SPECS[family].marked(r)
-    w = _check_index(md, r)
-    (i, _), (j, _) = w.index_vector
-    v1 = gp_invariants(MarkedDiagram(md.diagram, frozenset({i})))
-    v2 = gp_invariants(MarkedDiagram(md.diagram, frozenset({j})))
+    """The record of the row at r, read off the row: both contractions
+    have the triple's dim V_1, W is a P^(r-1)-bundle over each, and the
+    diagram is the row's canonical one, or none for G2^dagger."""
+    spec = FAMILY_SPECS[family]
+    dim, index_1, index_2 = spec.triple(r)
+    homogeneous = spec.factors is not None
     return RoofRecord(
-        family=family.label(r),
+        family=spec.label(r),
         r=r,
-        diagram=serialize(md),
-        dim_W=w.dim,
-        dim_V1=v1.dim,
-        dim_V2=v2.dim,
-        index_V1=v1.index,
-        index_V2=v2.index,
-        homogeneous=True,
+        diagram=serialize(spec.marked(r)) if homogeneous else NON_HOMOGENEOUS,
+        dim_W=dim + r - 1,
+        dim_V1=dim,
+        dim_V2=dim,
+        index_V1=index_1,
+        index_V2=index_2,
+        homogeneous=homogeneous,
+        notes=spec.notes,
     )
+
+
+G2_DAGGER_RECORD = _record(Family.G2_DAGGER, 3)
 
 
 # --- reference table -----------------------------------------------------------
@@ -428,11 +413,13 @@ def _computed_triple(family: Family, r: int) -> tuple[int, int, int]:
         # when that H-coefficient vanishes; the tests check this against
         # the canonical class that chow computes in the bundle ring.
         q5 = gp_invariants(parse("B3:1"))
-        if q5.index != _OTTAVIANI_C1 + _OTTAVIANI_RANK:
-            return (q5.dim, -1, -1)
-        return (q5.dim, q5.index, q5.index)
-    rec = _record(family, r)
-    return (rec.dim_V1, rec.index_V1, rec.index_V2)
+        index = q5.index if q5.index == _OTTAVIANI_C1 + _OTTAVIANI_RANK else -1
+        return (q5.dim, index, index)
+    md = FAMILY_SPECS[family].marked(r)
+    w = _check_index(md, r)
+    v1, v2 = (gp_invariants(MarkedDiagram(md.diagram, frozenset({m}))) for m in sorted(md.marks))
+    # W is a P^(r-1)-bundle over each V_i; dimensions that disagree fail the row
+    return (v1.dim if w.dim - r + 1 == v1.dim == v2.dim else -1, v1.index, v2.index)
 
 
 def verify_paper_table(r_max: int) -> TableReport:

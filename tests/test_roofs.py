@@ -10,6 +10,7 @@ import roofscope.homog
 import roofscope.roofs
 from oracles import (
     _family_of,
+    _parsed_record,
     _pspace_r,
     _residue_charts,
     component_charts,
@@ -44,6 +45,7 @@ from roofscope.roofs import (
     _computed_triple,
     _record,
     _roof_stream,
+    _table_rows,
     _widest_records,
 )
 
@@ -235,6 +237,24 @@ def test_record_invariants_hold_exhaustively():
         i, j = sorted(md.marks)
         assert gp_invariants(MarkedDiagram(md.diagram, frozenset({i}))).index == rec.index_V1
         assert gp_invariants(MarkedDiagram(md.diagram, frozenset({j}))).index == rec.index_V2
+    # each record is read off its row's triple; past the small ranks both
+    # the triple and the diagram's invariants are polynomials in r of
+    # degree <= 2 (the FAMILY_SPECS comment), so three r near 10^18 check
+    # an unbounded row beyond every r <= 64
+    checked = 0
+    for family, spec in FAMILY_SPECS.items():
+        if spec.factors is None:
+            continue
+        first, step, last = spec.fibers
+        k = (10**18 - first) // step
+        far = [] if last is not None else [first + step * (k + i) for i in range(3)]
+        for r in [*range(first, min(last or 64, 64) + 1, step), *far]:
+            rec, md = _record(family, r), spec.marked(r)
+            assert rec == _parsed_record(md, family, r), (family, r)
+            w = gp_invariants(md)  # W's own, not dim V_1 + r - 1
+            assert (w.dim, w.coefficients()) == (rec.dim_W, (r, r)), (family, r)
+            checked += 1
+    assert checked == 63 + 63 + 62 + 32 + 61 + 1 + 1 + 5 * 3
 
 
 def test_enumeration_is_deterministic():
@@ -325,18 +345,21 @@ def test_residue_charts_match_component_at_up_to_rank_96():
 
 
 def test_candidates_read_classical_residues_without_surgery(monkeypatch):
-    # building a record reads each of its at most four marks' (W's two,
-    # V_1's and V_2's) at most three neighbours through component_at, with
-    # at most both marks removed: no residue is cut or read whole
+    # the records read no diagram; recomputing a table row reads each of
+    # its at most four marks' (W's two, V_1's and V_2's) at most three
+    # neighbours through component_at, with at most both marks removed: no
+    # residue is cut or read whole
     components = _count_component_at(monkeypatch)
-    records = enumerate_roofs(64)
-    assert ("D64", 64, "D64:63,64") in {(rec.family, rec.r, rec.diagram) for rec in records}
+    assert len(enumerate_roofs(64)) == 211 and components == []
+    rows = list(_table_rows(64))
+    assert ("D64", 64) in {(row.family, row.r) for row in rows}
     assert components and all(len(gone) <= 2 for _, gone in components)
-    assert len(components) <= 4 * 3 * len(records)
+    assert len(components) <= 4 * 3 * len(rows)
 
 
 def test_enumeration_parses_no_diagram(monkeypatch):
-    # every record is built from its row's factors and marks
+    # every record is read off its row, and each table row's diagram is
+    # built from the row's factors and marks
     parsed = []
 
     def counting_parse(text):
@@ -574,8 +597,9 @@ def test_classify_codim_2():
 def test_classify_symplectic():
     result = classify_simple_kequiv(ClassificationQuery(symplectic=True))
     assert result.labels() == ["A_r^M"]
+    # dim X = dim M + dim W + 1 at any d, and A_r^M has dim W = 2r - 1
     result = classify_simple_kequiv(ClassificationQuery(symplectic=True, dim_x=10))
-    assert result.labels() == ["A_r^M"]
+    assert result.labels() == ["A_r^M (r<=5)"]
 
 
 def test_classify_large_codimension_case():
@@ -639,8 +663,9 @@ def test_classify_symplectic_with_codim_instantiates():
 
 
 # The four cases written out as the r each family may take; an unbounded
-# set is capped at R_CAP.
-R_CAP = 30
+# set is capped at R_CAP, above every r that the grid's largest ambient
+# dimension d = 100 admits (r < dim V_1 + r = dim W + 1 <= d).
+R_CAP = 100
 ANY_R = frozenset(range(2, R_CAP + 1))
 ORACLE_CASES = {
     "symplectic ambient variety": {Family.A_MUKAI: ANY_R},
@@ -704,8 +729,8 @@ def test_classification_matches_the_r_set_oracle():
                         for name in applied:
                             allowed &= ORACLE_CASES[name].get(family, set())
                         allowed = {k for k in allowed if spec.admits(k)}
-                        if "ambient dimension <= 8" in applied:
-                            # dim X = dim M + dim W + 1, with dim W read off W itself
+                        if dim_x is not None:
+                            # dim X = dim M + dim W + 1 at any d, with dim W read off W itself
                             allowed = {k for k in allowed if _dim_w(spec, k) + 1 <= dim_x}
                         if fiber_gap is not None:
                             allowed = {k for k in allowed if _dim_v1(spec, k) == fiber_gap}
@@ -758,6 +783,21 @@ def test_g2_dagger_row_fails_when_the_certificate_does(monkeypatch):
     monkeypatch.setattr(roofscope.roofs, "_OTTAVIANI_C1", 1)
     (row,) = [row for row in verify_paper_table(3).rows if row.family == "G2^dagger"]
     assert row.computed == (5, -1, -1) and not row.ok
+
+
+def test_a_row_whose_contractions_disagree_in_dimension_fails(monkeypatch):
+    # W is a P^(r-1)-bundle over each V_i, so verify-table holds the three
+    # dimensions it computes together and reads dim V_1 as -1 when they differ
+    honest = roofscope.roofs.gp_invariants
+
+    def faulty(md):
+        inv = honest(md)
+        return inv._replace(dim=inv.dim + 1) if str(md) == "D5:5" else inv
+
+    monkeypatch.setattr(roofscope.roofs, "gp_invariants", faulty)
+    (row,) = [row for row in verify_paper_table(5).rows if row.family == "D5"]
+    assert row.computed == (-1, 8, 8) and not row.ok
+    assert verify_paper_table(4).all_pass
 
 
 def test_roof_record_validates_dimension_additivity():
