@@ -69,7 +69,7 @@ _BELOW_DIM_3 = (
 )
 
 
-ClassEntry = namedtuple("ClassEntry", "family label rules")
+ClassEntry = namedtuple("ClassEntry", "family label")
 
 
 class ClassificationResult(namedtuple("ClassificationResult", "available entries applied_rules")):
@@ -152,5 +152,5 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
             label = f"{family.value} (r<={hi})"
         else:
             label = spec.label(lo)
-        entries.append(ClassEntry(family, label, rules))
+        entries.append(ClassEntry(family, label))
     return ClassificationResult(True, tuple(entries), rules)

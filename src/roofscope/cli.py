@@ -4,7 +4,9 @@ Commands: gp, roofs, verify-table, classify, and chow with the
 subcommands reduce, degree, canonical, mukai-check and discrepancy.
 Every command takes --format {table,json,csv,latex}.  Exit codes:
 0 success, 1 verification failure, 2 usage or parse error, 3 no result.
-Rendering lives in ``render``; the libraries never print.
+``_emit`` writes every answer through ``render``, and a reader that
+closes the pipe early (``| head``) ends any command, ``--help``
+included, quietly with its usual exit code; the libraries never print.
 
 ``roofs`` prints each record as it is built, from the generator behind
 ``enumerate_roofs`` (``roofs._roof_stream``), so its memory stays flat
@@ -15,12 +17,11 @@ eight records, each family row's widest at the largest r that fits
 comes at once at any rank.  ``verify-table`` checks every row, keeping
 only the failing ones, and then prints: ``roofs._table_rows`` replays
 each passing row with its computed triple as its expected one, which it
-equals, so its memory stays flat too.  When the reader closes the pipe
-early (``| head``), either command stops writing without a traceback and
-exits as it would have: 0, or 1 when a table row fails.  An answer that
-holds an integer past the interpreter's print limit is refused with
-exit 2 before any of it is written (``render.text``); ``roofs`` reads its
-largest integer off the closed-form triples (``roofs._largest_integer``).
+equals, so its memory stays flat too, and a failing row exits 1 even
+after the reader has left.  An answer that holds an integer past the
+interpreter's print limit is refused with exit 2 before any of it is
+written (``render.text``); ``roofs`` reads its largest integer off the
+closed-form triples (``roofs._largest_integer``).
 
 The grammar is one table, ``GRAMMAR``.  ``build_parser`` makes the
 argparse parser from it, and ``_read_argv`` reads a well-formed query
@@ -78,29 +79,33 @@ def _ring_from_args(args) -> chow.BundleChowRing:
 # --- command bodies ------------------------------------------------------------
 
 
-def _emit(fmt: str, headers, rows, payload, widest=None) -> None:
-    """Write one answer to stdout as it is built.  ``rows`` returns the
-    rows, and ``payload``, called for JSON only, returns the JSON payload.
-    The table sizes its columns on ``widest()``, called first, when given
-    (see ``render.render_table``), and on a first call of ``rows()``
-    otherwise."""
-    if fmt == "table":
-        render.render_table(sys.stdout, headers, (widest or rows)(), rows())
-    elif fmt == "csv":
-        render.render_csv(sys.stdout, headers, rows())
-    elif fmt == "json":
-        render.render_json(sys.stdout, payload())
-    else:
-        render.render_latex(sys.stdout, headers, rows())
-
-
-def _stream(write) -> None:
-    """Run ``write``, which streams an answer to stdout, and flush.  A
-    reader that closes the pipe early (``| head``) ends the output
-    quietly: stdout is pointed at the null device, so that the
-    interpreter's own flush at exit stays silent too."""
+def _emit(fmt: str, headers, rows, payload, widest=None, raw=False) -> None:
+    """Write one answer to stdout as it is built, then ``_flush``.  ``rows``
+    returns the rows; ``payload``, called for JSON only, the JSON payload.
+    The table sizes its columns on ``widest()``, called first, if given,
+    else on a first call of ``rows()``.  A report has no headers: each
+    one-cell row is a line.  LaTeX cells are escaped unless ``raw``."""
     try:
-        write()
+        if fmt == "json":
+            render.render_json(sys.stdout, payload())
+        elif not headers:
+            for (line,) in rows():
+                sys.stdout.write(f"{line}\n")
+        elif fmt == "table":
+            render.render_table(sys.stdout, headers, (widest or rows)(), rows())
+        elif fmt == "csv":
+            render.render_csv(sys.stdout, headers, rows())
+        else:
+            render.render_latex(sys.stdout, headers, rows(), raw)
+    except BrokenPipeError:
+        pass  # the reader left (``| head``): write no more
+    _flush()
+
+
+def _flush() -> None:
+    """Flush stdout.  If its reader has closed the pipe, stdout is pointed
+    at the null device, so the interpreter's own flush at exit is silent."""
+    try:
         sys.stdout.flush()
     except BrokenPipeError:
         import os
@@ -157,7 +162,7 @@ def cmd_roofs(args) -> int:
             ]
             for family, rec in roofs._roof_stream(args.max_rank, args.fiber)
         )
-        _stream(lambda: render.render_latex(sys.stdout, headers, rows, raw_columns=(0, 1, 2)))
+        _emit("latex", headers, lambda: rows, None, raw=True)
         return EXIT_OK
 
     def records():
@@ -170,7 +175,7 @@ def cmd_roofs(args) -> int:
         return roofs._widest_records(args.max_rank, args.fiber)
 
     headers = list(roofs.RoofRecord._fields)
-    _stream(lambda: _emit(args.format, headers, records, payload, widest))
+    _emit(args.format, headers, records, payload, widest)
     return EXIT_OK
 
 
@@ -202,7 +207,7 @@ def cmd_verify_table(args) -> int:
         )
 
     headers = ["family", "r", "computed", "expected", "status"]
-    _stream(lambda: _emit(args.format, headers, rows, payload))
+    _emit(args.format, headers, rows, payload)
     for row in failed.values():
         print(
             f"verification failed: {row.family} computed {row.computed}, "
@@ -232,11 +237,12 @@ def cmd_classify(args) -> int:
             print(rule, file=sys.stderr)
         return EXIT_NO_RESULT
     headers = ["family", "matched rules"]
-    rows = [[e.label, "; ".join(e.rules)] for e in result.entries]
+    rules = list(result.applied_rules)
+    rows = [[e.label, "; ".join(rules)] for e in result.entries]
     payload = {
-        "applied_rules": list(result.applied_rules),
+        "applied_rules": rules,
         "families": [
-            {"family": e.label, "generic": e.family.value, "rules": list(e.rules)}
+            {"family": e.label, "generic": e.family.value, "rules": rules}
             for e in result.entries
         ],
     }
@@ -244,26 +250,16 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _print_element(fmt: str, label: str, el: chow.ChowElement) -> None:
-    text = render.text(el)
+def _emit_value(fmt: str, label: str, value) -> None:
+    text = render.text(value)
     _emit(fmt, [label], lambda: [[text]], lambda: {label: text})
-
-
-def _emit_verdict(fmt: str, payload, lines, ok: bool) -> int:
-    """A check's JSON payload, or its report lines in every other format."""
-    if fmt == "json":
-        render.render_json(sys.stdout, payload)
-    else:
-        for line in lines:
-            print(line)
-    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_chow_reduce(args) -> int:
     from .chow import parse_element
 
     ring = _ring_from_args(args)
-    _print_element(args.format, "normal_form", parse_element(args.element, ring))
+    _emit_value(args.format, "normal_form", parse_element(args.element, ring))
     return EXIT_OK
 
 
@@ -271,13 +267,12 @@ def cmd_chow_degree(args) -> int:
     from .chow import parse_element
 
     ring = _ring_from_args(args)
-    text = render.text(ring.degree(parse_element(args.element, ring)))
-    _emit(args.format, ["degree"], lambda: [[text]], lambda: {"degree": text})
+    _emit_value(args.format, "degree", ring.degree(parse_element(args.element, ring)))
     return EXIT_OK
 
 
 def cmd_chow_canonical(args) -> int:
-    _print_element(args.format, "anticanonical", _ring_from_args(args).canonical_class())
+    _emit_value(args.format, "anticanonical", _ring_from_args(args).canonical_class())
     return EXIT_OK
 
 
@@ -292,7 +287,8 @@ def cmd_chow_mukai_check(args) -> int:
         "minus_k": verdict.minus_k,
         "suggested_twist": verdict.suggested_twist,
     }
-    return _emit_verdict(args.format, payload, verdict.lines(), verdict.passed)
+    _emit(args.format, (), lambda: ([line] for line in verdict.lines()), lambda: payload)
+    return EXIT_OK if verdict.passed else EXIT_VERIFY
 
 
 def cmd_chow_discrepancy(args) -> int:
@@ -303,7 +299,8 @@ def cmd_chow_discrepancy(args) -> int:
         _emit(args.format, ["discrepancy"], lambda: [[value]], lambda: {"discrepancy": value})
         return EXIT_OK
     verdict = kequiv_forces_equal_codim(args.codim, args.codim2)
-    return _emit_verdict(args.format, verdict._asdict(), verdict.lines(), verdict.consistent)
+    _emit(args.format, (), lambda: ([line] for line in verdict.lines()), verdict._asdict)
+    return EXIT_OK if verdict.consistent else EXIT_VERIFY
 
 
 # --- the grammar ----------------------------------------------------------------
@@ -531,8 +528,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # argparse wrote its help or refused the input
+            _flush()
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        except BrokenPipeError:  # its help met a closed pipe, and argparse let it out
+            _flush()
+            return EXIT_OK
         # argparse stores an option value of exactly "--" (as in --element=--)
         # as an empty list; no option of this parser takes a list
         if [] in vars(args).values():

@@ -95,13 +95,11 @@ def latex_escape(text: str) -> str:
     return "".join(out)
 
 
-def render_latex(out, headers: Sequence[str], rows: Iterable[Sequence], raw_columns=()) -> None:
-    """A plain tabular; cells are escaped unless their column is listed raw."""
+def render_latex(out, headers: Sequence[str], rows: Iterable[Sequence], raw=False) -> None:
+    """A plain tabular; cells are escaped unless ``raw``."""
     def line(cells) -> str:
-        escaped = (
-            _cell(v) if k in raw_columns else latex_escape(_cell(v)) for k, v in enumerate(cells)
-        )
-        return " & ".join(escaped) + r" \\" + "\n"
+        cells = map(_cell, cells) if raw else (latex_escape(_cell(v)) for v in cells)
+        return " & ".join(cells) + r" \\" + "\n"
 
     out.write(rf"\begin{{tabular}}{{{'l' * len(headers)}}}" + "\n")
     out.write(line(headers))

@@ -742,7 +742,7 @@ def test_classification_matches_the_r_set_oracle():
                             label = f"{family.value} (r<={max(allowed)})"
                         else:
                             label = family.value
-                        expected.append((family, label, tuple(applied)))
+                        expected.append((family, label))
                     assert [tuple(e) for e in result.entries] == expected, q
                     checked += 1
     assert checked > 300

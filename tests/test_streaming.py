@@ -5,7 +5,8 @@ here render the library's complete lists the way the command line did
 before it streamed: every cell of a table first, then its widths; one
 ``json.dumps`` of the whole payload list; one CSV writer over the list.
 The streamed bytes, exit code and stderr must equal them, and memory
-must stay flat as the output grows.
+must stay flat as the output grows.  A reader that closes the pipe
+early ends any command quietly, with its ordinary exit code.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import roofscope.roofs
-from roofscope.cli import main
+from roofscope.cli import GRAMMAR, main
 from roofscope.render import latex_escape
 from roofscope.roofs import (
     FAMILY_SPECS,
@@ -320,18 +321,57 @@ def _child_env() -> dict:
     return env
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["roofs", "--max-rank", "2000", "--format", "csv"],
-        ["verify-table", "--r-max", "1000"],
-        # the table's widths come from one bisection per row, at any rank
-        ["roofs", "--max-rank", "100000000000000000000"],
-    ],
-)
+_RING = ("--base", "P2", "--rank", "2", "--cherns", "3,3")
+# the output is several times the pipe's capacity
+_LONG_ANSWERS = [
+    ["roofs", "--max-rank", "2000", "--format", "csv"],
+    ["verify-table", "--r-max", "1000"],
+    # the table's widths come from one bisection per row, at any rank
+    ["roofs", "--max-rank", "100000000000000000000"],
+]
+# one query per command of the grammar, each exiting 0 on an ordinary run
+_ONE_PER_COMMAND = [
+    ["gp", "E6:1,6"],
+    ["roofs", "--max-rank", "8"],
+    ["verify-table", "--r-max", "20"],
+    ["classify", "--dim-x", "8"],
+    ["chow", "reduce", *_RING, "--element", "xi^2"],
+    ["chow", "degree", *_RING, "--element", "(2*xi)^3"],
+    ["chow", "canonical", "--base", "Q5", "--rank", "3", "--cherns", "2,2,1"],
+    ["chow", "mukai-check", "--index", "5", "--c1", "5", "--rank", "3", "--dim", "5"],
+    ["chow", "discrepancy", "--codim", "3"],
+    ["chow", "discrepancy", "--codim", "3", "--codim2", "3"],
+    ["--help"],
+    ["gp", "--help"],
+]
+
+
+def test_one_query_per_command_is_checked():
+    prefixes = {tuple(argv[:n]) for argv in _ONE_PER_COMMAND for n in (1, 2)}
+    assert set(GRAMMAR) <= prefixes
+
+
+@pytest.mark.parametrize("argv", _LONG_ANSWERS + _ONE_PER_COMMAND)
 def test_a_closed_pipe_ends_the_query_quietly(argv):
-    # the output is several times the pipe's capacity, so the child is
-    # still writing when the reader closes its end after the first line
+    # a reader that left before the first byte: the child's first write
+    # already meets a closed pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "roofscope.cli", *argv],
+            env=_child_env(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+    if argv not in _LONG_ANSWERS:
+        return
+    # the child is still writing when the reader closes its end after the
+    # first line
     child = subprocess.Popen(
         [sys.executable, "-m", "roofscope.cli", *argv],
         env=_child_env(),
@@ -393,6 +433,63 @@ def test_verify_table_checks_every_row_after_the_reader_leaves(monkeypatch, fmt)
         1, "verification failed: D40 computed (-1, -1, -1), expected (780, 78, 78)\n"
     )
     assert "D40" not in stdout.text
+
+
+class _GoneReader(_ClosingReader):
+    """A stdout whose reader left before the first byte: every write and
+    every flush raises BrokenPipeError."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+_FAILING_CHECKS = [
+    ["chow", "mukai-check", "--index", "5", "--c1", "2", "--rank", "3", "--dim", "5"],
+    ["chow", "discrepancy", "--codim", "3", "--codim2", "4"],
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_reader_gone_before_the_first_byte_changes_no_exit_code(monkeypatch, fmt):
+    for argv in _ONE_PER_COMMAND + _FAILING_CHECKS:
+        argv = argv if "--help" in argv else [*argv, "--format", fmt]
+        code, _, err = run(*argv)
+        assert err == ""
+        stdout = _GoneReader()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            with redirect_stderr(io.StringIO()) as gone_err:
+                assert main(argv) == code, argv
+        finally:
+            monkeypatch.undo()
+            os.close(stdout.fds[0])
+            os.close(stdout.fds[1])
+        assert gone_err.getvalue() == "", argv
+    assert [run(*argv)[0] for argv in _FAILING_CHECKS] == [1, 1]
+
+
+def test_help_to_a_gone_reader_exits_0_where_argparse_lets_the_error_out(monkeypatch):
+    # an argparse whose help writes without catching OSError, as some do
+    import argparse
+
+    def print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", print_message)
+    for argv in (["--help"], ["gp", "--help"], ["chow", "--help"]):
+        stdout = _GoneReader()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            with redirect_stderr(io.StringIO()) as err:
+                assert main(argv) == 0
+        finally:
+            os.close(stdout.fds[0])
+            os.close(stdout.fds[1])
+        assert err.getvalue() == ""
 
 
 _PEAK = """\
