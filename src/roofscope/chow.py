@@ -466,6 +466,19 @@ def kequiv_forces_equal_codim(r1: int, r2: int) -> CodimVerdict:
 # integers of more than 4300 digits to text); refusing them while parsing
 # keeps nested powers such as ((3^9999)^9999)^9999 from exhausting memory.
 _MAX_COEFFICIENT_BITS = 1 << 16
+# A product costs about its pairs of terms times the bits of its factors'
+# largest coefficients; refusing one past this bound before it is taken keeps
+# (1+H)^99999 on Q99999 from running for minutes.  It reads the factors, not
+# the result, so it can refuse a product that would have fit after cancellation.
+_MAX_PRODUCT_WORK = 1 << 36
+
+
+def _bits(e: ChowElement) -> int:
+    """The bit length of the largest numerator or denominator in e."""
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in e._terms.values()),
+        default=0,
+    )
 
 
 class _ElementParser:
@@ -523,10 +536,11 @@ class _ElementParser:
         self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
     def product(self, a: ChowElement, b: ChowElement) -> ChowElement:
+        if len(a._terms) * len(b._terms) * (_bits(a) + _bits(b)) > _MAX_PRODUCT_WORK:
+            self.fail(f"product of more than {_MAX_PRODUCT_WORK} term pairs times coefficient bits")
         out = self.ring.reduce(a * b)
-        for c in out._terms.values():
-            if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_COEFFICIENT_BITS:
-                self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
+        if _bits(out) > _MAX_COEFFICIENT_BITS:
+            self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
         return out
 
     def factor(self) -> ChowElement:

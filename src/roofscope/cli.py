@@ -3,10 +3,11 @@
 Commands: gp, roofs, verify-table, classify, and chow with the
 subcommands reduce, degree, canonical, mukai-check and discrepancy.
 Every command takes --format {table,json,csv,latex}.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse error, 3 no result.
-``_emit`` writes every answer through ``render``, and a reader that
+0 success, 1 verification failure, 2 usage, parse or output error, 3 no
+result.  ``_emit`` writes every answer through ``render``: a reader that
 closes the pipe early (``| head``) ends any command, ``--help``
-included, quietly with its usual exit code; the libraries never print.
+included, quietly with its usual exit code, and any other write error
+ends it with exit 2 and one line on stderr; the libraries never print.
 
 ``roofs`` prints each record as it is built, from the generator behind
 ``enumerate_roofs`` (``roofs._roof_stream``), so its memory stays flat
@@ -97,22 +98,28 @@ def _emit(fmt: str, headers, rows, payload, widest=None, raw=False) -> None:
             render.render_csv(sys.stdout, headers, rows())
         else:
             render.render_latex(sys.stdout, headers, rows(), raw)
-    except BrokenPipeError:
-        pass  # the reader left (``| head``): write no more
+    except OSError as exc:  # the reader left (``| head``), or another write error
+        return _flush(exc)  # write no more
     _flush()
 
 
-def _flush() -> None:
-    """Flush stdout.  If its reader has closed the pipe, stdout is pointed
-    at the null device, so the interpreter's own flush at exit is silent."""
+def _flush(error: OSError | None = None) -> None:
+    """Flush stdout after a write that raised ``error``, if it did.  If the
+    flush fails too, stdout is pointed at the null device, so the
+    interpreter's own flush at exit is silent.  A closed pipe ends the
+    answer quietly; any other write error is raised as a ValueError, which
+    ``main`` reports with exit 2."""
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         import os
 
+        error = exc
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    if error is not None and not isinstance(error, BrokenPipeError):
+        raise ValueError(f"cannot write the answer: {error.strerror}") from None
 
 
 def cmd_gp(args) -> int:
@@ -341,7 +348,9 @@ _ELEMENT = _Flag(
     "--element",
     required=True,
     help="a polynomial in xi and H, e.g. (2*xi)^3; an element that would "
-    "read as an option needs '=', as in --element=-xi+H",
+    "read as an option needs '=', as in --element=-xi+H; a product past a "
+    "fixed work bound is refused, even one whose result would have fit "
+    "after cancellation",
 )
 
 _DESCRIPTION = (
@@ -525,23 +534,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse wrote its help or refused the input
-            _flush()
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        except BrokenPipeError:  # its help met a closed pipe, and argparse let it out
-            _flush()
-            return EXIT_OK
-        # argparse stores an option value of exactly "--" (as in --element=--)
-        # as an empty list; no option of this parser takes a list
-        if [] in vars(args).values():
-            print("error: '--' is not a valid option value", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        if args is None:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:  # argparse wrote its help or refused the input
+                _flush()
+                return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+            except OSError as exc:  # its help met a write error, and argparse let it out
+                _flush(exc)
+                return EXIT_OK
+            # argparse stores an option value of exactly "--" (as in --element=--)
+            # as an empty list; no option of this parser takes a list
+            if [] in vars(args).values():
+                print("error: '--' is not a valid option value", file=sys.stderr)
+                return EXIT_USAGE
         return args.run(args)
-    except ValueError as exc:  # ParseError included
+    except ValueError as exc:  # ParseError and output errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

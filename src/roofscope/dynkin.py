@@ -116,89 +116,61 @@ def diagram_of(factors: tuple[SimpleType, ...]) -> Diagram:
 # --- grammar ---------------------------------------------------------------
 
 def parse(text: str) -> MarkedDiagram:
-    """Parse a diagram string; the round trip ``serialize(parse(t))`` canonicalizes."""
+    """Parse a diagram string in one left-to-right pass; the round trip
+    ``serialize(parse(t))`` canonicalizes."""
     for k, ch in enumerate(text):
         if ch.isspace():
             raise ParseError("whitespace is not allowed", k)
+    factors: list[SimpleType] = []
+    swapped: list[bool] = []  # per factor: a B2, read as C2 with its two nodes swapped
     pos = 0
-
-    def fail(msg: str, at: int | None = None):
-        raise ParseError(msg, pos if at is None else at)
-
-    def read_factor():
-        nonlocal pos
+    while True:
         if pos >= len(text) or not text[pos].isalpha():
-            fail("expected a type letter")
-        letter = text[pos]
-        start = pos
-        pos += 1
-        digits = ""
-        while pos < len(text) and "0" <= text[pos] <= "9":
-            digits += text[pos]
-            pos += 1
-        if not digits:
-            fail("expected a rank after the type letter", start)
-        rank = int(digits)
-        if letter == "B" and rank == 2:
-            # alias: B2 node 1 (long) is C2 node 2
-            return SimpleType("C", 2), {1: 2, 2: 1}
+            raise ParseError("expected a type letter", pos)
+        letter, start = text[pos], pos
+        rank, pos = _number(text, pos + 1, "expected a rank after the type letter", start)
+        swapped.append(letter == "B" and rank == 2)
         try:
-            return SimpleType(letter, rank), None
+            factors.append(SimpleType("C" if swapped[-1] else letter, rank))
         except ValueError as exc:
             raise ParseError(str(exc), start) from None
-
-    factors: list[SimpleType] = []
-    remaps: list[dict[int, int] | None] = []
-    t, remap = read_factor()
-    factors.append(t)
-    remaps.append(remap)
-    if pos < len(text) and text[pos] == "*":
+        if len(factors) == 2 or text[pos : pos + 1] != "*":
+            break
         pos += 1
-        t, remap = read_factor()
-        factors.append(t)
-        remaps.append(remap)
 
     marks: list[int] = []
-    if pos < len(text):
-        if text[pos] != ":":
-            fail(f"unexpected character {text[pos]!r}")
-        pos += 1
-        while True:
-            start = pos
-            digits = ""
-            while pos < len(text) and "0" <= text[pos] <= "9":
-                digits += text[pos]
-                pos += 1
-            if not digits:
-                fail("expected a mark index", start)
-            marks.append(int(digits))
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                continue
-            break
-        if pos < len(text):
-            fail(f"unexpected character {text[pos]!r}")
+    while pos < len(text):
+        if text[pos] != ("," if marks else ":"):
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        mark, pos = _number(text, pos + 1, "expected a mark index", pos + 1)
+        marks.append(mark)
     if not marks:
-        raise ParseError("at least one mark is required", len(text) - 1 if text else 0)
+        raise ParseError("at least one mark is required", len(text) - 1)
 
-    total = sum(f.rank for f in factors)
-    offsets = [0, factors[0].rank]
-    remapped: list[int] = []
-    seen: set[int] = set()
+    first, total = factors[0].rank, sum(f.rank for f in factors)
+    nodes: set[int] = set()
     for m in marks:
         if not 1 <= m <= total:
             raise ParseError(f"mark {m} out of range 1..{total}", 0)
-        k = 0 if m <= factors[0].rank else 1
-        local = m - offsets[k]
-        if remaps[k] is not None:
-            local = remaps[k][local]
-        g = offsets[k] + local
-        if g in seen:
+        k = m > first
+        offset = first if k else 0
+        # node m - offset of a B2 is node 3 - (m - offset) of its C2
+        node = 2 * offset + 3 - m if swapped[k] else m
+        if node in nodes:
             raise ParseError(f"duplicate mark {m}", 0)
-        seen.add(g)
-        remapped.append(g)
+        nodes.add(node)
+    return MarkedDiagram(diagram_of(tuple(factors)), frozenset(nodes))
 
-    return MarkedDiagram(diagram_of(tuple(factors)), frozenset(remapped))
+
+def _number(text: str, pos: int, missing: str, at: int) -> tuple[int, int]:
+    """The ASCII decimal that starts at pos and the position after it; a
+    ``ParseError(missing, at)`` if none starts there."""
+    end = pos
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    if end == pos:
+        raise ParseError(missing, at)
+    return int(text[pos:end]), end
 
 
 def serialize(md: MarkedDiagram) -> str:

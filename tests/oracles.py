@@ -1,5 +1,12 @@
 """The tests' references, independent of the production shortcuts.
 
+``reference_parse`` is the diagram parser the library used before it
+read a diagram string in one pass: a factor reader closure called once
+per factor, a digit scan each for the rank and the marks, and a node
+remap table for the B2 alias.  ``dynkin.parse`` must agree with it on
+every string, in its result or in its ``ParseError`` message and
+position.
+
 The positive roots of a factor tuple are the orbit of the simple roots
 under the simple reflections s_i(v) = v - <v, alpha_i^vee> alpha_i, kept
 where no coefficient is negative.  The Cartan matrix is rebuilt from the
@@ -51,6 +58,7 @@ from functools import lru_cache
 from roofscope import (
     Diagram,
     MarkedDiagram,
+    ParseError,
     VarietyInvariants,
     _make_checked,
     diagram_of,
@@ -69,6 +77,94 @@ from roofscope.roofs import (
 )
 
 ALL_SIMPLE = simple_types(8)
+
+
+# --- the grammar -------------------------------------------------------------------
+
+def reference_parse(text: str) -> MarkedDiagram:
+    """Parse a diagram string; the round trip ``serialize(parse(t))`` canonicalizes."""
+    for k, ch in enumerate(text):
+        if ch.isspace():
+            raise ParseError("whitespace is not allowed", k)
+    pos = 0
+
+    def fail(msg: str, at: int | None = None):
+        raise ParseError(msg, pos if at is None else at)
+
+    def read_factor():
+        nonlocal pos
+        if pos >= len(text) or not text[pos].isalpha():
+            fail("expected a type letter")
+        letter = text[pos]
+        start = pos
+        pos += 1
+        digits = ""
+        while pos < len(text) and "0" <= text[pos] <= "9":
+            digits += text[pos]
+            pos += 1
+        if not digits:
+            fail("expected a rank after the type letter", start)
+        rank = int(digits)
+        if letter == "B" and rank == 2:
+            # alias: B2 node 1 (long) is C2 node 2
+            return SimpleType("C", 2), {1: 2, 2: 1}
+        try:
+            return SimpleType(letter, rank), None
+        except ValueError as exc:
+            raise ParseError(str(exc), start) from None
+
+    factors: list[SimpleType] = []
+    remaps: list[dict[int, int] | None] = []
+    t, remap = read_factor()
+    factors.append(t)
+    remaps.append(remap)
+    if pos < len(text) and text[pos] == "*":
+        pos += 1
+        t, remap = read_factor()
+        factors.append(t)
+        remaps.append(remap)
+
+    marks: list[int] = []
+    if pos < len(text):
+        if text[pos] != ":":
+            fail(f"unexpected character {text[pos]!r}")
+        pos += 1
+        while True:
+            start = pos
+            digits = ""
+            while pos < len(text) and "0" <= text[pos] <= "9":
+                digits += text[pos]
+                pos += 1
+            if not digits:
+                fail("expected a mark index", start)
+            marks.append(int(digits))
+            if pos < len(text) and text[pos] == ",":
+                pos += 1
+                continue
+            break
+        if pos < len(text):
+            fail(f"unexpected character {text[pos]!r}")
+    if not marks:
+        raise ParseError("at least one mark is required", len(text) - 1 if text else 0)
+
+    total = sum(f.rank for f in factors)
+    offsets = [0, factors[0].rank]
+    remapped: list[int] = []
+    seen: set[int] = set()
+    for m in marks:
+        if not 1 <= m <= total:
+            raise ParseError(f"mark {m} out of range 1..{total}", 0)
+        k = 0 if m <= factors[0].rank else 1
+        local = m - offsets[k]
+        if remaps[k] is not None:
+            local = remaps[k][local]
+        g = offsets[k] + local
+        if g in seen:
+            raise ParseError(f"duplicate mark {m}", 0)
+        seen.add(g)
+        remapped.append(g)
+
+    return MarkedDiagram(diagram_of(tuple(factors)), frozenset(remapped))
 
 
 # --- edges ---------------------------------------------------------------------

@@ -518,6 +518,26 @@ def test_element_parser_refuses_runaway_coefficients_and_nesting():
         parse_element("(" * 5000 + "xi" + ")" * 5000, _P2_RANK_2)
 
 
+def test_a_product_past_the_work_bound_is_refused_before_it_is_taken(monkeypatch):
+    import roofscope.chow as chow
+
+    ring = chow.BundleChowRing(base=chow._preset_base("P2"), rank=1, cherns=(1,))
+    # (1+H)*(1+H) is 2 x 2 term pairs times 1 + 1 coefficient bits: work 8
+    monkeypatch.setattr(chow, "_MAX_PRODUCT_WORK", 8)
+    assert chow.format_element(chow.parse_element("(1+H)*(1+H)", ring)) == "H^2 + 2*H + 1"
+    monkeypatch.setattr(chow, "_MAX_PRODUCT_WORK", 7)
+    with pytest.raises(ValueError, match="more than 7 term pairs times coefficient bits"):
+        chow.parse_element("(1+H)*(1+H)", ring)
+    monkeypatch.undo()
+    # 761^2 term pairs of about 64760-bit coefficients: refused at once
+    code, out, err = run(
+        "chow", "reduce", "--base", "P760", "--rank", "1", "--cherns", "1",
+        "--element", "(2^64000*(1+H)^760)^2",
+    )
+    assert (code, out) == (2, "")
+    assert "more than 68719476736 term pairs times coefficient bits" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from itertools import combinations
+from itertools import combinations, product
 
 from oracles import (
     ALL_SIMPLE,
@@ -14,6 +16,7 @@ from oracles import (
     _classify_graph,
     cartan,
     edges_of,
+    reference_parse,
     remove_node,
 )
 from roofscope import (
@@ -121,6 +124,39 @@ def test_whitespace_is_forbidden_everywhere():
 def test_marks_are_required():
     with pytest.raises(ParseError, match="mark"):
         parse("F4")
+
+
+def _parsed(parser, text):
+    """A parser's verdict on text: its diagram, or its refusal."""
+    try:
+        return parser(text)
+    except ValueError as exc:  # ParseError, or int() past its digit limit
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# every canonical letter, the B2 alias, non-canonical and malformed factors
+_FACTORS = [
+    "A1", "A3", "B2", "B3", "C2", "D4", "E6", "F4", "G2", "D3", "B02", "A0", "Z9", "A", "b2"
+]
+
+
+def test_parse_agrees_with_the_reference_on_a_grid():
+    heads = _FACTORS + [f"{a}*{b}" for a, b in product(_FACTORS, repeat=2)]
+    tails = ["", ":", ":1,", ":,1"] + [
+        ":" + ",".join(map(str, marks)) for k in (1, 2, 3) for marks in product(range(6), repeat=k)
+    ]
+    for head, tail in product(heads, tails):
+        assert _parsed(parse, head + tail) == _parsed(reference_parse, head + tail), head + tail
+
+
+# the grammar's symbols, whitespace, digits that are not ASCII (² is refused by
+# int(), ٣ read by it), a lowercase and a non-ASCII letter, and the B2 alias
+_ALPHABET = [*"ABCDEFGZa0123456789*:,", " ", "\t", "²", "٣", "é", "B2"]
+
+
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=16).map("".join))
+def test_parse_agrees_with_the_reference_on_any_string(text):
+    assert _parsed(parse, text) == _parsed(reference_parse, text)
 
 
 # --- structure ----------------------------------------------------------------

@@ -6,12 +6,14 @@ before it streamed: every cell of a table first, then its widths; one
 ``json.dumps`` of the whole payload list; one CSV writer over the list.
 The streamed bytes, exit code and stderr must equal them, and memory
 must stay flat as the output grows.  A reader that closes the pipe
-early ends any command quietly, with its ordinary exit code.
+early ends any command quietly, with its ordinary exit code, and any
+other write error ends it with exit 2 and one line on stderr.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
@@ -490,6 +492,74 @@ def test_help_to_a_gone_reader_exits_0_where_argparse_lets_the_error_out(monkeyp
             os.close(stdout.fds[0])
             os.close(stdout.fds[1])
         assert err.getvalue() == ""
+
+
+class _FullDevice(_ClosingReader):
+    """A stdout on a full disk: every write and every flush raises
+    ENOSPC."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self) -> None:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_CANNOT_WRITE = f"error: cannot write the answer: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_an_output_error_exits_2_with_one_line(monkeypatch, fmt):
+    # a verification failure included: an answer that cannot be written is
+    # lost, and exit 2 says so
+    for argv in _ONE_PER_COMMAND + _FAILING_CHECKS:
+        argv = argv if "--help" in argv else [*argv, "--format", fmt]
+        stdout = _FullDevice()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            with redirect_stderr(io.StringIO()) as err:
+                assert main(argv) == 2, argv
+        finally:
+            monkeypatch.undo()
+            os.close(stdout.fds[0])
+            os.close(stdout.fds[1])
+        assert err.getvalue() == _CANNOT_WRITE, argv
+
+
+_TO_DEV_FULL = [
+    ["gp", "E6:1,6"],
+    ["roofs", "--max-rank", "8", "--format", "csv"],
+    ["verify-table", "--r-max", "20"],
+    ["chow", "canonical", "--base", "Q5", "--rank", "3", "--cherns", "2,2,1"],
+    ["--help"],
+]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="writes to /dev/full")
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    # buffered, the error comes at the flush; unbuffered, at the first write,
+    # which argparse on Python 3.11 and later catches and drops in its help
+    [(argv, False) for argv in _TO_DEV_FULL]
+    + [(argv, True) for argv in _TO_DEV_FULL if argv != ["--help"]],
+)
+def test_an_answer_to_a_full_device_exits_2_without_a_traceback(argv, unbuffered):
+    env = _child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "roofscope.cli", *argv],
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: cannot write the answer: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 _PEAK = """\
