@@ -465,6 +465,9 @@ def kequiv_forces_equal_codim(r1: int, r2: int) -> CodimVerdict:
 # Larger coefficients cannot be printed anyway (Python refuses to convert
 # integers of more than 4300 digits to text); refusing them while parsing
 # keeps nested powers such as ((3^9999)^9999)^9999 from exhausting memory.
+# A product whose factors' largest coefficients hold more than one bit past
+# it between them is refused before it is taken: their product passes it
+# unless the ring drops it, and taking it can run for minutes.
 _MAX_COEFFICIENT_BITS = 1 << 16
 # A product costs about its pairs of terms times the bits of its factors'
 # largest coefficients; refusing one past this bound before it is taken keeps
@@ -536,8 +539,11 @@ class _ElementParser:
         self.fail(f"unexpected {ch!r}" if ch else "unexpected end of input")
 
     def product(self, a: ChowElement, b: ChowElement) -> ChowElement:
-        if len(a._terms) * len(b._terms) * (_bits(a) + _bits(b)) > _MAX_PRODUCT_WORK:
+        bits = _bits(a) + _bits(b)
+        if len(a._terms) * len(b._terms) * bits > _MAX_PRODUCT_WORK:
             self.fail(f"product of more than {_MAX_PRODUCT_WORK} term pairs times coefficient bits")
+        if bits > _MAX_COEFFICIENT_BITS + 1:
+            self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")
         out = self.ring.reduce(a * b)
         if _bits(out) > _MAX_COEFFICIENT_BITS:
             self.fail(f"coefficient of more than {_MAX_COEFFICIENT_BITS} bits")

@@ -11,7 +11,9 @@ fiber gap g keeps on each row the one r with dim V_1 = g, since the
 fibers of Y_i -> M are the roof's V_i.  The four cases of the
 classification are rule names, each applied under its condition:
 
-* symplectic ambient variety: the Mukai flop alone (``_SYMPLECTIC``);
+* symplectic ambient variety: on each row the r with dim V_1 = r, as a
+  center of a holomorphic symplectic X has Lagrangian fibers over M,
+  of dimension its codimension (Mukai, Invent. Math. 1984);
 * codimension 2: the rows that admit r = 2, A1xA1, A2^M, C2 and G2;
 * codimension r at least the fiber gap minus 2: what the gap leaves,
   as r >= dim V_1 - 2 then holds;
@@ -22,12 +24,12 @@ Under any case an ambient dimension d keeps on each row the r with
 dim W + 1 = dim V_1 + r <= d.
 
 That each case lists every map is the paper's theorem, and the cuts
-only read the lists off the known rows; ``_SYMPLECTIC`` and
-``_DIM_8_TOP`` are the two theorem facts no row computes.  The second
-holds an open question: dim W + 1 <= 8 admits r = 4 on both A rows
-(A3xA3 has dim W = 6, A4^M has dim W = 7), so r <= 3 either encodes a
-hypothesis of the dimension-8 theorem or is off by one; the paper text
-is needed to settle it, so the cap stays as pinned.
+only read the lists off the known rows; ``_DIM_8_TOP`` is the one
+theorem fact no row computes.  It holds an open question: dim W + 1 <= 8
+admits r = 4 on both A rows (A3xA3 has dim W = 6, A4^M has dim W = 7),
+so r <= 3 either encodes a hypothesis of the dimension-8 theorem or is
+off by one; the paper text is needed to settle it, so the cap stays as
+pinned.
 
 ``roofs`` and ``verify-table`` never load this module; ``classify`` does.
 """
@@ -57,8 +59,7 @@ class ClassificationQuery(
     __slots__ = ()
 
 
-# The two theorem facts that the rows' arithmetic does not give.
-_SYMPLECTIC = Family.A_MUKAI
+# The theorem fact that the rows' arithmetic does not give.
 _DIM_8_TOP = {Family.A_PRODUCT: 3, Family.A_MUKAI: 3}
 
 
@@ -83,18 +84,18 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
     """Apply the classification cases admitted by the query and cut each
     family row by them.
 
-    Each row's r runs from its first fiber up, or is the codimension r
-    alone when the row admits it.  Given d, its top falls to the largest
-    r with dim W + 1 <= d, and at d <= 8 to 3 on both A rows; a fiber
-    gap g leaves the one r with dim V_1 = g.  Each cut is one
-    ``FamilySpec.top_fiber`` bisection, as dim V_1 grows with r.  A single
-    r gives the label at r, a bounded range the generic label with
-    "(r<=hi)", no bound the generic label; an empty range drops the
-    family.  A query matching no case yields an explicit unavailable
+    Each row's r runs from its first fiber up, or is the codimension r alone
+    when the row admits it.  Given d, its top falls to the largest r with
+    dim W + 1 <= d, and at d <= 8 to 3 on both A rows; a symplectic X leaves
+    the r with dim V_1 = r, and a fiber gap g the one r with dim V_1 = g.
+    Each cut is one ``FamilySpec.top_fiber`` bisection, as dim V_1 grows
+    with r.  A single r gives the label at r, a bounded range the generic
+    label with "(r<=hi)", no bound the generic label; an empty range drops
+    the family.  A query matching no case yields an explicit unavailable
     result, not an empty list.  So does an ambient dimension of 1 or 2,
-    which no map reaches; its one applied rule says why.  A fiber gap
-    below 1 is refused: the fibers of Y_i -> M are the roof's V_i, of
-    dimension at least 1 (P^1 for the Atiyah flop).
+    which no map reaches; its one applied rule says why.  A fiber gap below
+    1 is refused: the fibers of Y_i -> M are the roof's V_i, of dimension at
+    least 1 (P^1 for the Atiyah flop).
     """
     if not (q.symplectic or q.dim_x is not None or q.r is not None or q.fiber_gap is not None):
         raise ValueError("at least one constraint is required")
@@ -124,8 +125,6 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
 
     entries = []
     for family, spec in FAMILY_SPECS.items():
-        if q.symplectic and family is not _SYMPLECTIC:
-            continue
         if q.r is None:
             lo, _, hi = spec.fibers
         elif spec.admits(q.r):
@@ -139,6 +138,14 @@ def classify_simple_kequiv(q: ClassificationQuery) -> ClassificationResult:
             hi = spec.top_fiber(lambda r: spec.triple(r)[0] + r <= q.dim_x, range(lo, top + 1))
             if hi is None:
                 continue
+        if q.symplectic:
+            # dim V_1 - r never decreases along a row, and is 0 at every r on
+            # the one row where it is 0 (the tests pin both): a row keeps the
+            # r from its first, if dim V_1 = r there, to the last with dim V_1 <= r
+            if spec.triple(lo)[0] != lo:
+                continue
+            if hi is not None:
+                hi = spec.top_fiber(lambda r: spec.triple(r)[0] <= r, range(lo, hi + 1))
         if q.fiber_gap is not None:
             # dim V_1 >= r - 1 on every row, so an open range ends by g + 1
             g = q.fiber_gap

@@ -350,7 +350,9 @@ _ELEMENT = _Flag(
     help="a polynomial in xi and H, e.g. (2*xi)^3; an element that would "
     "read as an option needs '=', as in --element=-xi+H; a product past a "
     "fixed work bound is refused, even one whose result would have fit "
-    "after cancellation",
+    "after cancellation, and so is a product past the coefficient bound, "
+    "before it is taken, even one whose result would have fit after "
+    "truncation",
 )
 
 _DESCRIPTION = (

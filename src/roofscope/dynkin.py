@@ -180,8 +180,6 @@ def serialize(md: MarkedDiagram) -> str:
 
 # --- one factor: canonical form, layout, root data -------------------------
 
-_SERIES_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
-
 _CANONICAL_HINTS = {
     ("B", 1): "A1",
     ("C", 1): "A1",
@@ -222,10 +220,7 @@ def _noncanonical(letter: str, rank: int) -> str | None:
     hint = _CANONICAL_HINTS.get((letter, rank))
     if hint is not None:
         return f"{letter}{rank} is not a canonical type; use {hint}"
-    if letter in _SERIES_MIN_RANK:
-        if rank < _SERIES_MIN_RANK[letter]:
-            return f"{letter}{rank} is not a canonical type"
-    elif letter == "E":
+    if letter == "E":
         if rank not in (6, 7, 8):
             return "E rank must be 6, 7 or 8"
     elif letter == "F" and rank != 4:

@@ -2,12 +2,11 @@
 
 Run from the repository root as
 
-    PYTHONPATH=src python tests/golden_regen.py [--dry-run]
+    PYTHONPATH=src python tests/golden_regen.py
 
 Each query whose hash changed is printed as "query: old -> new", then its
 new exit code, stdout and stderr, cut to a few lines; added and dropped
-queries are counted.  ``--dry-run`` prints and writes nothing.  pytest
-does not collect this file.
+queries are counted.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ def _excerpt(text: str, limit: int = 6) -> str:
     return shown + (f"\n      ... ({len(lines) - limit} more lines)" if len(lines) > limit else "")
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     old = recorded() if GOLDEN.exists() else {}
     new = {}
     for args in queries():
@@ -41,10 +40,9 @@ def main(argv: list[str]) -> int:
     changed = sum(query in old and old[query] != digest for query, digest in new.items())
     added, dropped = len(new.keys() - old.keys()), len(old.keys() - new.keys())
     print(f"{len(new)} queries: {changed} changed, {added} added, {dropped} dropped")
-    if "--dry-run" not in argv:
-        GOLDEN.write_text("".join(f"{d}  {q}\n" for q, d in new.items()), encoding="utf-8")
+    GOLDEN.write_text("".join(f"{d}  {q}\n" for q, d in new.items()), encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

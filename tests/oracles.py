@@ -73,7 +73,6 @@ from roofscope.roofs import (
     NON_HOMOGENEOUS,
     Family,
     RoofRecord,
-    _check_index,
 )
 
 ALL_SIMPLE = simple_types(8)
@@ -621,14 +620,14 @@ def marked_diagram(record: RoofRecord) -> MarkedDiagram:
 
 
 def _label(family: Family | None, r: int) -> str:
-    return "unknown" if family is None else family.label(r)
+    return "unknown" if family is None else FAMILY_SPECS[family].label(r)
 
 
 def name_family(record: RoofRecord) -> str:
     """Pattern-match a record against the eight family schemata; a record
     that matches none is "unknown"."""
     if record.diagram == NON_HOMOGENEOUS:
-        return Family.G2_DAGGER.label(record.r)
+        return FAMILY_SPECS[Family.G2_DAGGER].label(record.r)
     return _label(_family_of(marked_diagram(record), record.r), record.r)
 
 
@@ -670,6 +669,15 @@ def is_projective_space(md: MarkedDiagram | MarkedResidue) -> int | None:
         raise ValueError("projective-space detection expects exactly one mark")
     (mark,) = md.marks
     return projective_space_charts(md.diagram).get(mark)
+
+
+def _check_index(md: MarkedDiagram, r: int) -> None:
+    """Raise unless the roof md has the index vector (r, r), as every roof does."""
+    w = gp_invariants(md)
+    if w.coefficients() != (r, r):
+        raise RuntimeError(
+            f"index vector {w.coefficients()} disagrees with fiber parameter {r} on {md}"
+        )
 
 
 def is_roof(md: MarkedDiagram) -> int | None:

@@ -93,7 +93,8 @@ def _brute_force_roofs(max_rank: int) -> set[tuple[str, int]]:
     """Independent scan: every 2-marked diagram, is_roof only, mapped to
     its variety-canonical diagram."""
     from oracles import family_diagram, name_family
-    from roofscope import Family, RoofRecord
+    from roofscope import RoofRecord
+    from roofscope.roofs import FAMILY_SPECS
 
     found: set[tuple[str, int]] = set()
     candidates = []
@@ -126,7 +127,7 @@ def _brute_force_roofs(max_rank: int) -> set[tuple[str, int]]:
         )
         label = name_family(probe)
         assert label != "unknown", f"scan found an unclassified roof {text}"
-        family = next(f for f in Family if f.label(r) == label)
+        family = next(f for f, spec in FAMILY_SPECS.items() if spec.label(r) == label)
         canonical = family_diagram(family, r)
         if parse(canonical).diagram.total_rank <= max_rank:
             found.add((canonical, r))

@@ -538,6 +538,28 @@ def test_a_product_past_the_work_bound_is_refused_before_it_is_taken(monkeypatch
     assert "more than 68719476736 term pairs times coefficient bits" in err
 
 
+def test_a_product_past_the_coefficient_bound_is_refused_before_it_is_taken():
+    import roofscope.chow as chow
+
+    ring = chow.BundleChowRing(base=chow._preset_base("P1"), rank=1, cherns=(1,))
+    # 32769 + 32768 bits: one bit past the bound between them, and the
+    # product 2^65535 fits; one more bit and it is refused
+    assert chow.parse_element("2^32768*2^32767", ring) == 2**65535
+    with pytest.raises(ValueError, match="coefficient of more than 65536 bits"):
+        chow.parse_element("2^32768*2^32768", ring)
+    # 701^2 term pairs of about 64700-bit coefficients pass the work bound,
+    # but the product's coefficients would hold about 129400 bits: refused
+    # at once, where taking it ran for minutes
+    start = time.perf_counter()
+    code, out, err = run(
+        "chow", "reduce", "--base", "P700", "--rank", "1", "--cherns", "1",
+        "--element", "(2^64000*(1+H)^700)^2",
+    )
+    assert (code, out) == (2, "")
+    assert "coefficient of more than 65536 bits" in err
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -930,7 +952,7 @@ def test_the_cli_defines_no_part_of_the_element_grammar():
 
 # what root_system defined before it folded into dynkin
 ROOT_SYSTEM_NAMES = """
-    SimpleType _noncanonical _CANONICAL_HINTS _SERIES_MIN_RANK _LETTERS simple_types
+    SimpleType _noncanonical _CANONICAL_HINTS _LETTERS simple_types
     positive_root_count _EXCEPTIONAL_TWO_RHO _two_rho
 """.split()
 
@@ -939,10 +961,13 @@ ROOT_SYSTEM_NAMES = """
 CLASSIFY_NAMES = """
     ClassificationQuery _BELOW_DIM_3 ClassEntry ClassificationResult classify_simple_kequiv
 """.split()
-# the case tables and the dimension bound, which the cuts over the family rows replaced
+# the case tables, the dimension bound and the symplectic family, which the
+# cuts over the family rows replaced
 CLASSIFY_DELETED_NAMES = """
-    _CASE_SYMPLECTIC _CASE_CODIM_2 _CASE_LARGE_CODIM _CASE_DIM_8 _dim_bound
+    _CASE_SYMPLECTIC _CASE_CODIM_2 _CASE_LARGE_CODIM _CASE_DIM_8 _dim_bound _SYMPLECTIC
 """.split()
+# roof facts typed beside the family rows, which now read the rows
+ROOFS_DELETED_NAMES = "_check_index _OTTAVIANI_RANK".split()
 
 
 def test_dynkin_owns_the_types_and_no_root_system_module_is_left():
@@ -967,6 +992,10 @@ def test_dynkin_owns_the_types_and_no_root_system_module_is_left():
     for name in CLASSIFY_DELETED_NAMES:
         assert not hasattr(roofscope.classify, name), name
         assert not hasattr(roofs, name), name
+    for name in ROOFS_DELETED_NAMES:
+        assert not hasattr(roofs, name), name
+    assert not hasattr(roofs.Family, "label")
+    assert not hasattr(roofscope.dynkin, "_SERIES_MIN_RANK")
 
 
 def _resolve_dotted(name: str) -> bool:

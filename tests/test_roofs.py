@@ -211,8 +211,8 @@ def test_enumeration_agrees_with_brute_force_scan():
 
 
 def _family_by_label(label: str, r: int) -> Family:
-    for fam in Family:
-        if fam.label(r) == label:
+    for fam, spec in FAMILY_SPECS.items():
+        if spec.label(r) == label:
             return fam
     raise AssertionError(label)
 
@@ -415,10 +415,11 @@ def test_product_join_matches_the_full_product_scan():
         if (r := is_roof(md)) is not None
     ]
     # the A_PRODUCT records are the products, and no other record is one
+    product = FAMILY_SPECS[Family.A_PRODUCT]
     for max_rank in range(1, 13):
         for r_filter in (None, 2, 3, 4, 5, 6, 7):
             records = enumerate_roofs(max_rank, r_filter=r_filter)
-            products = [rec for rec in records if rec.family == Family.A_PRODUCT.label(rec.r)]
+            products = [rec for rec in records if rec.family == product.label(rec.r)]
             assert sum("*" in rec.diagram for rec in records) == len(products)
             joined = {(rec.diagram, rec.r) for rec in products}
             assert joined == _scanned_product_instances(max_rank, r_filter, hits), (
@@ -537,7 +538,7 @@ def test_each_family_row_agrees_with_its_diagram_up_to_r_16(family):
         rec = _record(family, r)
         assert rec.diagram == diagram
         assert (rec.dim_V1, rec.index_V1, rec.index_V2) == spec.triple(r), diagram
-        assert rec.family == spec.label(r) == family.label(r)
+        assert rec.family == spec.label(r)
 
 
 # --- the reference table --------------------------------------------------------------
@@ -763,20 +764,24 @@ def test_g2_dagger_record_contents():
 
 
 def test_g2_dagger_certificate_matches_the_bundle_ring():
-    # verify-table certifies r = 3 without the chow layer: index Q^5 must
-    # equal c_1(E(1)) = c_1(E) + 3; chow states the same bundle and base
+    # verify-table certifies the row's r without the chow layer: P(E) has
+    # P^(r-1) fibers, so rank E = r, and index Q^5 must equal
+    # c_1(E(1)) = c_1(E) + r; chow states the same bundle and base
     from roofscope.chow import (
         OTTAVIANI_CHERNS_H, XI, BundleChowRing, quadric, twist_cherns,
     )
-    from roofscope.roofs import _OTTAVIANI_C1, _OTTAVIANI_RANK
+    from roofscope.roofs import _OTTAVIANI_C1
 
-    assert len(OTTAVIANI_CHERNS_H) == _OTTAVIANI_RANK
+    first, _, last = FAMILY_SPECS[Family.G2_DAGGER].fibers
+    assert first == last
+    r = first
+    assert len(OTTAVIANI_CHERNS_H) == r
     assert OTTAVIANI_CHERNS_H[0] == _OTTAVIANI_C1
-    twisted = twist_cherns(OTTAVIANI_CHERNS_H, _OTTAVIANI_RANK, 1)
-    assert twisted[0] == _OTTAVIANI_C1 + _OTTAVIANI_RANK
+    twisted = twist_cherns(OTTAVIANI_CHERNS_H, r, 1)
+    assert twisted[0] == _OTTAVIANI_C1 + r
     assert quadric(5).index == gp_invariants(parse("B3:1")).index
-    ring = BundleChowRing(quadric(5), _OTTAVIANI_RANK, twisted)
-    assert ring.canonical_class() == _OTTAVIANI_RANK * XI
+    ring = BundleChowRing(quadric(5), r, twisted)
+    assert ring.canonical_class() == r * XI
 
 
 def test_g2_dagger_row_fails_when_the_certificate_does(monkeypatch):
@@ -798,6 +803,54 @@ def test_a_row_whose_contractions_disagree_in_dimension_fails(monkeypatch):
     (row,) = [row for row in verify_paper_table(5).rows if row.family == "D5"]
     assert row.computed == (-1, 8, 8) and not row.ok
     assert verify_paper_table(4).all_pass
+
+
+def test_a_row_with_wrong_marks_gives_fail_rows_not_a_traceback(monkeypatch):
+    # D_r marked at (r-2, r) is no roof: its index vector is not (r, r), so
+    # verify-table fails each such row and goes on, and the command line
+    # prints them and exits 1
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from roofscope.cli import main
+
+    spec = FAMILY_SPECS[Family.D_SPINOR]
+    monkeypatch.setitem(FAMILY_SPECS, Family.D_SPINOR, spec._replace(marks=lambda r: (r - 2, r)))
+    report = verify_paper_table(6)
+    failing = {row.family for row in report.failures()}
+    assert failing == {"D4", "D5", "D6"}
+    assert all(row.computed[0] == -1 for row in report.failures())
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify-table", "--r-max", "6"])
+    assert code == 1
+    assert [line.split()[0] for line in out.getvalue().splitlines() if "FAIL" in line] == [
+        "D4", "D5", "D6",
+    ]
+    assert "Traceback" not in err.getvalue()
+    assert [line.split()[2] for line in err.getvalue().splitlines()] == ["D4", "D5", "D6"]
+    assert all(line.startswith("verification failed: ") for line in err.getvalue().splitlines())
+
+
+def _sampled_fibers(spec):
+    """The row's r below 3000, then 32 of its r past 10^18 if it has them."""
+    first, step, last = spec.fibers
+    if last is not None:
+        return list(range(first, last + 1, step))
+    far = first + step * (10**18 // step)
+    return [*range(first, 3000, step), *range(far, far + 32 * step, step)]
+
+
+def test_dim_v1_minus_r_never_decreases_along_a_row_and_is_zero_on_one_row_only():
+    # the symplectic cut of classify reads its rows off these two facts
+    zero = set()
+    for family, spec in FAMILY_SPECS.items():
+        gaps = [spec.triple(r)[0] - r for r in _sampled_fibers(spec)]
+        assert gaps == sorted(gaps), family
+        if 0 in gaps:
+            zero.add(family)
+            assert set(gaps) == {0}, family
+    assert zero == {Family.A_MUKAI}
 
 
 def test_roof_record_validates_dimension_additivity():
